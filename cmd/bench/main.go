@@ -593,6 +593,58 @@ func suite(scale float64) []bench {
 		},
 	})
 
+	// A long chained run served from the durable store: the shape of a
+	// warm payload ladder (fig9 under checkpoints). The memo and the
+	// checkpoint tree are dropped before every op, so each op takes the
+	// store path — the run's key hash, a memory-tier read, and one decode —
+	// and never builds the transmitted stream.
+	chainBits := scaled(400_000, scale)
+	var chainHitErr float64
+	suite = append(suite, bench{
+		name:      "store/chainhit",
+		bitsPerOp: chainBits,
+		simErrPct: func() float64 { return chainHitErr * 100 },
+		fn: func(b *testing.B) {
+			dir, err := os.MkdirTemp("", "bench-store-*")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer os.RemoveAll(dir)
+			st, err := resultstore.Open(dir, resultstore.Options{MaxBytes: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer core.SetStore(core.SetStore(st))
+			pay := payload.Random(1, chainBits)
+			cfg := core.DefaultConfig()
+			cfg.Seed = 1
+			cfg.Chain = &core.ChainSpec{Key: 0xc4a1, Lengths: []int{chainBits / 2, chainBits}}
+			core.DropCheckpoints()
+			if _, err := core.Run(cfg, pay); err != nil { // populate the entry
+				b.Fatal(err)
+			}
+			sims := core.ReadRunCounters().Sims
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.DropCheckpoints()
+				res, err := core.Run(cfg, pay)
+				if err != nil {
+					b.Fatal(err)
+				}
+				chainHitErr = res.Errors.Rate()
+			}
+			b.StopTimer()
+			core.DropCheckpoints()
+			if s := st.Stats(); s.Hits < uint64(b.N) {
+				b.Fatalf("store served %d of %d ops; the chain-hit benchmark is simulating", s.Hits, b.N)
+			}
+			if n := core.ReadRunCounters().Sims - sims; n != 0 {
+				b.Fatalf("chain-hit benchmark simulated %d runs", n)
+			}
+		},
+	})
+
 	// Many-repetition sweep of one configuration: the shape of every
 	// experiment table (N seeds per parameter point) and the workload the
 	// simulator pool and warmup-snapshot memo accelerate — each op re-runs

@@ -96,20 +96,33 @@ func Run(cfg Config, payloadBits []byte) (*Result, error) {
 		return nil, fmt.Errorf("core: empty payload")
 	}
 
-	hopt := buildHierOptions(&cfg)
-
 	// Serve-before-build: the store key depends only on config and payload
-	// (store.go), never on the transmitted stream, so an unchained run
-	// consults the durable store before spending anything on ECC, preamble,
-	// or modulation. Under warm serving traffic the whole call is a key
-	// hash plus a memory-tier read. Chained runs build the stream first —
-	// the chain machinery hashes it for memo and fork keys, and the memo
-	// is cheaper than the store for them.
-	var served *Result
-	var sKey resultstore.Key
-	var storable bool
-	if cfg.Chain == nil {
-		if served, sKey, storable = storeLookup(&cfg, payloadBits); served != nil {
+	// (store.go), never on the transmitted stream, so every run consults
+	// the chain result memo and the durable store before spending anything
+	// on ECC, preamble, or modulation. Under warm serving traffic the whole
+	// call is one key hash plus a memory read. The memo (chain runs only)
+	// shares the store's content address: Chain is excluded from the key,
+	// so chained and unchained runs of one config × payload meet in both.
+	chained := chainEligible(&cfg)
+	st := activeStore.Load()
+	var key resultstore.Key
+	var keyed bool
+	if chained || st != nil {
+		key, keyed = storeKey(&cfg, payloadBits)
+	}
+	if keyed && chained {
+		if res := memoLookup(key); res != nil {
+			return res, nil
+		}
+	}
+	if keyed && st != nil {
+		// A bit-identical run completed by any earlier process is served
+		// as a store read, before any simulator is checked out. A hit also
+		// primes the chain memo for this run's siblings.
+		if served := storeLookup(st, key); served != nil {
+			if chained {
+				memoStore(key, served)
+			}
 			return served, nil
 		}
 	}
@@ -130,22 +143,12 @@ func Run(cfg Config, payloadBits []byte) (*Result, error) {
 		tx = payload.Modulate(stream, cfg.KeySeed)
 	}
 
-	// Chain runs (Config.Chain): a bit-identical earlier run may have left
-	// its Result in the memo, or a prefix-sharing sibling may have
+	// Chain runs (Config.Chain): a prefix-sharing sibling may have
 	// published a checkpoint to fork from (see checkpoint.go).
-	chain := newChainRun(&cfg, &hopt, payloadBits, tx)
-	if chain != nil {
-		if res := memoLookup(chain.memoKey); res != nil {
-			return res, nil
-		}
-		// Durable store, after the memo: a bit-identical run completed by
-		// any earlier process is served as a store read, before any
-		// simulator is checked out. A hit also primes the chain memo for
-		// this run's siblings.
-		if served, sKey, storable = storeLookup(&cfg, payloadBits); served != nil {
-			memoStore(chain.memoKey, served)
-			return served, nil
-		}
+	hopt := buildHierOptions(&cfg)
+	var chain *chainRun
+	if chained {
+		chain = newChainRun(&cfg, &hopt, tx)
 	}
 	var lease *simLease
 	var fork *chainCheckpoint
@@ -353,13 +356,15 @@ func Run(cfg Config, payloadBits []byte) (*Result, error) {
 		res.BitRateKBps = float64(res.PayloadBits) / 8192.0 / secs
 		res.ChannelKBps = float64(res.ChannelBits) / 8192.0 / secs
 	}
-	if chain != nil {
-		// A chain run's Result is a pure function of (chain fingerprint,
-		// payload): park a copy so bit-identical siblings skip simulation.
-		memoStore(chain.memoKey, res)
+	if keyed && chained {
+		// A Result is a pure function of its key: park a copy so
+		// bit-identical chain siblings skip simulation.
+		memoStore(key, res)
 	}
-	if storable {
-		storeWriteBack(sKey, res)
+	if keyed && st != nil {
+		// Best-effort write-back: the entry is an optimization for later
+		// readers.
+		st.Put(key, encodeResult(res))
 	}
 	return res, nil
 }

@@ -189,13 +189,12 @@ type chainCheckpoint struct {
 	noise    []noise.State
 }
 
-// chainRun is one Run's view of its chain: the fingerprint keys, its own
+// chainRun is one Run's view of its chain: the fingerprint key, its own
 // final boundary, and the boundaries it may publish.
 type chainRun struct {
-	key     uint64 // chain fingerprint (config + Chain.Key, payload-length-free)
-	memoKey uint64 // key ⊕ payload length ⊕ payload content
-	tx      []byte
-	ownC    int64 // own final boundary: len(tx)-1
+	key  uint64 // chain fingerprint (config + Chain.Key, payload-length-free)
+	tx   []byte
+	ownC int64 // own final boundary: len(tx)-1
 	// bounds are the chain's publishable boundaries, ascending: one per
 	// declared length except the longest (nothing forks from the longest).
 	bounds []int64
@@ -272,8 +271,9 @@ func chainFingerprint(cfg *Config, hopt *hier.Options) uint64 {
 	return h
 }
 
-// hashBits is FNV-1a over a 0/1 bit vector, used to verify payload and
-// transmitted-bit prefix identity before serving memo hits and forks.
+// hashBits is FNV-1a over a 0/1 bit vector, used to verify transmitted-bit
+// prefix identity before forking. (Whole payloads are identified by the
+// store key, which covers them packed 8 bits per hashed byte.)
 func hashBits(bits []byte) uint64 {
 	const prime = 0x100000001b3
 	h := params.FNVOffset
@@ -283,18 +283,13 @@ func hashBits(bits []byte) uint64 {
 	return h
 }
 
-// newChainRun builds a Run's chain view, or returns nil when the config is
-// not chain-eligible (the common case: plain runs pay one nil check).
-func newChainRun(cfg *Config, hopt *hier.Options, payloadBits, tx []byte) *chainRun {
-	if !chainEligible(cfg) {
-		return nil
-	}
+// newChainRun builds a chain-eligible Run's chain view.
+func newChainRun(cfg *Config, hopt *hier.Options, tx []byte) *chainRun {
 	c := &chainRun{
 		key:  chainFingerprint(cfg, hopt),
 		tx:   tx,
 		ownC: int64(len(tx)) - 1,
 	}
-	c.memoKey = params.FNVUint(params.FNVUint(c.key, uint64(len(payloadBits))), hashBits(payloadBits))
 	maxTx := -1
 	txLens := make([]int, 0, len(cfg.Chain.Lengths))
 	for _, l := range cfg.Chain.Lengths {

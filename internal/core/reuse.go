@@ -21,6 +21,7 @@ import (
 
 	"streamline/internal/hier"
 	"streamline/internal/params"
+	"streamline/internal/resultstore"
 	"streamline/internal/runner"
 )
 
@@ -57,7 +58,7 @@ func DropCheckpoints() {
 	chainReuse.mu.Lock()
 	defer chainReuse.mu.Unlock()
 	chainReuse.nodes = make(map[chainNodeKey]*chainCheckpoint)
-	chainReuse.memo = make(map[uint64]*Result)
+	chainReuse.memo = make(map[resultstore.Key]*Result)
 	chainReuse.memoBytes = 0
 }
 
@@ -107,11 +108,11 @@ func ReadChainCounters() ChainCounters {
 var chainReuse = struct {
 	mu        sync.Mutex
 	nodes     map[chainNodeKey]*chainCheckpoint
-	memo      map[uint64]*Result
+	memo      map[resultstore.Key]*Result
 	memoBytes int
 }{
 	nodes: make(map[chainNodeKey]*chainCheckpoint),
-	memo:  make(map[uint64]*Result),
+	memo:  make(map[resultstore.Key]*Result),
 }
 
 // chainNodeExists reports whether a checkpoint is already published at
@@ -165,9 +166,10 @@ func storeChainNode(chain uint64, node *chainCheckpoint) {
 }
 
 // memoLookup serves a deep copy of a previously computed chain Result, or
-// nil. The key folds the chain fingerprint, the payload length, and the
-// payload content hash, so a hit is only possible for a bit-identical run.
-func memoLookup(key uint64) *Result {
+// nil. The key is the run's store content address (storeKey), which covers
+// every simulation-steering Config field and the full payload, so a hit is
+// only possible for a bit-identical run.
+func memoLookup(key resultstore.Key) *Result {
 	chainReuse.mu.Lock()
 	r := chainReuse.memo[key]
 	chainReuse.mu.Unlock()
@@ -180,7 +182,7 @@ func memoLookup(key uint64) *Result {
 
 // memoStore parks a deep copy of a completed chain Result under key,
 // subject to the byte budget.
-func memoStore(key uint64, r *Result) {
+func memoStore(key resultstore.Key, r *Result) {
 	chainReuse.mu.Lock()
 	defer chainReuse.mu.Unlock()
 	if _, ok := chainReuse.memo[key]; ok {

@@ -506,3 +506,112 @@ func TestPayloadKeyBits(t *testing.T) {
 		}
 	}
 }
+
+// TestChainedAndUnchainedShareOneEntry pins the chain memo's keying: the
+// memo is addressed by the store key, which excludes Chain, so a chained
+// run and an unchained run of the same config × payload meet in one memo
+// entry and one store entry — in either order — and both DeepEqual a
+// fresh simulation with every reuse layer off.
+func TestChainedAndUnchainedShareOneEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("channel runs")
+	}
+	defer SetCheckpoints(SetCheckpoints(true))
+	cfg := storeTestConfig()
+	bits := payload.Random(23, 6000)
+	chained := cfg
+	chained.Chain = &ChainSpec{Key: 0x5a7e, Lengths: []int{3000, 6000}}
+
+	defer SetStore(SetStore(nil))
+	SetCheckpoints(false)
+	fresh := run(t, cfg, bits)
+	SetCheckpoints(true)
+
+	for _, chainedFirst := range []bool{true, false} {
+		DropCheckpoints()
+		st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetStore(st)
+		first, second := chained, cfg
+		if !chainedFirst {
+			first, second = cfg, chained
+		}
+		before := ReadRunCounters()
+		a := run(t, first, bits)
+		b := run(t, second, bits)
+		after := ReadRunCounters()
+
+		if !reflect.DeepEqual(a, fresh) || !reflect.DeepEqual(b, fresh) {
+			t.Errorf("chained first %v: a served or simulated Result differs from the fresh run", chainedFirst)
+		}
+		if got := after.Sims - before.Sims; got != 1 {
+			t.Errorf("chained first %v: %d simulations, want 1", chainedFirst, got)
+		}
+		if s := st.Stats(); s.Writes != 1 || s.Hits != 1 || s.Entries != 1 {
+			t.Errorf("chained first %v: store stats %+v, want 1 write, 1 hit, 1 entry", chainedFirst, s)
+		}
+		// The chained run parked (or was served and primed) its Result
+		// under the very key the unchained run's store entry uses.
+		key, ok := storeKey(&chained, bits)
+		if plain, plainOK := storeKey(&cfg, bits); !ok || !plainOK || key != plain {
+			t.Fatal("chained and unchained store keys differ")
+		}
+		if m := memoLookup(key); !reflect.DeepEqual(m, fresh) {
+			t.Errorf("chained first %v: memo entry under the store key is missing or differs", chainedFirst)
+		}
+	}
+}
+
+// TestChainedRunServedFromStoreWithEmptyMemo pins serve-before-build for
+// chained runs: with the memo and checkpoint tree emptied, a repeated
+// chained run is a store read that simulates nothing, and the hit primes
+// the memo for its siblings.
+func TestChainedRunServedFromStoreWithEmptyMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("channel runs")
+	}
+	defer SetCheckpoints(SetCheckpoints(true))
+	st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetStore(SetStore(st))
+	DropCheckpoints()
+
+	cfg := storeTestConfig()
+	cfg.Chain = &ChainSpec{Key: 0x5e7e, Lengths: []int{2000, 4000}}
+	bits := payload.Random(29, 4000)
+	cold := run(t, cfg, bits)
+
+	DropCheckpoints()
+	before, beforeChain := ReadRunCounters(), ReadChainCounters()
+	warm := run(t, cfg, bits)
+	after, afterChain := ReadRunCounters(), ReadChainCounters()
+	if !reflect.DeepEqual(warm, cold) {
+		t.Error("store-served chained Result differs from the simulated one")
+	}
+	if got := after.Sims - before.Sims; got != 0 {
+		t.Errorf("store-served chained run reports %d sims, want 0", got)
+	}
+	if got := after.StoreHits - before.StoreHits; got != 1 {
+		t.Errorf("store hits moved by %d, want 1", got)
+	}
+	if got := afterChain.MemoHits - beforeChain.MemoHits; got != 0 {
+		t.Errorf("emptied memo served %d hits", got)
+	}
+
+	// The store hit primed the memo: the next sibling never reaches the
+	// store.
+	again := run(t, cfg, bits)
+	if !reflect.DeepEqual(again, cold) {
+		t.Error("memo-served chained Result differs from the simulated one")
+	}
+	if c := ReadChainCounters(); c.MemoHits != afterChain.MemoHits+1 {
+		t.Errorf("memo hits %d -> %d, want one more", afterChain.MemoHits, c.MemoHits)
+	}
+	if c := ReadRunCounters(); c.StoreHits != after.StoreHits || c.Sims != after.Sims {
+		t.Errorf("memo-served run touched the store or simulated: %+v -> %+v", after, c)
+	}
+}

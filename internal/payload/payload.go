@@ -38,13 +38,11 @@ func ToBytes(bits []byte) []byte {
 	return out
 }
 
-// Random returns n pseudo-random bits from the given seed.
+// Random returns n pseudo-random bits from the given seed: the low bit of
+// each successive generator output.
 func Random(seed uint64, n int) []byte {
-	x := rng.New(seed)
 	bits := make([]byte, n)
-	for i := range bits {
-		bits[i] = byte(x.Uint64() & 1)
-	}
+	rng.New(seed).FillLowBits(bits)
 	return bits
 }
 
@@ -78,11 +76,8 @@ func Constant(bit byte, n int) []byte {
 // producing the transmitted bits TB-i = PB-i ^ PRNG-i. Demodulating with
 // the same seed recovers the payload.
 func Modulate(payloadBits []byte, seed uint64) []byte {
-	k := rng.NewKeystream(seed)
 	out := make([]byte, len(payloadBits))
-	for i, pb := range payloadBits {
-		out[i] = (pb & 1) ^ k.Bit()
-	}
+	rng.NewKeystream(seed).XorBits(out, payloadBits)
 	return out
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"streamline/internal/rng"
 )
 
 func TestBytesRoundTrip(t *testing.T) {
@@ -93,5 +95,24 @@ func TestModulateDifferentSeedsGarble(t *testing.T) {
 	}
 	if diff < 4000 {
 		t.Fatalf("wrong-seed demodulation matched too well (%d diffs)", diff)
+	}
+}
+
+// TestModulateMatchesPerBit pins the word-at-a-time Modulate to the per-bit
+// definition TB-i = PB-i ^ PRNG-i, and Demodulate∘Modulate to the identity,
+// at lengths that leave unaligned tails.
+func TestModulateMatchesPerBit(t *testing.T) {
+	for _, n := range []int{1, 5, 8, 13, 64, 100, 1001, 40_003} {
+		bits := Random(uint64(n), n)
+		tx := Modulate(bits, 0x5eed)
+		k := rng.NewKeystream(0x5eed)
+		for i, pb := range bits {
+			if w := pb ^ k.Bit(); tx[i] != w {
+				t.Fatalf("len %d: tx[%d] = %d, want %d", n, i, tx[i], w)
+			}
+		}
+		if !bytes.Equal(Demodulate(tx, 0x5eed), bits) {
+			t.Fatalf("len %d: Demodulate(Modulate(p)) != p", n)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -131,6 +132,68 @@ func TestCorruptionQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, ok := s.Get(key); !ok || string(got) != "resimulated" {
+		t.Fatalf("Get after re-Put = %q, %v", got, ok)
+	}
+}
+
+// TestStaleVersionRemovedNotQuarantined pins the upgrade path: an entry
+// whose envelope version differs (here a hand-built v1 envelope with its
+// FNV-1a checksum, as the previous layout wrote it) is a stale miss. The
+// file is deleted — not renamed to .corrupt, where it would sit outside the
+// disk budget — and nothing counts as quarantined.
+func TestStaleVersionRemovedNotQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	key := KeyOf([]byte("written by the v1 layout"))
+	payload := []byte("payload under the old envelope")
+	fnv := uint64(0xcbf29ce484222325)
+	for _, c := range payload {
+		fnv = (fnv ^ uint64(c)) * 0x100000001b3
+	}
+	env := make([]byte, envHdrLen+len(payload))
+	copy(env, envMagic)
+	binary.LittleEndian.PutUint32(env[4:], 1)
+	copy(env[8:], key[:])
+	binary.LittleEndian.PutUint64(env[24:], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(env[32:], fnv)
+	copy(env[envHdrLen:], payload)
+	path := filepath.Join(dir, key.String()[:2], key.String())
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged int
+	s := openT(t, dir, Options{Log: func(string, ...any) { logged++ }})
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("Open indexed %d entries, want the stale one", st.Entries)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("stale envelope served as a hit")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("stale entry still on disk: %v", err)
+	}
+	if _, err := os.Stat(path + ".corrupt"); !os.IsNotExist(err) {
+		t.Fatalf("stale entry quarantined instead of removed: %v", err)
+	}
+	st := s.Stats()
+	if st.Quarantined != 0 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("Stats = %+v, want 0 quarantined, 1 miss, 0 hits", st)
+	}
+	if st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("footprint %d entries %d bytes after removal, want 0/0", st.Entries, st.Bytes)
+	}
+	if logged != 0 {
+		t.Fatalf("stale removal logged %d corruption lines", logged)
+	}
+
+	// The caller's re-simulation writes a current-version entry in place.
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Get after re-Put = %q, %v", got, ok)
 	}
 }

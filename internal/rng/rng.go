@@ -13,6 +13,8 @@
 // wall-clock time or global state.
 package rng
 
+import "encoding/binary"
+
 // SplitMix64 is Steele et al.'s splitmix64 generator. The zero value is a
 // valid generator seeded with 0.
 type SplitMix64 struct {
@@ -141,6 +143,28 @@ func (x *Xoshiro) Norm() float64 {
 	return s - 6
 }
 
+// FillLowBits sets each dst[i], in order, to the low bit (0 or 1) of the
+// generator's next output: the stream payload.Random draws. Like Norm, the
+// steps run on register-resident state copies with a single store-back, so
+// the bits and the final state are identical to len(dst) calls of
+// Uint64()&1 (pinned by TestFillLowBitsMatchesUint64). The low bit of
+// rotl(s1*5, 7)*9 is bit 57 of s1*5: rotl moves it to bit 0 and the odd
+// multiplier keeps it there.
+func (x *Xoshiro) FillLowBits(dst []byte) {
+	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
+	for i := range dst {
+		dst[i] = byte((s1 * 5) >> 57 & 1)
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
+}
+
 // Keystream produces the shared pseudo-random bit sequence used to modulate
 // payload bits (Section 3.2). Sender and receiver each construct one from
 // the same seed and must consume bits in lockstep by index.
@@ -171,5 +195,46 @@ func (k *Keystream) Bit() byte {
 func (k *Keystream) Bits(dst []byte) {
 	for i := range dst {
 		dst[i] = k.Bit()
+	}
+}
+
+// spread8[b] holds bit j of b in the low bit of byte j: one keystream byte
+// laid out in the one-bit-per-byte vector form.
+var spread8 = func() (t [256]uint64) {
+	for b := range t {
+		for j := 0; j < 8; j++ {
+			t[b] |= uint64(b>>j&1) << (8 * j)
+		}
+	}
+	return t
+}()
+
+// XorBits sets dst[i] = src[i]&1 ^ k.Bit() for every i in order, consuming
+// len(src) keystream bits: the modulation TB-i = PB-i ^ PRNG-i over a whole
+// bit vector. dst must be at least as long as src and may alias it. Output
+// and keystream position are identical to the per-bit loop (pinned by
+// TestXorBitsMatchesBit). Once the buffered keystream sits on a byte
+// boundary, each step takes 8 keystream bits, spreads them through spread8,
+// and XORs 8 vector bytes as one word; the unaligned head and the short
+// tail fall back to per-bit steps.
+func (k *Keystream) XorBits(dst, src []byte) {
+	dst = dst[:len(src)]
+	i := 0
+	for ; i < len(src) && k.left%8 != 0; i++ {
+		dst[i] = src[i]&1 ^ k.Bit()
+	}
+	const low = 0x0101010101010101
+	for ; i+8 <= len(src); i += 8 {
+		if k.left == 0 {
+			k.buf = k.x.Uint64()
+			k.left = 64
+		}
+		w := binary.LittleEndian.Uint64(src[i:]) & low
+		binary.LittleEndian.PutUint64(dst[i:], w^spread8[byte(k.buf)])
+		k.buf >>= 8
+		k.left -= 8
+	}
+	for ; i < len(src); i++ {
+		dst[i] = src[i]&1 ^ k.Bit()
 	}
 }

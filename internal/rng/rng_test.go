@@ -212,3 +212,83 @@ func TestNormMatchesFloat64Sum(t *testing.T) {
 		}
 	}
 }
+
+// TestFillLowBitsMatchesUint64 pins the register-resident FillLowBits to its
+// definition: the low bit of each successive Uint64, with the generator
+// state advanced identically, at lengths from empty to a million bits.
+func TestFillLowBitsMatchesUint64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef, 1 << 63} {
+		for _, n := range []int{0, 1, 2, 7, 8, 63, 64, 65, 1000, 4097, 1 << 20} {
+			a, b := New(seed), New(seed)
+			got := make([]byte, n)
+			a.FillLowBits(got)
+			for i, v := range got {
+				if w := byte(b.Uint64() & 1); v != w {
+					t.Fatalf("seed %#x len %d: bit %d = %d, want %d", seed, n, i, v, w)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %#x len %d: generator states diverged", seed, n)
+			}
+		}
+	}
+}
+
+// TestXorBitsMatchesBit pins the word-at-a-time XorBits to the per-bit
+// modulation loop: from every keystream phase (0…63 bits already
+// consumed), at lengths on and off byte multiples, with source bytes
+// outside {0, 1} (only the low bit counts), in place and out of place, the
+// output and the keystream position afterwards must match Bit exactly.
+func TestXorBitsMatchesBit(t *testing.T) {
+	src := make([]byte, 300)
+	x := New(5)
+	for i := range src {
+		src[i] = byte(x.Uint64())
+	}
+	for skip := 0; skip < 64; skip++ {
+		for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 17, 63, 64, 65, 127, 129, 200, 299} {
+			for _, inPlace := range []bool{false, true} {
+				a, b := NewKeystream(77), NewKeystream(77)
+				for i := 0; i < skip; i++ {
+					a.Bit()
+					b.Bit()
+				}
+				in := append([]byte(nil), src[:n]...)
+				dst := make([]byte, n)
+				if inPlace {
+					dst = in
+				}
+				a.XorBits(dst, in)
+				for i := 0; i < n; i++ {
+					if w := src[i]&1 ^ b.Bit(); dst[i] != w {
+						t.Fatalf("skip %d len %d in-place %v: bit %d = %d, want %d",
+							skip, n, inPlace, i, dst[i], w)
+					}
+				}
+				for i := 0; i < 70; i++ {
+					if a.Bit() != b.Bit() {
+						t.Fatalf("skip %d len %d: keystream position diverged", skip, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkFillLowBits(b *testing.B) {
+	x := New(1)
+	buf := make([]byte, 1<<16)
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		x.FillLowBits(buf)
+	}
+}
+
+func BenchmarkXorBits(b *testing.B) {
+	k := NewKeystream(1)
+	buf := make([]byte, 1<<16)
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		k.XorBits(buf, buf)
+	}
+}
