@@ -645,6 +645,52 @@ func suite(scale float64) []bench {
 		},
 	})
 
+	// The same 400k-bit warm serve for a generated payload: RunRandom keys
+	// the run by its generator inputs, so each op is one key hash over the
+	// config, a memory-tier read and one decode — the payload bits are
+	// never generated or hashed. store/chainhit over store/seedhit is the
+	// cost of materializing and hashing the payload.
+	var seedHitErr float64
+	suite = append(suite, bench{
+		name:      "store/seedhit",
+		bitsPerOp: chainBits,
+		simErrPct: func() float64 { return seedHitErr * 100 },
+		fn: func(b *testing.B) {
+			dir, err := os.MkdirTemp("", "bench-store-*")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer os.RemoveAll(dir)
+			st, err := resultstore.Open(dir, resultstore.Options{MaxBytes: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer core.SetStore(core.SetStore(st))
+			cfg := core.DefaultConfig()
+			cfg.Seed = 1
+			if _, err := core.RunRandom(cfg, 1, chainBits); err != nil { // populate the entry
+				b.Fatal(err)
+			}
+			sims := core.ReadRunCounters().Sims
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := core.RunRandom(cfg, 1, chainBits)
+				if err != nil {
+					b.Fatal(err)
+				}
+				seedHitErr = res.Errors.Rate()
+			}
+			b.StopTimer()
+			if s := st.Stats(); s.MemHits < uint64(b.N) {
+				b.Fatalf("memory tier served %d of %d ops; the seed-hit benchmark is not a warm serve", s.MemHits, b.N)
+			}
+			if n := core.ReadRunCounters().Sims - sims; n != 0 {
+				b.Fatalf("seed-hit benchmark simulated %d runs", n)
+			}
+		},
+	})
+
 	// Many-repetition sweep of one configuration: the shape of every
 	// experiment table (N seeds per parameter point) and the workload the
 	// simulator pool and warmup-snapshot memo accelerate — each op re-runs

@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"streamline/internal/daemon"
 	"streamline/internal/resultstore"
@@ -57,7 +58,17 @@ func main() {
 	}
 
 	srv := daemon.NewServer(st, *queueCap, *jobs)
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	// Header reads are bounded in time and size so a slow or oversized
+	// client cannot hold a connection open before its request is even
+	// routed (bodies are capped per handler). There is deliberately no
+	// ReadTimeout or WriteTimeout: either would cut long-lived
+	// /jobs/{id}/progress streams.
+	httpSrv := &http.Server{
+		Addr:              *listen,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		MaxHeaderBytes:    64 << 10,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

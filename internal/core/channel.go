@@ -89,26 +89,65 @@ func (r *Result) BitPeriodCycles() float64 {
 // Run transmits payloadBits (a 0/1 vector) over the channel described by
 // cfg and returns the measured Result.
 func Run(cfg Config, payloadBits []byte) (*Result, error) {
+	return runPayload(cfg, payloadSrc{bits: payloadBits})
+}
+
+// RunRandom returns exactly Run(cfg, payload.Random(seed, n)), but names
+// the payload by its generator inputs rather than its bits: the store key
+// is built from (seed, n), so a run served by the chain memo or the result
+// store never materializes the payload at all (see storeKey).
+func RunRandom(cfg Config, seed uint64, n int) (*Result, error) {
+	return runPayload(cfg, payloadSrc{gen: true, seed: seed, n: n})
+}
+
+// payloadSrc is a run's payload: explicit bits, or the inputs of
+// payload.Random, generated only when the run actually simulates.
+type payloadSrc struct {
+	bits []byte
+	gen  bool
+	seed uint64
+	n    int
+}
+
+func (p *payloadSrc) bitLen() int {
+	if p.gen {
+		return p.n
+	}
+	return len(p.bits)
+}
+
+// materialize returns the payload bits, generating them on first use.
+func (p *payloadSrc) materialize() []byte {
+	if p.gen && p.bits == nil {
+		p.bits = payload.Random(p.seed, p.n)
+	}
+	return p.bits
+}
+
+// runPayload is the one path behind Run and RunRandom; only the payload
+// term of the store key differs between them.
+func runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(payloadBits) == 0 {
+	if src.bitLen() <= 0 {
 		return nil, fmt.Errorf("core: empty payload")
 	}
 
 	// Serve-before-build: the store key depends only on config and payload
 	// (store.go), never on the transmitted stream, so every run consults
 	// the chain result memo and the durable store before spending anything
-	// on ECC, preamble, or modulation. Under warm serving traffic the whole
-	// call is one key hash plus a memory read. The memo (chain runs only)
-	// shares the store's content address: Chain is excluded from the key,
-	// so chained and unchained runs of one config × payload meet in both.
+	// on the payload bits, ECC, preamble, or modulation. Under warm serving
+	// traffic the whole call is one key hash plus a memory read. The memo
+	// (chain runs only) shares the store's content address: Chain is
+	// excluded from the key, so chained and unchained runs of one config ×
+	// payload meet in both.
 	chained := chainEligible(&cfg)
 	st := activeStore.Load()
 	var key resultstore.Key
 	var keyed bool
 	if chained || st != nil {
-		key, keyed = storeKey(&cfg, payloadBits)
+		key, keyed = storeKey(&cfg, &src)
 	}
 	if keyed && chained {
 		if res := memoLookup(key); res != nil {
@@ -127,9 +166,10 @@ func Run(cfg Config, payloadBits []byte) (*Result, error) {
 		}
 	}
 
-	// Build the transmitted bit stream (it needs no simulator): optional
-	// ECC, an optional transient-burning preamble, then optional PRNG
-	// modulation.
+	// Build the transmitted bit stream (it needs no simulator): the payload
+	// itself, optional ECC, an optional transient-burning preamble, then
+	// optional PRNG modulation.
+	payloadBits := src.materialize()
 	chanBits := payloadBits
 	if cfg.ECC {
 		chanBits = ecc.Encode(payloadBits)

@@ -50,6 +50,9 @@ func TestEmptyPayloadRejected(t *testing.T) {
 	if _, err := Run(testConfig(), nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
+	if _, err := RunRandom(testConfig(), 1, 0); err == nil {
+		t.Fatal("empty generated payload accepted")
+	}
 }
 
 func TestRoundTripLowError(t *testing.T) {

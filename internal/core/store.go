@@ -2,7 +2,8 @@
 // process-wide resultstore.Store before building its transmitted stream or
 // checking out a simulator: a Result computed once under a content key —
 // machine fingerprint × every simulation-steering Config field × the full
-// payload — is thereafter served as a memory or disk read, shared between
+// payload (its bits, or the inputs of the pure generator that produced
+// them) — is thereafter served as a memory or disk read, shared between
 // experiments, CI runs, and daemon jobs. The in-RAM chain memo (reuse.go)
 // is addressed by the same key.
 //
@@ -94,12 +95,24 @@ const storeKeySchema = "streamline-core-result-v2"
 // silently aliasing distinct runs. Machine is folded via its own audited
 // Fingerprint. Chain is the one documented exception (see package comment).
 // HugePages is covered directly; the TLB model it selects is a pure
-// function of it.
-func storeKey(cfg *Config, payloadBits []byte) (resultstore.Key, bool) {
+// function of it. The payload term is the bits themselves or, for a
+// generated payload, the generator's inputs (payloadKeyGen).
+func storeKey(cfg *Config, src *payloadSrc) (resultstore.Key, bool) {
 	if cfg.Pattern != nil || cfg.LLCPolicy != nil {
 		return resultstore.Key{}, false
 	}
-	e := newEnc(512 + len(payloadBits)/8 + 1)
+	capHint := 512
+	if !src.gen {
+		capHint += len(src.bits)/8 + 1
+	}
+	e := newEnc(capHint)
+	e.keyTerms(cfg, src)
+	return resultstore.KeyOf(e.b), true
+}
+
+// keyTerms appends the canonical encoding storeKey hashes, for a config
+// the key can canonicalize.
+func (e *enc) keyTerms(cfg *Config, src *payloadSrc) {
 	e.str(storeKeySchema)
 	e.u64(cfg.Machine.Fingerprint())
 	e.i(cfg.ArraySize)
@@ -164,8 +177,36 @@ func storeKey(cfg *Config, payloadBits []byte) (resultstore.Key, bool) {
 	e.u64(cfg.CounterWindow)
 	e.i(cfg.GapClamp)
 	// Chain: excluded by design; see package comment.
-	e.payloadKeyBits(payloadBits)
-	return resultstore.KeyOf(e.b), true
+	if src.gen {
+		e.payloadKeyGen(src.seed, src.n)
+	} else {
+		e.payloadKeyBits(src.bits)
+	}
+}
+
+// Payload key forms. Each encoding opens with its own tag byte, so the
+// three can never alias one another.
+const (
+	payloadFormRaw    byte = 0 // one byte per bit, any byte values
+	payloadFormPacked byte = 1 // 0/1 payload packed 8 bits per byte
+	payloadFormGen    byte = 2 // payload.Random(seed, n), by its inputs
+)
+
+// payloadGenTag names the generator behind payloadFormGen. The generated
+// form is legal only because payload.Random is a pure function of (seed,
+// n); TestPayloadRandomPinned pins its output by digest, so any edit to
+// payload.Random or the rng stream it draws fails CI until this tag is
+// bumped, retiring every entry keyed under the old generator.
+const payloadGenTag = "payload.Random/xoshiro256**-lowbit-v1"
+
+// payloadKeyGen appends a generated payload to the key encoding: the
+// generator tag, seed and length name the bits exactly without
+// materializing them, so the key costs the same at any payload size.
+func (e *enc) payloadKeyGen(seed uint64, n int) {
+	e.b = append(e.b, payloadFormGen)
+	e.str(payloadGenTag)
+	e.u64(seed)
+	e.i(n)
 }
 
 // payloadKeyBits appends the payload to the key encoding. Payloads are
@@ -177,8 +218,8 @@ func storeKey(cfg *Config, payloadBits []byte) (resultstore.Key, bool) {
 // two encodings can never alias.
 func (e *enc) payloadKeyBits(p []byte) {
 	mark := len(e.b)
-	e.bool(true) // packed form
-	e.i(len(p))  // length in bits (so a packed tail byte cannot alias a shorter payload)
+	e.b = append(e.b, payloadFormPacked)
+	e.i(len(p)) // length in bits (so a packed tail byte cannot alias a shorter payload)
 	// Eight bytes per step: the multiplier gathers each byte's low bit
 	// into the product's top byte (bit k of the result is byte k's low
 	// bit; the contributions land on distinct bit positions, so no
@@ -202,7 +243,7 @@ func (e *enc) payloadKeyBits(p []byte) {
 	}
 	if bad != 0 {
 		e.b = e.b[:mark]
-		e.bool(false) // raw form
+		e.b = append(e.b, payloadFormRaw)
 		e.bytes(p)
 	}
 }

@@ -130,7 +130,7 @@ func keyedConfig() Config {
 
 func mustKey(t *testing.T, cfg Config) resultstore.Key {
 	t.Helper()
-	k, ok := storeKey(&cfg, []byte{1, 0, 1})
+	k, ok := storeKey(&cfg, &payloadSrc{bits: []byte{1, 0, 1}})
 	if !ok {
 		t.Fatal("config unexpectedly store-ineligible")
 	}
@@ -217,7 +217,7 @@ func TestStoreKeySensitivity(t *testing.T) {
 	for name, mutate := range ineligible {
 		cfg := keyedConfig()
 		mutate(&cfg)
-		if _, ok := storeKey(&cfg, []byte{1, 0, 1}); ok {
+		if _, ok := storeKey(&cfg, &payloadSrc{bits: []byte{1, 0, 1}}); ok {
 			t.Errorf("Config.%s set should make the config store-ineligible", name)
 		}
 	}
@@ -230,10 +230,10 @@ func TestStoreKeySensitivity(t *testing.T) {
 	}
 
 	// Payload identity is part of the key.
-	if k, _ := storeKey(&base, []byte{1, 0, 0}); k == baseKey {
+	if k, _ := storeKey(&base, &payloadSrc{bits: []byte{1, 0, 0}}); k == baseKey {
 		t.Error("payload content did not change the store key")
 	}
-	if k, _ := storeKey(&base, []byte{1, 0, 1, 0}); k == baseKey {
+	if k, _ := storeKey(&base, &payloadSrc{bits: []byte{1, 0, 1, 0}}); k == baseKey {
 		t.Error("payload length did not change the store key")
 	}
 }
@@ -554,8 +554,8 @@ func TestChainedAndUnchainedShareOneEntry(t *testing.T) {
 		}
 		// The chained run parked (or was served and primed) its Result
 		// under the very key the unchained run's store entry uses.
-		key, ok := storeKey(&chained, bits)
-		if plain, plainOK := storeKey(&cfg, bits); !ok || !plainOK || key != plain {
+		key, ok := storeKey(&chained, &payloadSrc{bits: bits})
+		if plain, plainOK := storeKey(&cfg, &payloadSrc{bits: bits}); !ok || !plainOK || key != plain {
 			t.Fatal("chained and unchained store keys differ")
 		}
 		if m := memoLookup(key); !reflect.DeepEqual(m, fresh) {

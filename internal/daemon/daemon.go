@@ -28,13 +28,18 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"runtime/debug"
 	"sync"
 
 	"streamline/internal/core"
 	"streamline/internal/experiments"
 	"streamline/internal/resultstore"
+	"streamline/internal/runner"
 )
 
 // jobRequest is the POST /jobs body. Zero values mean the sweep defaults:
@@ -222,6 +227,9 @@ type Server struct {
 // in "running" while followers attach.
 var testHookJobStart func(j *job)
 
+// panicLog receives the stack of every job panic (stderr; tests capture it).
+var panicLog io.Writer = os.Stderr
+
 // NewServer starts workers goroutines draining a queueCap-bounded FIFO.
 // store may be nil (jobs then always simulate). Call Drain to stop.
 func NewServer(store *resultstore.Store, queueCap, workers int) *Server {
@@ -250,7 +258,33 @@ func NewServer(store *resultstore.Store, queueCap, workers int) *Server {
 	return s
 }
 
+// runJob runs one job to completion. A panic anywhere in the job — a run
+// panicking on the calling goroutine, or any code outside the runner's own
+// per-spec recovery — fails only this job: the deferred finish marks it
+// failed with the panic value, logs the stack to stderr and retires the
+// flight, and the worker goroutine moves on to the next job.
 func (s *Server) runJob(j *job) {
+	var tab *experiments.Table
+	var tabs []*experiments.Table
+	var err error
+	defer func() {
+		if p := recover(); p != nil {
+			err = &runner.PanicError{Value: p, Stack: debug.Stack()}
+		}
+		var pe *runner.PanicError
+		if errors.As(err, &pe) {
+			fmt.Fprintf(panicLog, "streamlined: job %s: %v\n%s", j.id, pe, pe.Stack)
+		}
+		// Retire the flight before publishing the result: a submission that
+		// misses the flight table re-runs (and is served by the store), but
+		// can never attach to a leader that already broadcast its finish.
+		s.mu.Lock()
+		if key := j.flightKey(); s.flights[key] == j {
+			delete(s.flights, key)
+		}
+		s.mu.Unlock()
+		j.finish(tab, tabs, err)
+	}()
 	j.setState("running")
 	if testHookJobStart != nil {
 		testHookJobStart(j)
@@ -266,23 +300,11 @@ func (s *Server) runJob(j *job) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	var tab *experiments.Table
-	var tabs []*experiments.Table
-	var err error
 	if j.batch != nil {
 		tabs, err = experiments.RunBatch(j.batch, opts)
 	} else {
 		tab, err = experiments.Run(j.req.Exp, opts)
 	}
-	// Retire the flight before publishing the result: a submission that
-	// misses the flight table re-runs (and is served by the store), but
-	// can never attach to a leader that already broadcast its finish.
-	s.mu.Lock()
-	if key := j.flightKey(); s.flights[key] == j {
-		delete(s.flights, key)
-	}
-	s.mu.Unlock()
-	j.finish(tab, tabs, err)
 }
 
 func (j *job) flightKey() flightKey {
@@ -319,10 +341,30 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds a POST body. Real job requests are a few hundred
+// bytes; the limit only stops a client from streaming an unbounded body
+// into the JSON decoder.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes a size-limited JSON request body into v. On failure it
+// has already answered: 413 for an oversized body, 400 for anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if !experiments.Known(req.Exp) {
@@ -372,8 +414,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // once per point thanks to the store.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Exps) == 0 {

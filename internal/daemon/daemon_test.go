@@ -1,10 +1,13 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -422,5 +425,94 @@ func TestDaemonDrainRefusesSubmits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("batch submit after drain: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestPanickingJobFailsAlone is the failure-injection proof for job
+// panics: a job that panics ends "failed" with the panic value, its flight
+// is retired (a resubmission runs anew instead of attaching to the dead
+// leader), and the same worker goes on to finish the next job with the
+// golden table.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	testHookJobStart = func(j *job) {
+		if j.req.Seed == 13 {
+			panic("injected job panic")
+		}
+	}
+	var logged bytes.Buffer
+	panicLog = &logged
+	defer func() { testHookJobStart, panicLog = nil, os.Stderr }()
+	_, c := startServer(t, nil, 4, 1)
+
+	const bad = `{"exp":"ablation-ratelimit","seed":13,"quick":true}`
+	for i := 0; i < 2; i++ {
+		js := c.submit(bad)
+		if js.Leader != "" {
+			t.Fatalf("submission %d attached to leader %s; the panicked flight was not retired", i, js.Leader)
+		}
+		c.tail(js.ID)
+		if st := c.status(js.ID); st.State != "failed" || !strings.Contains(st.Error, "panic: injected job panic") {
+			t.Fatalf("panicking job: state %q, error %q; want failed with the panic value", st.State, st.Error)
+		}
+	}
+	if log := logged.String(); !strings.Contains(log, "job job-1: panic: injected job panic") ||
+		!strings.Contains(log, "TestPanickingJobFailsAlone") {
+		t.Errorf("panic stack not logged:\n%s", log)
+	}
+
+	good := c.submit(`{"exp":"ablation-ratelimit","seed":42,"quick":true}`)
+	c.tail(good.ID)
+	st := c.status(good.ID)
+	if st.State != "done" || st.Table == nil {
+		t.Fatalf("job after a panic: state %q, error %q", st.State, st.Error)
+	}
+	var got bytes.Buffer
+	st.Table.Format(&got)
+	want, err := os.ReadFile(filepath.Join("..", "experiments", "testdata", "ablation-ratelimit.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("job after a panic differs from the golden table\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+	}
+}
+
+// TestDaemonRejectsOversizedBodies pins the request body limit: a POST body
+// beyond maxBodyBytes is answered 413 on both submit endpoints, and the
+// server goes on serving.
+func TestDaemonRejectsOversizedBodies(t *testing.T) {
+	_, c := startServer(t, nil, 1, 1)
+	pad := strings.Repeat("x", maxBodyBytes)
+	for path, body := range map[string]string{
+		"/jobs":       `{"exp":"` + pad + `"}`,
+		"/jobs/batch": `{"exps":["` + pad + `"]}`,
+	} {
+		resp, err := http.Post(c.ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized POST %s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+
+	// The next requests are served: a small body is decoded (and rejected
+	// on its merits), and stats still answer.
+	resp, err := http.Post(c.ts.URL+"/jobs", "application/json", strings.NewReader(`{"exp":"nope"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("small POST after 413: status %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Get(c.ts.URL + "/store/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /store/stats after 413: status %d, want 200", resp.StatusCode)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"streamline/internal/core"
 	"streamline/internal/pattern"
-	"streamline/internal/payload"
 )
 
 // planFig6 regenerates Figure 6: bit-error-rate versus a controlled
@@ -99,7 +98,7 @@ func planFig7(o Opts) (*Plan, error) {
 					cfg.SyncPeriod = 200000
 				}
 				cfg.Seed = seed
-				res, err := core.Run(cfg, payload.Random(seed^0xf16, bits))
+				res, err := core.RunRandom(cfg, seed^0xf16, bits)
 				if err != nil {
 					return Out{}, err
 				}
@@ -213,7 +212,7 @@ func planTable2(o Opts) (*Plan, error) {
 				cfg := core.DefaultConfig()
 				cfg.Seed = seed
 				cfg.Chain = &core.ChainSpec{Key: key, Lengths: sizes}
-				res, err := core.Run(cfg, payload.Random(seed^0xb257, n))
+				res, err := core.RunRandom(cfg, seed^0xb257, n)
 				if err != nil {
 					return Out{}, err
 				}

@@ -169,7 +169,7 @@ func defmatrixStreamlineRun(d defenseSpec, bits int) func(int, uint64) (Out, err
 		cfg.Seed = seed
 		cfg.CounterWindow = defMonitorWindow
 		d.core(&cfg)
-		res, err := core.Run(cfg, payload.Random(seed^0xdef, bits))
+		res, err := core.RunRandom(cfg, seed^0xdef, bits)
 		if err != nil {
 			return Out{}, err
 		}

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"streamline/internal/core"
-	"streamline/internal/payload"
 	"streamline/internal/rng"
 	"streamline/internal/runner"
 	"streamline/internal/stats"
@@ -392,7 +391,7 @@ func channelRun(mk func(rep int, seed uint64) core.Config, bits int) func(int, u
 	return func(rep int, seed uint64) (Out, error) {
 		cfg := mk(rep, seed)
 		cfg.Seed = seed
-		res, err := core.Run(cfg, payload.Random(seed^0xbead, bits))
+		res, err := core.RunRandom(cfg, seed^0xbead, bits)
 		if err != nil {
 			return Out{}, err
 		}
@@ -448,7 +447,7 @@ func chainedRun(o Opts, tag string, lengths []int, payloadTag uint64,
 		cfg := mk(rep, seed)
 		cfg.Seed = seed
 		cfg.Chain = &core.ChainSpec{Key: key, Lengths: lengths}
-		res, err := core.Run(cfg, payload.Random(seed^payloadTag, bits))
+		res, err := core.RunRandom(cfg, seed^payloadTag, bits)
 		if err != nil {
 			return Out{}, err
 		}

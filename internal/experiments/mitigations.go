@@ -7,7 +7,6 @@ import (
 	"streamline/internal/core"
 	"streamline/internal/defense"
 	"streamline/internal/noise"
-	"streamline/internal/payload"
 	"streamline/internal/rng"
 )
 
@@ -31,7 +30,7 @@ func planMitigations(o Opts) (*Plan, error) {
 				cfg := core.DefaultConfig()
 				cfg.Seed = seed
 				mut(&cfg, seed)
-				res, err := core.Run(cfg, payload.Random(seed^0x3a7, sendBits))
+				res, err := core.RunRandom(cfg, seed^0x3a7, sendBits)
 				if err != nil {
 					return Out{}, err
 				}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -115,10 +116,32 @@ func (o *Options) stamper() func(Event) Event {
 // on how runs interleave.
 type Func[T any] func(spec Spec, seed uint64) (T, error)
 
+// PanicError is the error a spec reports when its run panicked: the runner
+// recovers the panic on the goroutine that ran the spec, so one bad run
+// fails its sweep cleanly instead of killing the process that hosts it.
+type PanicError struct {
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// call runs fn on one spec, turning a panic into that spec's *PanicError.
+func call[T any](fn Func[T], s Spec, root uint64) (out T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Value: p, Stack: debug.Stack()}
+		}
+	}()
+	return fn(s, s.Seed(root))
+}
+
 // Execute runs every spec through fn and returns the results in spec
 // order. On failure it returns the error of the lowest-index failing spec
-// (again independent of scheduling). Remaining specs may be skipped once a
-// failure is observed.
+// (again independent of scheduling); a spec whose run panics fails with a
+// *PanicError. Remaining specs may be skipped once a failure is observed.
 func Execute[T any](specs []Spec, fn Func[T], opt Options) ([]T, error) {
 	n := len(specs)
 	results := make([]T, n)
@@ -143,7 +166,7 @@ func Execute[T any](specs []Spec, fn Func[T], opt Options) ([]T, error) {
 			if opt.Hook != nil {
 				elapsed = stopwatch()
 			}
-			out, err := fn(s, s.Seed(opt.Root))
+			out, err := call(fn, s, opt.Root)
 			if opt.Hook != nil {
 				opt.Hook(stamp(Event{Spec: s, Index: i, Done: i + 1, Total: n,
 					Elapsed: elapsed(), Err: err}))
@@ -184,7 +207,7 @@ func Execute[T any](specs []Spec, fn Func[T], opt Options) ([]T, error) {
 			for i := range next {
 				s := specs[i]
 				elapsed := stopwatch()
-				out, err := fn(s, s.Seed(opt.Root))
+				out, err := call(fn, s, opt.Root)
 				mu.Lock()
 				done++
 				if err != nil {

@@ -112,6 +112,36 @@ func TestErrorIsLowestIndex(t *testing.T) {
 	}
 }
 
+// TestPanicBecomesSpecError pins panic containment: a run that panics
+// fails its sweep with a *PanicError naming the spec, at every worker
+// count and under both Execute and ExecuteSegments, instead of killing the
+// process.
+func TestPanicBecomesSpecError(t *testing.T) {
+	specs := sweep("panics", 8, 1)
+	fn := func(s Spec, seed uint64) (int, error) {
+		if s.Point == 5 {
+			panic(fmt.Sprintf("point %d blew up", s.Point))
+		}
+		return s.Point, nil
+	}
+	for _, workers := range []int{1, 3} {
+		_, errExec := Execute(specs, fn, Options{Workers: workers})
+		_, errSeg := ExecuteSegments(specs, nil, fn, Options{Workers: workers})
+		for name, err := range map[string]error{"Execute": errExec, "ExecuteSegments": errSeg} {
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s workers=%d: want a *PanicError, got %v", name, workers, err)
+			}
+			if !strings.Contains(err.Error(), "panics point 5 rep 0: panic: point 5 blew up") {
+				t.Errorf("%s workers=%d: error %q does not name the panicking spec", name, workers, err)
+			}
+			if !strings.Contains(string(pe.Stack), "TestPanicBecomesSpecError") {
+				t.Errorf("%s workers=%d: stack does not reach the panicking function:\n%s", name, workers, pe.Stack)
+			}
+		}
+	}
+}
+
 func TestErrorStopsFeedingSerial(t *testing.T) {
 	var calls atomic.Int64
 	specs := sweep("stop", 10, 1)

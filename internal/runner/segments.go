@@ -25,6 +25,7 @@ import (
 // cycles by construction. A nil deps slice (or nil entries) means no
 // constraints. Results come back in spec order; on failure the error of the
 // lowest-index failing spec is returned and unstarted specs are skipped.
+// As under Execute, a panicking spec fails with a *PanicError.
 func ExecuteSegments[T any](specs []Spec, deps [][]int, fn Func[T], opt Options) ([]T, error) {
 	n := len(specs)
 	results := make([]T, n)
@@ -57,7 +58,7 @@ func ExecuteSegments[T any](specs []Spec, deps [][]int, fn Func[T], opt Options)
 			if opt.Hook != nil {
 				elapsed = stopwatch()
 			}
-			out, err := fn(s, s.Seed(opt.Root))
+			out, err := call(fn, s, opt.Root)
 			if opt.Hook != nil {
 				opt.Hook(stamp(Event{Spec: s, Index: i, Done: i + 1, Total: n,
 					Elapsed: elapsed(), Err: err, SegmentsDone: i + 1}))
@@ -110,7 +111,7 @@ func ExecuteSegments[T any](specs []Spec, deps [][]int, fn Func[T], opt Options)
 				if opt.Hook != nil {
 					elapsed = stopwatch()
 				}
-				out, err := fn(s, s.Seed(opt.Root))
+				out, err := call(fn, s, opt.Root)
 				st.mu.Lock()
 				st.done++
 				if stole {
