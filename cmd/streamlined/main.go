@@ -11,7 +11,11 @@
 //	curl localhost:8080/jobs/job-1            # result table as JSON
 //	curl localhost:8080/store/stats
 //
-// Or from the sweep client: sweep -exp table1 -remote http://localhost:8080.
+// Or through the client subcommand, which prints the same tables a local
+// sweep prints (see submit.go):
+//
+//	streamlined submit -remote http://localhost:8080 -exp table1 -quick
+//	streamlined submit -remote http://localhost:8080 -exp all   # one batch job
 //
 // Jobs queue FIFO into a bounded queue (-queue, 503 when full) and run on
 // -jobs concurrent workers. SIGINT/SIGTERM drains: in-flight and queued
@@ -33,6 +37,9 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "submit" {
+		os.Exit(submit(os.Args[2:], os.Stdout, os.Stderr))
+	}
 	var (
 		listen   = flag.String("listen", ":8080", "address to serve HTTP on")
 		storeDir = flag.String("store", "", "result-store directory (required)")

@@ -17,13 +17,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"streamline/internal/core"
+	"streamline/internal/expcli"
 	"streamline/internal/experiments"
 	"streamline/internal/resultstore"
 )
@@ -32,19 +31,11 @@ func main() {
 	var (
 		exp        = flag.String("exp", "", "experiment id (or 'all')")
 		list       = flag.Bool("list", false, "list experiment ids")
-		seed       = flag.Uint64("seed", 1, "base seed (per-run seeds derive from it hierarchically)")
-		runs       = flag.Int("runs", 0, "repetitions per data point (0 = default 3; paper uses 5)")
-		full       = flag.Bool("full", false, "paper-scale payload sizes (up to 1e9 bits; hours)")
-		quick      = flag.Bool("quick", false, "smoke-test sizes")
-		quiet      = flag.Bool("quiet", false, "suppress progress and timing lines")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		workers    = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
 		storeDir   = flag.String("store", "", "result-store directory: serve repeated runs from disk instead of simulating (progress marks them [hit])")
-		remote     = flag.String("remote", "", "streamlined daemon URL (e.g. http://localhost:8080): run experiments there instead of locally")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (taken after the sweep) to this file")
 	)
-	flag.BoolVar(quiet, "q", false, "shorthand for -quiet")
+	run := expcli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -93,14 +84,8 @@ func main() {
 		}()
 	}
 
-	if *remote != "" && *storeDir != "" {
-		fmt.Fprintln(os.Stderr, "sweep: -store and -remote are mutually exclusive (the daemon owns its own store)")
-		os.Exit(2)
-	}
-
-	prog := newProgress(os.Stderr, *quiet)
-	opts := experiments.Opts{Seed: *seed, Runs: *runs, Full: *full, Quick: *quick, Workers: *workers}
-	opts.Progress = prog.runWriter()
+	prog := expcli.NewProgress(os.Stderr, run.Quiet)
+	opts := run.Opts(prog)
 
 	// With -store, every run is checked against the on-disk result store
 	// before a simulator is checked out; warm repeats of a sweep complete
@@ -123,105 +108,19 @@ func main() {
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
-	// A remote -exp all goes up as one batch job: the daemon runs every
-	// experiment through a single combined runner plan (one pool checkout,
-	// one progress hook), and the tables come back in submission order.
-	if *remote != "" && len(ids) > 1 {
-		done := prog.begin("all (batch)")
-		tabs, err := runRemoteBatch(*remote, remoteBatch{
-			Exps: ids, Seed: *seed, Runs: *runs, Quick: *quick, Full: *full, Workers: *workers,
-		}, prog.runWriter())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-		for _, tab := range tabs {
-			if *csv {
-				tab.FormatCSV(os.Stdout)
-			} else {
-				tab.Format(os.Stdout)
-			}
-		}
-		done()
-		return
-	}
-	for _, id := range ids {
-		done := prog.begin(id)
-		var tab *experiments.Table
-		var err error
-		if *remote != "" {
-			tab, err = runRemote(*remote, remoteJob{
-				Exp: id, Seed: *seed, Runs: *runs, Quick: *quick, Full: *full, Workers: *workers,
-			}, prog.runWriter())
-		} else {
-			tab, err = experiments.Run(id, opts)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
-		}
-		if *csv {
-			tab.FormatCSV(os.Stdout)
-		} else {
-			tab.Format(os.Stdout)
-		}
-		done()
+	err := run.Each(os.Stdout, prog, ids, func(id string) (*experiments.Table, error) {
+		return experiments.Run(id, opts)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *exp == "all" {
-		prog.total("all experiments")
+		prog.Total("all experiments")
 	}
-	if store != nil && !*quiet {
+	if store != nil && !run.Quiet {
 		s := store.Stats()
 		fmt.Fprintf(os.Stderr, "[store: %d hits, %d misses, %d entries, %.1f MB]\n",
 			s.Hits, s.Misses, s.Entries, float64(s.Bytes)/1e6)
-	}
-}
-
-// progress is the command's single progress hook: every line written to
-// stderr and every wall-clock read funnels through it, so the display
-// path has exactly one clock call site (progress.now) and -quiet switches
-// the whole thing off at once.
-type progress struct {
-	w     io.Writer
-	quiet bool
-	start time.Time
-}
-
-func newProgress(w io.Writer, quiet bool) *progress {
-	p := &progress{w: w, quiet: quiet}
-	p.start = p.now()
-	return p
-}
-
-// now is the command's only clock access; its values decorate stderr
-// progress lines and never reach experiment output (stdout).
-func (p *progress) now() time.Time {
-	return time.Now() //detlint:allow wallclock -- display-only elapsed timing on the progress path; never reaches results
-}
-
-// runWriter returns the per-run progress destination for
-// experiments.Opts.Progress, or nil when quiet.
-func (p *progress) runWriter() io.Writer {
-	if p.quiet {
-		return nil
-	}
-	return p.w
-}
-
-// begin marks the start of one experiment and returns the function that
-// reports its elapsed time.
-func (p *progress) begin(id string) (done func()) {
-	start := p.now()
-	return func() {
-		if !p.quiet {
-			fmt.Fprintf(p.w, "[%s took %s]\n", id, p.now().Sub(start).Round(time.Millisecond))
-		}
-	}
-}
-
-// total reports time elapsed since the progress hook was created.
-func (p *progress) total(label string) {
-	if !p.quiet {
-		fmt.Fprintf(p.w, "[%s took %s]\n", label, p.now().Sub(p.start).Round(time.Millisecond))
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -79,17 +80,16 @@ func TestResultCodecFieldAudit(t *testing.T) {
 		"Counters")
 }
 
-func TestResultCodecRejectsCorrupt(t *testing.T) {
+// corruptResults builds, from the encoding of fullResult, each kind of
+// structural damage the Result codec must reject. TestResultCodecRejectsCorrupt
+// checks every one is rejected, and FuzzDecodeResult starts from them.
+func corruptResults() map[string][]byte {
 	good := encodeResult(fullResult())
-	if _, err := decodeResult(good[:len(good)-3]); err == nil {
-		t.Error("decode accepted a truncated payload")
+	edit := func(fn func(b []byte) []byte) []byte {
+		return fn(append([]byte(nil), good...))
 	}
-	if _, err := decodeResult(append(append([]byte(nil), good...), 0)); err == nil {
-		t.Error("decode accepted trailing bytes")
-	}
-	// A bool byte outside {0,1} marks structural corruption. Locate the
-	// GapSamples nil flag by diffing against an encoding that differs only
-	// in that flag.
+	// Locate the GapSamples slice header (nil flag, then length) by
+	// diffing against an encoding that differs only in that flag.
 	noGaps := fullResult()
 	noGaps.GapSamples = nil
 	other := encodeResult(noGaps)
@@ -97,10 +97,26 @@ func TestResultCodecRejectsCorrupt(t *testing.T) {
 	for good[flag] == other[flag] {
 		flag++
 	}
-	bad := append([]byte(nil), good...)
-	bad[flag] = 7
-	if _, err := decodeResult(bad); err == nil {
-		t.Error("decode accepted a non-bool nil flag")
+	return map[string][]byte{
+		"truncated": good[:len(good)-3],
+		"trailing":  edit(func(b []byte) []byte { return append(b, 0) }),
+		// A bool byte outside {0,1} marks structural corruption.
+		"non-bool nil flag": edit(func(b []byte) []byte { b[flag] = 7; return b }),
+		"nil with a length": edit(func(b []byte) []byte { b[flag] = 1; return b }),
+		"implausible length": edit(func(b []byte) []byte {
+			for i := 1; i <= 8; i++ {
+				b[flag+i] = 0x7f
+			}
+			return b
+		}),
+	}
+}
+
+func TestResultCodecRejectsCorrupt(t *testing.T) {
+	for name, raw := range corruptResults() {
+		if _, err := decodeResult(raw); err == nil {
+			t.Errorf("decode accepted a %s payload", name)
+		}
 	}
 }
 
@@ -411,6 +427,39 @@ func TestRunStoreCorruptFallback(t *testing.T) {
 	}
 	if c := ReadRunCounters(); c.StoreHits != after.StoreHits+1 {
 		t.Error("healed entry not served as a hit")
+	}
+}
+
+// TestRunWriteErrorCounted injects a failing write-back: a regular file
+// sits where every shard directory should go. The run must still return
+// the storeless Result, and the lost write must be counted.
+func TestRunWriteErrorCounted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("channel runs")
+	}
+	cfg := storeTestConfig()
+	bits := payload.Random(13, 4000)
+	prev := SetStore(nil)
+	defer SetStore(prev)
+	want := run(t, cfg, bits)
+
+	dir := t.TempDir()
+	st, err := resultstore.Open(dir, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02x", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	SetStore(st)
+	got := run(t, cfg, bits)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("Result with a failing write-back differs from the storeless run")
+	}
+	if s := st.Stats(); s.WriteErrors != 1 || s.Writes != 0 || s.Entries != 0 {
+		t.Errorf("store stats %+v, want exactly 1 write error and nothing stored", s)
 	}
 }
 

@@ -28,7 +28,9 @@
 // quarantine files. Anything else that fails verification — truncation, a
 // flipped bit, a wrong key echo — is quarantined in place (renamed to
 // `.corrupt`), logged once, and reported as a miss, so corruption costs one
-// re-simulation and never an incorrect result.
+// re-simulation and never an incorrect result. Quarantine files count
+// toward the disk budget and are the first thing eviction removes, so
+// repeated corruption can never grow the directory past it.
 //
 // Both tiers are size-bounded and evict least-recently-used entries, where
 // recency is a process-local logical clock (an atomic counter bumped per
@@ -55,6 +57,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -117,9 +120,10 @@ const numShards = 256
 
 // Options configures Open.
 type Options struct {
-	// MaxBytes bounds the total on-disk envelope bytes retained; Put
-	// evicts least-recently-used entries beyond it. 0 selects 2 GiB;
-	// negative disables disk eviction (unbounded).
+	// MaxBytes bounds the total on-disk bytes retained, live envelopes
+	// and quarantine files together; Put removes quarantine files, then
+	// least-recently-used entries, beyond it. 0 selects 2 GiB; negative
+	// disables disk eviction (unbounded).
 	MaxBytes int64
 	// MemBytes bounds the in-memory tier's resident payload bytes. 0
 	// selects 256 MiB; negative disables the memory tier entirely (every
@@ -136,21 +140,26 @@ type Options struct {
 // Stats takes no lock and never contends with the serving path.
 type Stats struct {
 	// Hits and Misses count Get outcomes across both tiers; a quarantined
-	// read counts as a miss. Writes counts completed Puts, Evictions disk
-	// entries removed by the size bound, Quarantined entries renamed
-	// aside after failing verification.
-	Hits, Misses, Writes, Evictions, Quarantined uint64
+	// read counts as a miss. Writes counts completed Puts and WriteErrors
+	// failed ones (the caller's run still succeeds; only the write-back
+	// is lost). Evictions counts disk entries removed by the size bound,
+	// Quarantined entries renamed aside after failing verification.
+	Hits, Misses, Writes, WriteErrors, Evictions, Quarantined uint64
 	// MemHits counts Gets served from the in-memory tier (a subset of
 	// Hits); MemMisses Gets that fell through to the disk tier (whether
 	// or not the disk tier then hit); MemEvictions entries dropped by the
 	// memory budget.
 	MemHits, MemMisses, MemEvictions uint64
 	// Entries and Bytes describe the live disk tier (envelope bytes);
+	// CorruptEntries and CorruptBytes the quarantine files still on disk;
 	// MemEntries and MemBytes the resident memory tier (payload bytes).
-	Entries    int
-	Bytes      int64
-	MemEntries int
-	MemBytes   int64
+	// Bytes + CorruptBytes is what MaxBytes bounds.
+	Entries        int
+	Bytes          int64
+	CorruptEntries int
+	CorruptBytes   int64
+	MemEntries     int
+	MemBytes       int64
 }
 
 // diskEntry is one indexed on-disk envelope. lastUse is the logical clock
@@ -168,15 +177,17 @@ type memEntry struct {
 	prev, next *memEntry
 }
 
-// shard is 1/256th of both tiers: the disk index and the memory tier's
-// map + LRU list for keys whose first byte matches. The LRU list is
+// shard is 1/256th of both tiers: the disk index, the quarantine index
+// (sizes of `.corrupt` files on disk) and the memory tier's map + LRU
+// list for keys whose first byte matches. The LRU list is
 // circular through the sentinel head: head.next is most-recently-used,
 // head.prev least.
 type shard struct {
-	mu   sync.Mutex
-	disk map[Key]diskEntry
-	mem  map[Key]*memEntry
-	head memEntry // sentinel
+	mu      sync.Mutex
+	disk    map[Key]diskEntry
+	corrupt map[Key]int64
+	mem     map[Key]*memEntry
+	head    memEntry // sentinel
 
 	// memBytes is this shard's resident payload bytes, guarded by mu. The
 	// global memory budget is split evenly across shards (uniform keys
@@ -216,16 +227,18 @@ type Store struct {
 	memDisabled bool
 	log         func(format string, args ...any)
 
-	hits, misses, writes, evictions, quarantined atomic.Uint64
-	memHits, memMisses, memEvictions             atomic.Uint64
-	loggedCorrupt                                atomic.Bool
+	hits, misses, writes, writeErrors, evictions, quarantined atomic.Uint64
+	memHits, memMisses, memEvictions                          atomic.Uint64
+	loggedCorrupt                                             atomic.Bool
 
 	// Footprints are atomics so Stats never locks; the shard locks keep
 	// each update paired with its map change, so the totals stay exact.
-	bytes         atomic.Int64
-	entries       atomic.Int64
-	memBytesTotal atomic.Int64
-	memEntriesTot atomic.Int64
+	bytes          atomic.Int64
+	entries        atomic.Int64
+	corruptBytes   atomic.Int64
+	corruptEntries atomic.Int64
+	memBytesTotal  atomic.Int64
+	memEntriesTot  atomic.Int64
 
 	clock   atomic.Uint64 // logical recency clock for disk-tier LRU
 	evictMu sync.Mutex    // serializes disk evictions
@@ -257,6 +270,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	for i := range s.shards {
 		s.shards[i].disk = make(map[Key]diskEntry)
+		s.shards[i].corrupt = make(map[Key]int64)
 		s.shards[i].mem = make(map[Key]*memEntry)
 		s.shards[i].lruInit()
 	}
@@ -268,8 +282,17 @@ func Open(dir string, opt Options) (*Store, error) {
 		case ".tmp":
 			os.Remove(path) // a writer died mid-Put; the rename never happened
 		case ".corrupt":
-			// Quarantined entries stay for post-mortems but are outside
-			// the live accounting and can never be served.
+			// Quarantined entries stay for post-mortems and can never be
+			// served, but their bytes count toward the disk budget.
+			key, kerr := ParseKey(strings.TrimSuffix(filepath.Base(path), ".corrupt"))
+			if kerr != nil {
+				return nil
+			}
+			info, ierr := d.Info()
+			if ierr != nil {
+				return nil
+			}
+			s.noteCorruptLocked(&s.shards[key[0]], key, info.Size())
 		default:
 			key, kerr := ParseKey(filepath.Base(path))
 			if kerr != nil {
@@ -379,6 +402,7 @@ func (s *Store) Get(key Key) ([]byte, bool) {
 	if uerr != nil {
 		if os.Rename(path, path+".corrupt") == nil {
 			s.dropDiskLocked(sh, key)
+			s.noteCorruptLocked(sh, key, de.size)
 		}
 		sh.mu.Unlock()
 		s.quarantined.Add(1)
@@ -415,6 +439,19 @@ func (s *Store) dropDiskLocked(sh *shard, key Key) {
 		s.memBytesTotal.Add(-int64(len(e.payload)))
 		s.memEntriesTot.Add(-1)
 	}
+}
+
+// noteCorruptLocked records a quarantine file of size bytes for key,
+// replacing the record of any earlier one (a rename onto an existing
+// `.corrupt` file overwrites it). Caller holds the shard lock.
+func (s *Store) noteCorruptLocked(sh *shard, key Key, size int64) {
+	if old, ok := sh.corrupt[key]; ok {
+		s.corruptBytes.Add(-old)
+	} else {
+		s.corruptEntries.Add(1)
+	}
+	sh.corrupt[key] = size
+	s.corruptBytes.Add(size)
 }
 
 // insertMemLocked makes payload resident under key, evicting this shard's
@@ -456,8 +493,16 @@ func (s *Store) insertMemLocked(sh *shard, key Key, payload []byte) {
 // bound. The payload becomes store-owned: callers must not modify it after
 // Put (every call site in this repository passes a freshly encoded buffer).
 // Storing is an optimization for later readers, so callers may ignore the
-// error.
+// error; every failure is counted in Stats.WriteErrors.
 func (s *Store) Put(key Key, payload []byte) error {
+	err := s.put(key, payload)
+	if err != nil {
+		s.writeErrors.Add(1)
+	}
+	return err
+}
+
+func (s *Store) put(key Key, payload []byte) error {
 	env := wrap(key, payload)
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -500,40 +545,64 @@ func (s *Store) Put(key Key, payload []byte) error {
 	}
 	sh.mu.Unlock()
 	s.writes.Add(1)
-	if s.maxBytes >= 0 && s.bytes.Load() > s.maxBytes {
+	if s.maxBytes >= 0 && s.footprint() > s.maxBytes {
 		s.evictDisk(key)
 	}
 	return nil
 }
 
+// footprint is the disk bytes MaxBytes bounds: live envelopes plus
+// quarantine files.
+func (s *Store) footprint() int64 { return s.bytes.Load() + s.corruptBytes.Load() }
+
 // Stats returns the current counters and footprints. Lock-free.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Hits:         s.hits.Load(),
-		Misses:       s.misses.Load(),
-		Writes:       s.writes.Load(),
-		Evictions:    s.evictions.Load(),
-		Quarantined:  s.quarantined.Load(),
-		MemHits:      s.memHits.Load(),
-		MemMisses:    s.memMisses.Load(),
-		MemEvictions: s.memEvictions.Load(),
-		Entries:      int(s.entries.Load()),
-		Bytes:        s.bytes.Load(),
-		MemEntries:   int(s.memEntriesTot.Load()),
-		MemBytes:     s.memBytesTotal.Load(),
+		Hits:           s.hits.Load(),
+		Misses:         s.misses.Load(),
+		Writes:         s.writes.Load(),
+		WriteErrors:    s.writeErrors.Load(),
+		Evictions:      s.evictions.Load(),
+		Quarantined:    s.quarantined.Load(),
+		MemHits:        s.memHits.Load(),
+		MemMisses:      s.memMisses.Load(),
+		MemEvictions:   s.memEvictions.Load(),
+		Entries:        int(s.entries.Load()),
+		Bytes:          s.bytes.Load(),
+		CorruptEntries: int(s.corruptEntries.Load()),
+		CorruptBytes:   s.corruptBytes.Load(),
+		MemEntries:     int(s.memEntriesTot.Load()),
+		MemBytes:       s.memBytesTotal.Load(),
 	}
 }
 
-// evictDisk removes least-recently-used disk entries until the footprint
-// fits the budget. keep is the entry just written, exempt so a single
-// oversized Put does not evict itself. Eviction is serialized (evictMu) and
-// snapshots the index shard by shard — it never holds more than one shard
-// lock at a time, so the serving path stays responsive while it runs.
+// evictDisk brings the disk footprint within the budget: it removes
+// every quarantine file first (they can never be served), then
+// least-recently-used live entries. keep is the entry just written, exempt
+// so a single oversized Put does not evict itself. Eviction is serialized
+// (evictMu) and snapshots the index shard by shard — it never holds more
+// than one shard lock at a time, so the serving path stays responsive
+// while it runs.
 func (s *Store) evictDisk(keep Key) {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
-	if s.bytes.Load() <= s.maxBytes {
+	if s.footprint() <= s.maxBytes {
 		return // a concurrent eviction already got us under budget
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for k, size := range sh.corrupt {
+			if err := os.Remove(s.path(k) + ".corrupt"); err == nil || os.IsNotExist(err) {
+				delete(sh.corrupt, k)
+				s.corruptBytes.Add(-size)
+				s.corruptEntries.Add(-1)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	if s.footprint() <= s.maxBytes {
+		return
 	}
 	type victim struct {
 		key     Key
@@ -562,7 +631,7 @@ func (s *Store) evictDisk(keep Key) {
 		return string(victims[i].key[:]) < string(victims[j].key[:])
 	})
 	for _, v := range victims {
-		if s.bytes.Load() <= s.maxBytes {
+		if s.footprint() <= s.maxBytes {
 			return
 		}
 		sh := &s.shards[v.key[0]]

@@ -198,22 +198,28 @@ func TestStaleVersionRemovedNotQuarantined(t *testing.T) {
 	}
 }
 
+// envelopeDefects builds, from a valid envelope, each way a stored file can
+// be wrong. TestEnvelopeVerification checks unwrap rejects every one, and
+// FuzzUnwrap starts from them.
+var envelopeDefects = []struct {
+	name   string
+	mutate func([]byte) []byte
+}{
+	{"short", func(e []byte) []byte { return e[:envHdrLen-1] }},
+	{"truncated payload", func(e []byte) []byte { return e[:len(e)-2] }},
+	{"bad magic", func(e []byte) []byte { e[0] = 'X'; return e }},
+	{"future version", func(e []byte) []byte { e[4] = envVersion + 1; return e }},
+	{"stale version", func(e []byte) []byte { e[4] = envVersion - 1; return e }},
+	{"key echo mismatch", func(e []byte) []byte { e[8] ^= 1; return e }},
+	{"length mismatch", func(e []byte) []byte { e[24]++; return e }},
+	{"checksum mismatch", func(e []byte) []byte { e[envHdrLen] ^= 1; return e }},
+}
+
 func TestEnvelopeVerification(t *testing.T) {
 	key := KeyOf([]byte("env"))
 	good := wrap(key, []byte("payload"))
 
-	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-	}{
-		{"short", func(e []byte) []byte { return e[:envHdrLen-1] }},
-		{"truncated payload", func(e []byte) []byte { return e[:len(e)-2] }},
-		{"bad magic", func(e []byte) []byte { e[0] = 'X'; return e }},
-		{"future version", func(e []byte) []byte { e[4] = envVersion + 1; return e }},
-		{"key echo mismatch", func(e []byte) []byte { e[8] ^= 1; return e }},
-		{"checksum mismatch", func(e []byte) []byte { e[envHdrLen] ^= 1; return e }},
-	}
-	for _, tc := range cases {
+	for _, tc := range envelopeDefects {
 		env := tc.mutate(append([]byte(nil), good...))
 		if _, err := unwrap(key, env); err == nil {
 			t.Errorf("%s: unwrap accepted a bad envelope", tc.name)
@@ -340,5 +346,123 @@ func TestConcurrentPutGet(t *testing.T) {
 		if got, ok := s.Get(KeyOf(payload)); !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("entry %d missing or wrong after concurrent writes", i)
 		}
+	}
+}
+
+// blockShardDirs puts a regular file where every shard directory of dir
+// would go, so every Put fails before writing anything.
+func blockShardDirs(t *testing.T, dir string) {
+	t.Helper()
+	for i := 0; i < numShards; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02x", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A failed write-back is counted, leaves no entry, and a later Get misses
+// cleanly instead of serving anything.
+func TestPutFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	blockShardDirs(t, dir)
+	key := KeyOf([]byte("unwritable"))
+	if err := s.Put(key, []byte("payload")); err == nil {
+		t.Fatal("Put into a blocked shard directory succeeded")
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("failed Put served a hit")
+	}
+	st := s.Stats()
+	if st.WriteErrors != 1 || st.Writes != 0 || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("Stats = %+v, want 1 write error and nothing stored", st)
+	}
+}
+
+// diskBytes sums the sizes of every file under dir, live or quarantined.
+func diskBytes(t *testing.T, dir string) (total int64) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err == nil {
+			total += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return total
+}
+
+// Quarantine files count toward the disk budget and go first: however
+// many entries are corrupted, the directory never outgrows MaxBytes, and
+// Stats reports live and quarantined bytes apart.
+func TestQuarantineBounded(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte("q"), 100)
+	entrySize := int64(envHdrLen + len(payload))
+	budget := 4 * entrySize
+	// Memory tier off so every Get reads (and verifies) the file on disk.
+	s := openT(t, dir, Options{MaxBytes: budget, MemBytes: -1})
+
+	var live []Key
+	for round := 0; round < 8; round++ {
+		for i := 0; i < 4; i++ {
+			key := KeyOf([]byte(fmt.Sprintf("round-%d-entry-%d", round, i)))
+			if err := s.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+			if got := diskBytes(t, dir); got > budget {
+				t.Fatalf("round %d: %d bytes on disk after Put, budget %d", round, got, budget)
+			}
+			live = append(live, key)
+		}
+		// Corrupt everything written this round and read it back.
+		for _, key := range live {
+			path := filepath.Join(dir, key.String()[:2], key.String())
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)-1] ^= 0x01
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.Get(key); ok {
+				t.Fatal("corrupt entry served")
+			}
+		}
+		live = live[:0]
+		st := s.Stats()
+		if st.Entries != 0 || st.Bytes != 0 || st.CorruptEntries != 4 || st.CorruptBytes != budget {
+			t.Fatalf("round %d: Stats = %+v, want 0 live and 4 quarantined entries (%d bytes)", round, st, budget)
+		}
+		if got := diskBytes(t, dir); got != st.Bytes+st.CorruptBytes {
+			t.Fatalf("round %d: %d bytes on disk, Stats accounts for %d", round, got, st.Bytes+st.CorruptBytes)
+		}
+	}
+	if st := s.Stats(); st.Quarantined != 32 || st.Evictions != 0 {
+		t.Fatalf("Stats = %+v, want 32 quarantined and no live evictions", st)
+	}
+
+	// A reopened handle indexes the quarantine files it finds, and the next
+	// Put removes them before any live entry.
+	s2 := openT(t, dir, Options{MaxBytes: budget, MemBytes: -1})
+	if st := s2.Stats(); st.CorruptEntries != 4 || st.CorruptBytes != budget || st.Entries != 0 {
+		t.Fatalf("reopened Stats = %+v, want the 4 quarantine files indexed", st)
+	}
+	key := KeyOf([]byte("after reopen"))
+	if err := s2.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.CorruptEntries != 0 || st.Entries != 1 || st.Evictions != 0 {
+		t.Fatalf("Stats after Put = %+v, want quarantine cleared and the new entry live", st)
+	}
+	if got := diskBytes(t, dir); got != entrySize {
+		t.Fatalf("%d bytes on disk, want just the new entry (%d)", got, entrySize)
 	}
 }
