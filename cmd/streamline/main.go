@@ -130,12 +130,15 @@ func main() {
 		cfg.Noise = append(cfg.Noise, k)
 	}
 
+	// One engine, no result store: a channel run always simulates, and
+	// -runs repetitions share pooled simulators and warm snapshots.
+	engine := core.NewEngine(core.EngineOptions{})
 	if *runs > 1 {
 		if *dump != "" || *verbose {
 			fmt.Fprintln(os.Stderr, "-dump and -v require a single run (-runs 1)")
 			os.Exit(2)
 		}
-		if err := multiRun(cfg, *seed, *payloadBits, *runs, *workers); err != nil {
+		if err := multiRun(engine, cfg, *seed, *payloadBits, *runs, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -143,7 +146,7 @@ func main() {
 	}
 
 	bits := payload.Random(*seed^0xbead, *payloadBits)
-	res, err := core.Run(cfg, bits)
+	res, err := engine.Run(cfg, bits)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -185,7 +188,7 @@ func main() {
 // hierarchically derived seeds, fanned out across the worker pool, and
 // reports mean ± 95% CI for the channel metrics. Results are identical at
 // any worker count.
-func multiRun(cfg core.Config, seed uint64, payloadBits, runs, workers int) error {
+func multiRun(engine *core.Engine, cfg core.Config, seed uint64, payloadBits, runs, workers int) error {
 	specs := make([]runner.Spec, runs)
 	for r := range specs {
 		specs[r] = runner.Spec{Experiment: "streamline-cli", Rep: r,
@@ -194,7 +197,7 @@ func multiRun(cfg core.Config, seed uint64, payloadBits, runs, workers int) erro
 	outs, err := runner.Execute(specs, func(s runner.Spec, runSeed uint64) (*core.Result, error) {
 		c := cfg
 		c.Seed = runSeed
-		return core.Run(c, payload.Random(runSeed^0xbead, payloadBits))
+		return engine.Run(c, payload.Random(runSeed^0xbead, payloadBits))
 	}, runner.Options{Root: seed, Workers: workers, Hook: runner.Progress(os.Stderr)})
 	if err != nil {
 		return err

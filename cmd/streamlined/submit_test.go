@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"streamline/internal/core"
 	"streamline/internal/daemon"
 	"streamline/internal/experiments"
 	"streamline/internal/resultstore"
@@ -48,13 +47,11 @@ func TestSubmitPrintsLocalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevStore := core.ActiveStore()
 	srv := daemon.NewServer(st, 4, 1)
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
 		srv.Drain()
-		core.SetStore(prevStore)
 	}()
 
 	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "table1.golden"))

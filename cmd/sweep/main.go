@@ -101,8 +101,10 @@ func main() {
 			os.Exit(1)
 		}
 		store = st
-		core.SetStore(st)
 	}
+	// One engine for the whole process: every id shares its reuse layers
+	// (a Table 2-5 point can be served by the fig9 ladder's memo) and store.
+	opts.Engine = core.NewEngine(core.EngineOptions{Store: store})
 
 	ids := []string{*exp}
 	if *exp == "all" {

@@ -88,16 +88,16 @@ func (r *Result) BitPeriodCycles() float64 {
 
 // Run transmits payloadBits (a 0/1 vector) over the channel described by
 // cfg and returns the measured Result.
-func Run(cfg Config, payloadBits []byte) (*Result, error) {
-	return runPayload(cfg, payloadSrc{bits: payloadBits})
+func (e *Engine) Run(cfg Config, payloadBits []byte) (*Result, error) {
+	return e.runPayload(cfg, payloadSrc{bits: payloadBits})
 }
 
 // RunRandom returns exactly Run(cfg, payload.Random(seed, n)), but names
 // the payload by its generator inputs rather than its bits: the store key
 // is built from (seed, n), so a run served by the chain memo or the result
 // store never materializes the payload at all (see storeKey).
-func RunRandom(cfg Config, seed uint64, n int) (*Result, error) {
-	return runPayload(cfg, payloadSrc{gen: true, seed: seed, n: n})
+func (e *Engine) RunRandom(cfg Config, seed uint64, n int) (*Result, error) {
+	return e.runPayload(cfg, payloadSrc{gen: true, seed: seed, n: n})
 }
 
 // payloadSrc is a run's payload: explicit bits, or the inputs of
@@ -126,7 +126,7 @@ func (p *payloadSrc) materialize() []byte {
 
 // runPayload is the one path behind Run and RunRandom; only the payload
 // term of the store key differs between them.
-func runPayload(cfg Config, src payloadSrc) (*Result, error) {
+func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -142,15 +142,15 @@ func runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	// (chain runs only) shares the store's content address: Chain is
 	// excluded from the key, so chained and unchained runs of one config ×
 	// payload meet in both.
-	chained := chainEligible(&cfg)
-	st := activeStore.Load()
+	chained := e.chainEligible(&cfg)
+	st := e.opt.Store
 	var key resultstore.Key
 	var keyed bool
 	if chained || st != nil {
 		key, keyed = storeKey(&cfg, &src)
 	}
 	if keyed && chained {
-		if res := memoLookup(key); res != nil {
+		if res := e.memoLookup(key); res != nil {
 			return res, nil
 		}
 	}
@@ -158,9 +158,9 @@ func runPayload(cfg Config, src payloadSrc) (*Result, error) {
 		// A bit-identical run completed by any earlier process is served
 		// as a store read, before any simulator is checked out. A hit also
 		// primes the chain memo for this run's siblings.
-		if served := storeLookup(st, key); served != nil {
+		if served := e.storeLookup(key); served != nil {
 			if chained {
-				memoStore(key, served)
+				e.memoStore(key, served)
 			}
 			return served, nil
 		}
@@ -188,32 +188,32 @@ func runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	hopt := buildHierOptions(&cfg)
 	var chain *chainRun
 	if chained {
-		chain = newChainRun(&cfg, &hopt, tx)
+		chain = e.newChainRun(&cfg, &hopt, tx)
 	}
 	var lease *simLease
 	var fork *chainCheckpoint
 	if chain != nil {
 		if fork = chain.bestFork(); fork != nil {
-			if lease = leaseForFork(&cfg, &hopt, fork); lease == nil {
+			if lease = e.leaseForFork(&cfg, &hopt, fork); lease == nil {
 				fork = nil
 			} else {
-				chainCounters.forks.Add(1)
+				e.ctr.forks.Add(1)
 			}
 		}
 	}
 	if lease == nil {
 		var err error
-		lease, err = acquireSim(&cfg, hopt)
+		lease, err = e.acquireSim(&cfg, hopt)
 		if err != nil {
 			return nil, err
 		}
 	}
-	runCounters.sims.Add(1)
+	e.ctr.sims.Add(1)
 	// The hierarchy goes back to the idle pool when the run finishes (after
 	// the Result has deep-copied everything it reports); every checkout
 	// resets or overwrites the state before reuse, so error paths may
 	// release a half-run simulator safely.
-	defer releaseSim(lease)
+	defer e.releaseSim(lease)
 	h := lease.h
 	alloc := mem.NewAllocator(cfg.Machine.PageSize)
 	arr := alloc.Alloc(cfg.ArraySize)
@@ -261,7 +261,7 @@ func runPayload(cfg Config, src payloadSrc) (*Result, error) {
 			}
 		}
 		if lease.record {
-			storeSnapshot(lease.snapKey, h, h.StopRecording())
+			e.storeSnapshot(lease.snapKey, h, h.StopRecording())
 			lease.record = false
 		}
 	}
@@ -399,7 +399,7 @@ func runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	if keyed && chained {
 		// A Result is a pure function of its key: park a copy so
 		// bit-identical chain siblings skip simulation.
-		memoStore(key, res)
+		e.memoStore(key, res)
 	}
 	if keyed && st != nil {
 		// Best-effort write-back: the entry is an optimization for later

@@ -8,7 +8,7 @@
 // to cross a shorter member's boundary pauses just before either agent
 // processes that bit, freezes the complete simulation state — hierarchy
 // (hier.Checkpoint), scheduler clocks (sched.State), and every agent's
-// cursor — and publishes it in a process-wide tree keyed by (chain
+// cursor — and publishes it in its Engine's tree keyed by (chain
 // fingerprint, boundary). Later members fork from the deepest boundary at
 // or below their own length and simulate only the tail.
 //
@@ -192,7 +192,8 @@ type chainCheckpoint struct {
 // chainRun is one Run's view of its chain: the fingerprint key, its own
 // final boundary, and the boundaries it may publish.
 type chainRun struct {
-	key  uint64 // chain fingerprint (config + Chain.Key, payload-length-free)
+	e    *Engine // owns the tree this run forks from and publishes to
+	key  uint64  // chain fingerprint (config + Chain.Key, payload-length-free)
 	tx   []byte
 	ownC int64 // own final boundary: len(tx)-1
 	// bounds are the chain's publishable boundaries, ascending: one per
@@ -200,14 +201,14 @@ type chainRun struct {
 	bounds []int64
 }
 
-// chainEligible reports whether cfg can participate in the checkpoint tree:
-// every piece of run state must live inside what the lifecycle plus the
+// chainEligible reports whether cfg can participate in the engine's
+// checkpoint tree (NoCheckpoints unset): every piece of run state must
+// live inside what the lifecycle plus the
 // agent captures cover. Caller-supplied LLC policies, random fill, and
 // quotas are outside the lifecycle (same rule as pooling); counter monitors
 // are dropped by Clone; caller-supplied patterns cannot be fingerprinted.
-func chainEligible(cfg *Config) bool {
-	return cfg.Chain != nil && len(cfg.Chain.Lengths) > 0 &&
-		!checkpointsDisabled.Load() &&
+func (e *Engine) chainEligible(cfg *Config) bool {
+	return cfg.Chain != nil && len(cfg.Chain.Lengths) > 0 && !e.opt.NoCheckpoints &&
 		cfg.LLCPolicy == nil && cfg.RandomFillProb == 0 && cfg.Quota == nil &&
 		cfg.CounterWindow == 0 && cfg.Pattern == nil
 }
@@ -284,8 +285,9 @@ func hashBits(bits []byte) uint64 {
 }
 
 // newChainRun builds a chain-eligible Run's chain view.
-func newChainRun(cfg *Config, hopt *hier.Options, tx []byte) *chainRun {
+func (e *Engine) newChainRun(cfg *Config, hopt *hier.Options, tx []byte) *chainRun {
 	c := &chainRun{
+		e:    e,
 		key:  chainFingerprint(cfg, hopt),
 		tx:   tx,
 		ownC: int64(len(tx)) - 1,
@@ -332,7 +334,7 @@ func newChainRun(cfg *Config, hopt *hier.Options, tx []byte) *chainRun {
 // the chain contract was violated (same Key, different payloads); the run
 // falls back to a cold start and stays correct.
 func (c *chainRun) bestFork() *chainCheckpoint {
-	node := lookupChainNode(c.key, c.ownC)
+	node := c.e.lookupChainNode(c.key, c.ownC)
 	if node == nil {
 		return nil
 	}
@@ -354,7 +356,7 @@ func (c *chainRun) preparePause(s *sched.Scheduler, fork *chainCheckpoint) *paus
 	}
 	var pend []int64
 	for _, b := range c.bounds {
-		if b > forkC && b <= c.ownC && !chainNodeExists(c.key, b) {
+		if b > forkC && b <= c.ownC && !c.e.chainNodeExists(c.key, b) {
 			pend = append(pend, b)
 		}
 	}
@@ -369,7 +371,7 @@ func (c *chainRun) preparePause(s *sched.Scheduler, fork *chainCheckpoint) *paus
 // hierarchy) are silent: publication is an optimization for *other* runs.
 func (c *chainRun) publish(p *pauseCtl, h *hier.Hierarchy, s *sched.Scheduler,
 	snd *sender, rcv *receiver, nz []*noise.Workload, sc *syncch.Channel) {
-	if chainNodeExists(c.key, p.at) || !claimChainNode() {
+	if c.e.chainNodeExists(c.key, p.at) || !c.e.claimChainNode() {
 		return
 	}
 	ck, err := h.TakeCheckpoint()
@@ -388,7 +390,7 @@ func (c *chainRun) publish(p *pauseCtl, h *hier.Hierarchy, s *sched.Scheduler,
 	for _, w := range nz {
 		node.noise = append(node.noise, w.SaveState())
 	}
-	storeChainNode(c.key, node)
+	c.e.storeChainNode(c.key, node)
 }
 
 // restoreFork rewinds a freshly built agent roster to a checkpoint. The

@@ -10,10 +10,6 @@ import (
 	"streamline/internal/syncch"
 )
 
-// resetChainState empties the process-wide checkpoint tree and result memo
-// so each test starts from a cold chain.
-func resetChainState() { DropCheckpoints() }
-
 // chainTestConfig is a scaled-down DefaultConfig whose sync epochs and
 // trailing lag fit the short test ladders.
 func chainTestConfig() Config {
@@ -54,30 +50,26 @@ func TestCheckpointForkEqualsFreshRun(t *testing.T) {
 			return cfg, []int{3000, 9000, 15000}
 		},
 	}
-	defer SetCheckpoints(SetCheckpoints(true))
 	for name, mk := range variants {
 		t.Run(name, func(t *testing.T) {
 			base, lengths := mk()
 			maxLen := lengths[len(lengths)-1]
 			bits := payload.Random(7, maxLen)
-			run := func(l int) *Result {
+			e := NewEngine(EngineOptions{})
+			runWith := func(eng *Engine, l int) *Result {
 				t.Helper()
 				cfg := base
 				cfg.Chain = &ChainSpec{Key: 0xc0ffee, Lengths: lengths}
-				res, err := Run(cfg, bits[:l])
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+				return runOn(t, eng, cfg, bits[:l])
 			}
+			run := func(l int) *Result { return runWith(e, l) }
 			// References: checkpoints off, Chain still declared (the
 			// disabled path must ignore it entirely).
-			SetCheckpoints(false)
+			off := NewEngine(EngineOptions{NoCheckpoints: true})
 			fresh := make(map[int]*Result, len(lengths))
 			for _, l := range lengths {
-				fresh[l] = run(l)
+				fresh[l] = runWith(off, l)
 			}
-			SetCheckpoints(true)
 
 			check := func(order string, l int, got *Result) {
 				t.Helper()
@@ -87,12 +79,11 @@ func TestCheckpointForkEqualsFreshRun(t *testing.T) {
 			}
 			// Ascending: each member publishes its boundary, the next forks
 			// from it.
-			resetChainState()
-			before := ReadChainCounters()
+			before := e.Counters()
 			for _, l := range lengths {
 				check("ascending", l, run(l))
 			}
-			after := ReadChainCounters()
+			after := e.Counters()
 			if got, want := after.Forks-before.Forks, uint64(len(lengths)-1); got != want {
 				t.Errorf("ascending order took %d forks, want %d", got, want)
 			}
@@ -104,21 +95,21 @@ func TestCheckpointForkEqualsFreshRun(t *testing.T) {
 				cfg := base
 				cfg.Chain = &ChainSpec{Key: 0xc0ffee, Lengths: lengths}
 				n := chainTxLen(&cfg, l)
-				if !chainNodeExists(chainFingerprintFor(t, &cfg), int64(n)-1) {
+				if !e.chainNodeExists(chainFingerprintFor(t, &cfg), int64(n)-1) {
 					t.Errorf("ascending order left no node at boundary %d", n-1)
 				}
 			}
 			// Memo: a repeated member must be served the identical Result.
-			before = ReadChainCounters()
+			before = e.Counters()
 			check("memo", lengths[1], run(lengths[1]))
-			if hits := ReadChainCounters().MemoHits - before.MemoHits; hits != 1 {
+			if hits := e.Counters().MemoHits - before.MemoHits; hits != 1 {
 				t.Errorf("repeated member took %d memo hits, want 1", hits)
 			}
 
 			// Descending: the longest member runs first and publishes every
 			// boundary in one pass; each shorter member forks at its own
 			// final boundary and simulates only the last bit's completion.
-			resetChainState()
+			e.DropCheckpoints()
 			for i := len(lengths) - 1; i >= 0; i-- {
 				check("descending", lengths[i], run(lengths[i]))
 			}
@@ -144,31 +135,14 @@ func TestChainContractViolationFallsBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-repetition channel runs")
 	}
-	defer SetCheckpoints(SetCheckpoints(true))
-	resetChainState()
 	base := chainTestConfig()
-	lengths := []int{3000, 8000}
-	run := func(bits []byte) *Result {
-		t.Helper()
-		cfg := base
-		cfg.Chain = &ChainSpec{Key: 0xbad, Lengths: lengths}
-		res, err := Run(cfg, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	payloadA := payload.Random(11, lengths[1])
-	payloadB := payload.Random(12, lengths[1]) // different content, same chain key
-	run(payloadA[:lengths[0]])                 // publishes a node for payload A
-	got := run(payloadB)                       // must refuse the fork
-	SetCheckpoints(false)
-	cfg := base
-	cfg.Chain = &ChainSpec{Key: 0xbad, Lengths: lengths}
-	want, err := Run(cfg, payloadB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base.Chain = &ChainSpec{Key: 0xbad, Lengths: []int{3000, 8000}}
+	e := NewEngine(EngineOptions{})
+	payloadA := payload.Random(11, 8000)
+	payloadB := payload.Random(12, 8000) // different content, same chain key
+	runOn(t, e, base, payloadA[:3000])   // publishes a node for payload A
+	got := runOn(t, e, base, payloadB)   // must refuse the fork
+	want := runOn(t, NewEngine(EngineOptions{NoCheckpoints: true}), base, payloadB)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("violated chain contract produced a wrong result instead of a cold fallback")
 	}

@@ -156,8 +156,8 @@ type Config struct {
 	// simulate identically until the shorter one's last bit, so the longer
 	// run can fork from a snapshot taken at that boundary instead of
 	// re-simulating the prefix. Chain is a pure optimization — results are
-	// bit-identical with it nil, and SetCheckpoints(false) ignores it
-	// process-wide (the golden suite's checkpoint-off axis pins this).
+	// bit-identical with it nil, and an Engine built with NoCheckpoints
+	// ignores it (the golden suite's checkpoint-off axis pins this).
 	Chain *ChainSpec
 }
 

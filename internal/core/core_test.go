@@ -17,9 +17,15 @@ func testConfig() Config {
 	return cfg
 }
 
+// run simulates cfg on a fresh engine: no store, every reuse layer on.
 func run(t *testing.T, cfg Config, bits []byte) *Result {
 	t.Helper()
-	res, err := Run(cfg, bits)
+	return runOn(t, NewEngine(EngineOptions{}), cfg, bits)
+}
+
+func runOn(t *testing.T, e *Engine, cfg Config, bits []byte) *Result {
+	t.Helper()
+	res, err := e.Run(cfg, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,17 +46,18 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	} {
 		cfg := testConfig()
 		mutate(&cfg)
-		if _, err := Run(cfg, bits); err == nil {
+		if _, err := NewEngine(EngineOptions{}).Run(cfg, bits); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
 	}
 }
 
 func TestEmptyPayloadRejected(t *testing.T) {
-	if _, err := Run(testConfig(), nil); err == nil {
+	e := NewEngine(EngineOptions{})
+	if _, err := e.Run(testConfig(), nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
-	if _, err := RunRandom(testConfig(), 1, 0); err == nil {
+	if _, err := e.RunRandom(testConfig(), 1, 0); err == nil {
 		t.Fatal("empty generated payload accepted")
 	}
 }
@@ -363,8 +370,9 @@ func BenchmarkChannelBit(b *testing.B) {
 		n = 1000
 	}
 	bits := payload.Random(1, n)
+	e := NewEngine(EngineOptions{})
 	b.ResetTimer()
-	if _, err := Run(cfg, bits); err != nil {
+	if _, err := e.Run(cfg, bits); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -410,7 +418,7 @@ func TestPreambleWithECC(t *testing.T) {
 func TestNegativePreambleRejected(t *testing.T) {
 	cfg := testConfig()
 	cfg.PreambleBits = -1
-	if _, err := Run(cfg, payload.Random(1, 10)); err == nil {
+	if _, err := NewEngine(EngineOptions{}).Run(cfg, payload.Random(1, 10)); err == nil {
 		t.Fatal("negative preamble accepted")
 	}
 }
@@ -486,7 +494,7 @@ func TestCamouflage(t *testing.T) {
 func TestCamouflageNegativeRejected(t *testing.T) {
 	cfg := testConfig()
 	cfg.CamouflageAccesses = -1
-	if _, err := Run(cfg, payload.Random(1, 10)); err == nil {
+	if _, err := NewEngine(EngineOptions{}).Run(cfg, payload.Random(1, 10)); err == nil {
 		t.Fatal("negative camouflage accepted")
 	}
 }

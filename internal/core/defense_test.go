@@ -54,7 +54,7 @@ func TestQuotaExclusiveWithPartition(t *testing.T) {
 	cfg := testConfig()
 	cfg.Quota = &hier.QuotaConfig{}
 	cfg.PartitionWays = 4
-	if _, err := Run(cfg, payload.Random(1, 10)); err == nil {
+	if _, err := NewEngine(EngineOptions{}).Run(cfg, payload.Random(1, 10)); err == nil {
 		t.Fatal("Quota together with PartitionWays accepted")
 	}
 }

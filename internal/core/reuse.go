@@ -1,16 +1,20 @@
-// Simulator reuse (see DESIGN.md "State lifecycle"). Building a Hierarchy
-// allocates megabytes of tag/metadata arrays, and the default 1 MB warmup
-// walks 16K lines through it before a single payload bit moves; repeated
-// runs — sweeps, the bench harness, the experiment tables — used to pay both
-// on every repetition. Run now leases its simulator from a process-wide pool
-// keyed by configuration fingerprint (in-place Reset instead of rebuild) and
-// memoizes the post-warmup state per (fingerprint, warmup-spec): the first
-// run with a given spec records its warmup into a hier.WarmLog and parks a
-// clone; later runs copy the clone and replay the log under their own seed,
-// which is bit-for-bit identical to warming up from scratch (the golden
-// conformance suite and TestReuseEquivalence pin this). Configurations the
-// lifecycle cannot reproduce — a caller-supplied LLC policy, random-fill
-// defenses — bypass reuse entirely and behave exactly as before.
+// The Engine and its reuse layers (see DESIGN.md "State lifecycle").
+// Building a Hierarchy allocates megabytes of tag/metadata arrays, and the
+// default 1 MB warmup walks 16K lines through it before a single payload
+// bit moves; repeated runs — sweeps, the bench harness, the experiment
+// tables — used to pay both on every repetition. An Engine leases each
+// run's simulator from its pool keyed by configuration fingerprint
+// (in-place Reset instead of rebuild) and memoizes the post-warmup state
+// per (fingerprint, warmup-spec): the first run with a given spec records
+// its warmup into a hier.WarmLog and parks a clone; later runs copy the
+// clone and replay the log under their own seed, which is bit-for-bit
+// identical to warming up from scratch (the golden conformance suite and
+// TestReuseEquivalence pin this). Configurations the lifecycle cannot
+// reproduce — a caller-supplied LLC policy, random-fill defenses — bypass
+// reuse entirely and behave exactly as before. The same Engine holds the
+// checkpoint tree and chain result memo (checkpoint.go), the durable store
+// handle (store.go), and the counters that report all of it; nothing is
+// process-wide, so two engines in one process share no state.
 
 package core
 
@@ -25,41 +29,100 @@ import (
 	"streamline/internal/runner"
 )
 
-// reuseDisabled is the global reuse switch, inverted so the zero value means
-// enabled. The toggle exists for A/B verification (tests, detlint runs) and
-// as an escape hatch; it is not part of Config because reuse is a pure
-// optimization with no observable effect on results.
-var reuseDisabled atomic.Bool
-
-// SetReuse enables or disables simulator pooling and warmup-snapshot reuse
-// process-wide and returns the previous setting. Reuse is enabled by
-// default; results are identical either way.
-func SetReuse(on bool) bool {
-	return !reuseDisabled.Swap(!on)
+// EngineOptions configures an Engine. The zero value enables every reuse
+// layer and no durable store. Results are bit-identical under any setting:
+// the switches exist for A/B verification (the golden suite builds one
+// engine per axis) and as escape hatches.
+type EngineOptions struct {
+	// Store is the durable result store Run reads through and writes back
+	// to; nil disables durable serving.
+	Store *resultstore.Store
+	// NoReuse disables simulator pooling and warmup-snapshot reuse: every
+	// run builds its hierarchy from scratch.
+	NoReuse bool
+	// NoCheckpoints disables the mid-run checkpoint tree and the chain
+	// result memo: Config.Chain is ignored.
+	NoCheckpoints bool
 }
 
-// checkpointsDisabled is the mid-run checkpoint-tree switch, inverted so
-// the zero value means enabled (mirrors reuseDisabled). The golden suite's
-// checkpoint-off axis verifies results are identical either way.
-var checkpointsDisabled atomic.Bool
+// Engine runs channels through the reuse layers it owns: the simulator
+// pool, the warm snapshots, the checkpoint tree, the chain result memo, and
+// the durable store. It is safe for concurrent use; long-lived processes
+// build one and pass it to every caller.
+type Engine struct {
+	opt EngineOptions
+	// pool holds idle hierarchies by run fingerprint, at most a worker's
+	// worth per configuration.
+	pool *runner.Pool[*hier.Hierarchy]
 
-// SetCheckpoints enables or disables the mid-run checkpoint tree and result
-// memo (Config.Chain) process-wide and returns the previous setting.
-// Checkpoints are enabled by default; results are identical either way.
-func SetCheckpoints(on bool) bool {
-	return !checkpointsDisabled.Swap(!on)
+	warm struct {
+		mu       sync.Mutex
+		snaps    map[uint64]*warmSnapshot
+		building map[uint64]bool // a run is currently recording this key
+		noSnap   map[uint64]bool // recording failed or memo full: stop trying
+	}
+
+	chain struct {
+		mu        sync.Mutex
+		nodes     map[chainNodeKey]*chainCheckpoint
+		memo      map[resultstore.Key]*Result
+		memoBytes int
+	}
+
+	// ctr backs Counters; it never influences simulation.
+	ctr struct {
+		sims, storeHits, storeMisses, nodes, forks, memoHits atomic.Uint64
+	}
+}
+
+// NewEngine returns an Engine with empty reuse layers.
+func NewEngine(o EngineOptions) *Engine {
+	e := &Engine{opt: o, pool: runner.NewPool[*hier.Hierarchy](8)}
+	e.warm.snaps = make(map[uint64]*warmSnapshot)
+	e.warm.building = make(map[uint64]bool)
+	e.warm.noSnap = make(map[uint64]bool)
+	e.DropCheckpoints()
+	return e
+}
+
+// Store returns the engine's durable result store, or nil. Higher layers
+// (internal/experiments) use the same handle to memoize results whose runs
+// do not flow through Run, and to report hit/miss counts.
+func (e *Engine) Store() *resultstore.Store { return e.opt.Store }
+
+// Counters is a monotonic snapshot of an Engine's activity.
+type Counters struct {
+	// Sims counts runs that acquired a simulator (cold or forked);
+	// StoreHits runs served entirely from the durable store; StoreMisses
+	// store lookups that missed and fell through to simulation.
+	Sims, StoreHits, StoreMisses uint64
+	// Nodes counts checkpoints published, Forks runs resumed from one,
+	// MemoHits runs served entirely from the chain result memo.
+	Nodes, Forks, MemoHits uint64
+}
+
+// Counters returns the engine's activity so far.
+func (e *Engine) Counters() Counters {
+	return Counters{
+		Sims:        e.ctr.sims.Load(),
+		StoreHits:   e.ctr.storeHits.Load(),
+		StoreMisses: e.ctr.storeMisses.Load(),
+		Nodes:       e.ctr.nodes.Load(),
+		Forks:       e.ctr.forks.Load(),
+		MemoHits:    e.ctr.memoHits.Load(),
+	}
 }
 
 // DropCheckpoints empties the checkpoint tree and the chain result memo,
 // releasing the hierarchy clones and decoded payloads they retain (up to
-// ~200 MB after a large chained sweep). Long-lived processes call it between
-// unrelated sweeps; benchmarks call it to make every iteration equally cold.
-func DropCheckpoints() {
-	chainReuse.mu.Lock()
-	defer chainReuse.mu.Unlock()
-	chainReuse.nodes = make(map[chainNodeKey]*chainCheckpoint)
-	chainReuse.memo = make(map[resultstore.Key]*Result)
-	chainReuse.memoBytes = 0
+// ~200 MB after a large chained sweep). Benchmarks call it to make every
+// iteration equally cold.
+func (e *Engine) DropCheckpoints() {
+	e.chain.mu.Lock()
+	defer e.chain.mu.Unlock()
+	e.chain.nodes = make(map[chainNodeKey]*chainCheckpoint)
+	e.chain.memo = make(map[resultstore.Key]*Result)
+	e.chain.memoBytes = 0
 }
 
 // maxSnapshots bounds the warm-state memo: each entry retains a full
@@ -82,45 +145,12 @@ type chainNodeKey struct {
 	boundary int64
 }
 
-// chainCounters tracks process-wide checkpoint-tree activity for display
-// (cmd/sweep) and tests; it never influences simulation.
-var chainCounters struct {
-	nodes, forks, memoHits atomic.Uint64
-}
-
-// ChainCounters is a monotonic snapshot of checkpoint-tree activity.
-type ChainCounters struct {
-	// Nodes is the number of checkpoints published, Forks the number of
-	// runs resumed from one, MemoHits the number of runs served entirely
-	// from the result memo.
-	Nodes, Forks, MemoHits uint64
-}
-
-// ReadChainCounters returns the current process-wide chain activity.
-func ReadChainCounters() ChainCounters {
-	return ChainCounters{
-		Nodes:    chainCounters.nodes.Load(),
-		Forks:    chainCounters.forks.Load(),
-		MemoHits: chainCounters.memoHits.Load(),
-	}
-}
-
-var chainReuse = struct {
-	mu        sync.Mutex
-	nodes     map[chainNodeKey]*chainCheckpoint
-	memo      map[resultstore.Key]*Result
-	memoBytes int
-}{
-	nodes: make(map[chainNodeKey]*chainCheckpoint),
-	memo:  make(map[resultstore.Key]*Result),
-}
-
 // chainNodeExists reports whether a checkpoint is already published at
 // (chain, boundary).
-func chainNodeExists(chain uint64, boundary int64) bool {
-	chainReuse.mu.Lock()
-	defer chainReuse.mu.Unlock()
-	_, ok := chainReuse.nodes[chainNodeKey{chain, boundary}]
+func (e *Engine) chainNodeExists(chain uint64, boundary int64) bool {
+	e.chain.mu.Lock()
+	defer e.chain.mu.Unlock()
+	_, ok := e.chain.nodes[chainNodeKey{chain, boundary}]
 	return ok
 }
 
@@ -128,20 +158,20 @@ func chainNodeExists(chain uint64, boundary int64) bool {
 // capture happens outside the lock (it clones megabytes), so concurrent
 // publishers may briefly overshoot by a node each — storeChainNode
 // re-checks before inserting.
-func claimChainNode() bool {
-	chainReuse.mu.Lock()
-	defer chainReuse.mu.Unlock()
-	return len(chainReuse.nodes) < maxChainNodes
+func (e *Engine) claimChainNode() bool {
+	e.chain.mu.Lock()
+	defer e.chain.mu.Unlock()
+	return len(e.chain.nodes) < maxChainNodes
 }
 
 // lookupChainNode returns the deepest published node of the chain at or
 // below maxBoundary, or nil. Linear scan: the tree holds at most
 // maxChainNodes entries.
-func lookupChainNode(chain uint64, maxBoundary int64) *chainCheckpoint {
-	chainReuse.mu.Lock()
-	defer chainReuse.mu.Unlock()
+func (e *Engine) lookupChainNode(chain uint64, maxBoundary int64) *chainCheckpoint {
+	e.chain.mu.Lock()
+	defer e.chain.mu.Unlock()
 	var best *chainCheckpoint
-	for k, n := range chainReuse.nodes {
+	for k, n := range e.chain.nodes {
 		if k.chain != chain || k.boundary > maxBoundary {
 			continue
 		}
@@ -154,46 +184,46 @@ func lookupChainNode(chain uint64, maxBoundary int64) *chainCheckpoint {
 
 // storeChainNode publishes a node; duplicates and overflow are dropped
 // (publication is purely an optimization for later runs).
-func storeChainNode(chain uint64, node *chainCheckpoint) {
-	chainReuse.mu.Lock()
-	defer chainReuse.mu.Unlock()
+func (e *Engine) storeChainNode(chain uint64, node *chainCheckpoint) {
+	e.chain.mu.Lock()
+	defer e.chain.mu.Unlock()
 	k := chainNodeKey{chain, node.boundary}
-	if _, ok := chainReuse.nodes[k]; ok || len(chainReuse.nodes) >= maxChainNodes {
+	if _, ok := e.chain.nodes[k]; ok || len(e.chain.nodes) >= maxChainNodes {
 		return
 	}
-	chainReuse.nodes[k] = node
-	chainCounters.nodes.Add(1)
+	e.chain.nodes[k] = node
+	e.ctr.nodes.Add(1)
 }
 
 // memoLookup serves a deep copy of a previously computed chain Result, or
 // nil. The key is the run's store content address (storeKey), which covers
 // every simulation-steering Config field and the full payload, so a hit is
 // only possible for a bit-identical run.
-func memoLookup(key resultstore.Key) *Result {
-	chainReuse.mu.Lock()
-	r := chainReuse.memo[key]
-	chainReuse.mu.Unlock()
+func (e *Engine) memoLookup(key resultstore.Key) *Result {
+	e.chain.mu.Lock()
+	r := e.chain.memo[key]
+	e.chain.mu.Unlock()
 	if r == nil {
 		return nil
 	}
-	chainCounters.memoHits.Add(1)
+	e.ctr.memoHits.Add(1)
 	return cloneResult(r)
 }
 
 // memoStore parks a deep copy of a completed chain Result under key,
 // subject to the byte budget.
-func memoStore(key resultstore.Key, r *Result) {
-	chainReuse.mu.Lock()
-	defer chainReuse.mu.Unlock()
-	if _, ok := chainReuse.memo[key]; ok {
+func (e *Engine) memoStore(key resultstore.Key, r *Result) {
+	e.chain.mu.Lock()
+	defer e.chain.mu.Unlock()
+	if _, ok := e.chain.memo[key]; ok {
 		return
 	}
 	n := resultBytes(r)
-	if chainReuse.memoBytes+n > maxMemoBytes {
+	if e.chain.memoBytes+n > maxMemoBytes {
 		return
 	}
-	chainReuse.memoBytes += n
-	chainReuse.memo[key] = cloneResult(r)
+	e.chain.memoBytes += n
+	e.chain.memo[key] = cloneResult(r)
 }
 
 // warmSnapshot is the memoized post-warmup state for one (fingerprint,
@@ -203,21 +233,6 @@ type warmSnapshot struct {
 	h   *hier.Hierarchy
 	log *hier.WarmLog
 }
-
-var simReuse = struct {
-	mu       sync.Mutex
-	snaps    map[uint64]*warmSnapshot
-	building map[uint64]bool // a run is currently recording this key
-	noSnap   map[uint64]bool // recording failed or memo full: stop trying
-}{
-	snaps:    make(map[uint64]*warmSnapshot),
-	building: make(map[uint64]bool),
-	noSnap:   make(map[uint64]bool),
-}
-
-// simPool holds idle hierarchies by run fingerprint, at most a worker's
-// worth per configuration.
-var simPool = runner.NewPool[*hier.Hierarchy](8)
 
 // simLease is one Run's checkout from the reuse machinery.
 type simLease struct {
@@ -304,8 +319,8 @@ func snapKey(runFp uint64, warmBytes, senderCore int) uint64 {
 // snapshot exists (warmup already applied), from the idle pool when one of
 // the right shape is free (reset in place), or freshly built. Configurations
 // outside the lifecycle get a plain hier.New and are never pooled.
-func acquireSim(cfg *Config, hopt hier.Options) (*simLease, error) {
-	poolable := !reuseDisabled.Load() && cfg.LLCPolicy == nil && cfg.RandomFillProb == 0 &&
+func (e *Engine) acquireSim(cfg *Config, hopt hier.Options) (*simLease, error) {
+	poolable := !e.opt.NoReuse && cfg.LLCPolicy == nil && cfg.RandomFillProb == 0 &&
 		cfg.Quota == nil
 	if !poolable {
 		h, err := hier.New(cfg.Machine, hopt)
@@ -318,31 +333,31 @@ func acquireSim(cfg *Config, hopt hier.Options) (*simLease, error) {
 	warm := effectiveWarmup(cfg)
 	if warm > 0 {
 		sk := snapKey(key, warm, cfg.SenderCore)
-		if lease := leaseFromSnapshot(cfg, key, sk); lease != nil {
+		if lease := e.leaseFromSnapshot(cfg, key, sk); lease != nil {
 			return lease, nil
 		}
-		lease, err := leaseCold(cfg, hopt, key)
+		lease, err := e.leaseCold(cfg, hopt, key)
 		if err != nil {
 			return nil, err
 		}
 		lease.snapKey = sk
-		lease.record = claimSnapshotBuild(sk)
+		lease.record = e.claimSnapshotBuild(sk)
 		return lease, nil
 	}
-	return leaseCold(cfg, hopt, key)
+	return e.leaseCold(cfg, hopt, key)
 }
 
 // leaseFromSnapshot materializes a warmed hierarchy for cfg.Seed from the
 // memoized snapshot under sk, or returns nil when none is usable.
-func leaseFromSnapshot(cfg *Config, key, sk uint64) *simLease {
-	simReuse.mu.Lock()
-	snap := simReuse.snaps[sk]
-	simReuse.mu.Unlock()
+func (e *Engine) leaseFromSnapshot(cfg *Config, key, sk uint64) *simLease {
+	e.warm.mu.Lock()
+	snap := e.warm.snaps[sk]
+	e.warm.mu.Unlock()
 	if snap == nil {
 		return nil
 	}
 	var h *hier.Hierarchy
-	if pooled, ok := simPool.Get(key); ok {
+	if pooled, ok := e.pool.Get(key); ok {
 		pooled.CopyFrom(snap.h)
 		h = pooled
 	} else {
@@ -360,8 +375,8 @@ func leaseFromSnapshot(cfg *Config, key, sk uint64) *simLease {
 
 // leaseCold returns an un-warmed hierarchy for cfg.Seed: a pooled one reset
 // in place when available, else a fresh build.
-func leaseCold(cfg *Config, hopt hier.Options, key uint64) (*simLease, error) {
-	if pooled, ok := simPool.Get(key); ok {
+func (e *Engine) leaseCold(cfg *Config, hopt hier.Options, key uint64) (*simLease, error) {
+	if pooled, ok := e.pool.Get(key); ok {
 		if err := pooled.Reset(cfg.Seed); err == nil {
 			return &simLease{h: pooled, key: key, poolable: true}, nil
 		}
@@ -377,10 +392,10 @@ func leaseCold(cfg *Config, hopt hier.Options, key uint64) (*simLease, error) {
 // state: into a pooled same-shape hierarchy when one is idle (and pooling
 // is on), else as a fresh clone. Returns nil on failure, in which case the
 // caller falls back to a cold start.
-func leaseForFork(cfg *Config, hopt *hier.Options, node *chainCheckpoint) *simLease {
+func (e *Engine) leaseForFork(cfg *Config, hopt *hier.Options, node *chainCheckpoint) *simLease {
 	key := runFingerprint(cfg, hopt)
-	if !reuseDisabled.Load() {
-		if pooled, ok := simPool.Get(key); ok {
+	if !e.opt.NoReuse {
+		if pooled, ok := e.pool.Get(key); ok {
 			// Same run fingerprint (the chain fingerprint embeds it) means
 			// the same shape, so the in-place restore cannot panic.
 			node.ckpt.RestoreInto(pooled)
@@ -391,24 +406,24 @@ func leaseForFork(cfg *Config, hopt *hier.Options, node *chainCheckpoint) *simLe
 	if err != nil {
 		return nil
 	}
-	return &simLease{h: h, key: key, poolable: !reuseDisabled.Load(), warmed: true}
+	return &simLease{h: h, key: key, poolable: !e.opt.NoReuse, warmed: true}
 }
 
 // claimSnapshotBuild reports whether the caller should record its warmup for
 // the memo: exactly one concurrent run per key records (the others warm up
 // normally and benefit on their next repetition), and keys that failed or
 // overflowed the memo are never claimed again.
-func claimSnapshotBuild(sk uint64) bool {
-	simReuse.mu.Lock()
-	defer simReuse.mu.Unlock()
-	if simReuse.noSnap[sk] || simReuse.building[sk] || simReuse.snaps[sk] != nil {
+func (e *Engine) claimSnapshotBuild(sk uint64) bool {
+	e.warm.mu.Lock()
+	defer e.warm.mu.Unlock()
+	if e.warm.noSnap[sk] || e.warm.building[sk] || e.warm.snaps[sk] != nil {
 		return false
 	}
-	if len(simReuse.snaps) >= maxSnapshots {
-		simReuse.noSnap[sk] = true
+	if len(e.warm.snaps) >= maxSnapshots {
+		e.warm.noSnap[sk] = true
 		return false
 	}
-	simReuse.building[sk] = true
+	e.warm.building[sk] = true
 	return true
 }
 
@@ -416,33 +431,33 @@ func claimSnapshotBuild(sk uint64) bool {
 // the warmup walk, before any agent runs). An aborted log — an LLC eviction
 // or flush during warmup, which replay cannot reproduce — permanently
 // disables the memo for this key.
-func storeSnapshot(sk uint64, h *hier.Hierarchy, log *hier.WarmLog) {
-	simReuse.mu.Lock()
-	defer simReuse.mu.Unlock()
-	delete(simReuse.building, sk)
-	if log == nil || log.Aborted() || len(simReuse.snaps) >= maxSnapshots {
-		simReuse.noSnap[sk] = true
+func (e *Engine) storeSnapshot(sk uint64, h *hier.Hierarchy, log *hier.WarmLog) {
+	e.warm.mu.Lock()
+	defer e.warm.mu.Unlock()
+	delete(e.warm.building, sk)
+	if log == nil || log.Aborted() || len(e.warm.snaps) >= maxSnapshots {
+		e.warm.noSnap[sk] = true
 		return
 	}
 	c, err := h.Clone()
 	if err != nil {
-		simReuse.noSnap[sk] = true
+		e.warm.noSnap[sk] = true
 		return
 	}
-	simReuse.snaps[sk] = &warmSnapshot{h: c, log: log}
+	e.warm.snaps[sk] = &warmSnapshot{h: c, log: log}
 }
 
 // releaseSim returns the lease's hierarchy to the idle pool. The state goes
 // back dirty: every checkout path resets or overwrites it before use.
-func releaseSim(lease *simLease) {
+func (e *Engine) releaseSim(lease *simLease) {
 	if lease.record {
 		// The builder bailed out before storing (an error path between
 		// warmup and completion): release the claim so a later run can try.
-		simReuse.mu.Lock()
-		delete(simReuse.building, lease.snapKey)
-		simReuse.mu.Unlock()
+		e.warm.mu.Lock()
+		delete(e.warm.building, lease.snapKey)
+		e.warm.mu.Unlock()
 	}
 	if lease.poolable {
-		simPool.Put(lease.key, lease.h)
+		e.pool.Put(lease.key, lease.h)
 	}
 }

@@ -37,26 +37,22 @@ func TestReuseEquivalence(t *testing.T) {
 			return cfg
 		},
 	}
-	defer SetReuse(SetReuse(true)) // restore whatever the process had
 	for name, mk := range variants {
 		t.Run(name, func(t *testing.T) {
-			runWith := func(reuse bool, seed uint64) *Result {
+			scratch := NewEngine(EngineOptions{NoReuse: true})
+			reuse := NewEngine(EngineOptions{})
+			runWith := func(e *Engine, seed uint64) *Result {
 				t.Helper()
-				SetReuse(reuse)
 				cfg := mk()
 				cfg.Seed = seed
-				res, err := Run(cfg, bits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+				return runOn(t, e, cfg, bits)
 			}
-			refA := runWith(false, 1)
-			refB := runWith(false, 99)    // second seed, still from scratch
-			gotCold := runWith(true, 1)   // builds, records the warmup
-			gotSnap := runWith(true, 1)   // pool + snapshot replay, same seed
-			gotSeed := runWith(true, 99)  // snapshot replayed under a new seed
-			gotAgain := runWith(true, 99) // repetition after repetition
+			refA := runWith(scratch, 1)
+			refB := runWith(scratch, 99)   // second seed, still from scratch
+			gotCold := runWith(reuse, 1)   // builds, records the warmup
+			gotSnap := runWith(reuse, 1)   // pool + snapshot replay, same seed
+			gotSeed := runWith(reuse, 99)  // snapshot replayed under a new seed
+			gotAgain := runWith(reuse, 99) // repetition after repetition
 			for i, pair := range []struct {
 				label    string
 				got, ref *Result

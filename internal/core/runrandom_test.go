@@ -121,9 +121,9 @@ func mustBitsKey(t *testing.T, cfg Config, bits []byte) resultstore.Key {
 	return k
 }
 
-func runRandom(t *testing.T, cfg Config, seed uint64, n int) *Result {
+func runRandom(t *testing.T, e *Engine, cfg Config, seed uint64, n int) *Result {
 	t.Helper()
-	res, err := RunRandom(cfg, seed, n)
+	res, err := e.RunRandom(cfg, seed, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +138,14 @@ func TestRunRandomMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("channel runs")
 	}
-	defer SetCheckpoints(SetCheckpoints(true))
-	defer SetStore(SetStore(nil))
 	const seed, n = 31, 4000
 	plain := storeTestConfig()
 	chained := plain
 	chained.Chain = &ChainSpec{Key: 0x7a4d, Lengths: []int{n / 2, n}}
 
 	for name, cfg := range map[string]Config{"unchained": plain, "chained": chained} {
-		DropCheckpoints()
-		SetStore(nil)
 		want := run(t, cfg, payload.Random(seed, n))
-		if got := runRandom(t, cfg, seed, n); !reflect.DeepEqual(got, want) {
+		if got := runRandom(t, NewEngine(EngineOptions{}), cfg, seed, n); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: storeless RunRandom differs from Run", name)
 		}
 
@@ -158,18 +154,16 @@ func TestRunRandomMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetStore(st)
-		DropCheckpoints()
-		before := ReadRunCounters()
-		if got := runRandom(t, cfg, seed, n); !reflect.DeepEqual(got, want) {
+		e := NewEngine(EngineOptions{Store: st})
+		if got := runRandom(t, e, cfg, seed, n); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: cold RunRandom differs from Run", name)
 		}
-		if c := ReadRunCounters(); c.Sims != before.Sims+1 || c.StoreMisses != before.StoreMisses+1 {
-			t.Errorf("%s: cold RunRandom did not simulate into the empty store: %+v -> %+v", name, before, c)
+		if c := e.Counters(); c.Sims != 1 || c.StoreMisses != 1 {
+			t.Errorf("%s: cold RunRandom did not simulate into the empty store: %+v", name, c)
 		}
 
-		DropCheckpoints()
-		if got := runRandom(t, cfg, seed, n); !reflect.DeepEqual(got, want) {
+		e.DropCheckpoints()
+		if got := runRandom(t, e, cfg, seed, n); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: memory-tier RunRandom differs from Run", name)
 		}
 		if s := st.Stats(); s.MemHits != 1 || s.Writes != 1 {
@@ -180,16 +174,14 @@ func TestRunRandomMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetStore(disk)
-		DropCheckpoints()
-		before = ReadRunCounters()
-		if got := runRandom(t, cfg, seed, n); !reflect.DeepEqual(got, want) {
+		e = NewEngine(EngineOptions{Store: disk})
+		if got := runRandom(t, e, cfg, seed, n); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: disk-served RunRandom differs from Run", name)
 		}
 		if s := disk.Stats(); s.Hits != 1 || s.MemHits != 0 {
 			t.Errorf("%s: fresh handle stats %+v, want 1 disk hit", name, s)
 		}
-		if c := ReadRunCounters(); c.Sims != before.Sims {
+		if e.Counters().Sims != 0 {
 			t.Errorf("%s: disk-served RunRandom simulated", name)
 		}
 	}
@@ -209,12 +201,12 @@ func TestRunRandomServedAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetStore(SetStore(st))
+	e := NewEngine(EngineOptions{Store: st})
 	const seed, n = 77, 1_000_000
 	cfg := storeTestConfig()
 	cfg.GapSampleEvery = 0
 	cfg.TraceLevels = false
-	runRandom(t, cfg, seed, n) // populate the entry
+	runRandom(t, e, cfg, seed, n) // populate the entry
 	key, _ := storeKey(&cfg, &payloadSrc{gen: true, seed: seed, n: n})
 
 	allocs := func(f func()) uint64 {
@@ -225,13 +217,13 @@ func TestRunRandomServedAllocs(t *testing.T) {
 		return b.TotalAlloc - a.TotalAlloc
 	}
 	read := allocs(func() {
-		if storeLookup(st, key) == nil {
+		if e.storeLookup(key) == nil {
 			t.Fatal("entry not stored")
 		}
 	})
-	before := ReadRunCounters()
-	served := allocs(func() { runRandom(t, cfg, seed, n) })
-	if c := ReadRunCounters(); c.Sims != before.Sims || c.StoreHits != before.StoreHits+1 {
+	before := e.Counters()
+	served := allocs(func() { runRandom(t, e, cfg, seed, n) })
+	if c := e.Counters(); c.Sims != before.Sims || c.StoreHits != before.StoreHits+1 {
 		t.Errorf("served RunRandom was not a store hit: %+v -> %+v", before, c)
 	}
 	if served > read && served-read >= n/8 {

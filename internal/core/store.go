@@ -1,11 +1,12 @@
-// Durable result serving (see DESIGN.md §9 "Result store"). Run consults a
-// process-wide resultstore.Store before building its transmitted stream or
-// checking out a simulator: a Result computed once under a content key —
-// machine fingerprint × every simulation-steering Config field × the full
-// payload (its bits, or the inputs of the pure generator that produced
-// them) — is thereafter served as a memory or disk read, shared between
-// experiments, CI runs, and daemon jobs. The in-RAM chain memo (reuse.go)
-// is addressed by the same key.
+// Durable result serving (see DESIGN.md §9 "Result store"). Engine.Run
+// consults the engine's resultstore.Store (EngineOptions.Store) before
+// building its transmitted stream or checking out a simulator: a Result
+// computed once under a content key — machine fingerprint × every
+// simulation-steering Config field × the full payload (its bits, or the
+// inputs of the pure generator that produced them) — is thereafter served
+// as a memory or disk read, shared between experiments, CI runs, and
+// daemon jobs. The engine's in-RAM chain memo (reuse.go) is addressed by
+// the same key.
 //
 // Legality is one rule, made explicit: a key must cover everything that
 // can steer the simulation, so two runs with equal keys are bit-identical
@@ -26,54 +27,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"streamline/internal/hier"
 	"streamline/internal/resultstore"
 	"streamline/internal/stats"
 )
-
-// activeStore is the process-wide store handle; nil (the default) disables
-// durable serving entirely and Run behaves exactly as before.
-var activeStore atomic.Pointer[resultstore.Store]
-
-// SetStore installs (or, with nil, removes) the process-wide result store
-// consulted by Run and returns the previous handle. The store is a pure
-// read-through/write-back cache: results are bit-identical with it nil.
-func SetStore(s *resultstore.Store) *resultstore.Store {
-	return activeStore.Swap(s)
-}
-
-// ActiveStore returns the store installed by SetStore, or nil. Higher
-// layers (internal/experiments) use the same handle to memoize results
-// whose runs do not flow through core.Run, and to report hit/miss counts.
-func ActiveStore() *resultstore.Store { return activeStore.Load() }
-
-// runCounters tracks process-wide Run outcomes for display and tests; like
-// chainCounters it never influences simulation. sims counts runs that
-// checked a simulator out of the pool (i.e. actually simulated), storeHits
-// runs served from the durable store, storeMisses store lookups that fell
-// through to simulation.
-var runCounters struct {
-	sims, storeHits, storeMisses atomic.Uint64
-}
-
-// RunCounters is a monotonic snapshot of Run activity.
-type RunCounters struct {
-	// Sims counts runs that acquired a simulator (cold or forked);
-	// StoreHits runs served entirely from the durable store; StoreMisses
-	// store lookups that missed and fell through to simulation.
-	Sims, StoreHits, StoreMisses uint64
-}
-
-// ReadRunCounters returns the current process-wide Run activity.
-func ReadRunCounters() RunCounters {
-	return RunCounters{
-		Sims:        runCounters.sims.Load(),
-		StoreHits:   runCounters.storeHits.Load(),
-		StoreMisses: runCounters.storeMisses.Load(),
-	}
-}
 
 // storeKeySchema versions the canonical key encoding AND the Result codec
 // below: any change to either — a field added to the encoding, a codec
@@ -253,14 +211,14 @@ func (e *enc) payloadKeyBits(p []byte) {
 // codec change without a schema bump — unreachable by construction (the
 // schema tag is in the key) — and counts as a miss so the write-back heals
 // it.
-func storeLookup(st *resultstore.Store, key resultstore.Key) *Result {
-	if raw, hit := st.Get(key); hit {
+func (e *Engine) storeLookup(key resultstore.Key) *Result {
+	if raw, hit := e.opt.Store.Get(key); hit {
 		if r, err := decodeResult(raw); err == nil {
-			runCounters.storeHits.Add(1)
+			e.ctr.storeHits.Add(1)
 			return r
 		}
 	}
-	runCounters.storeMisses.Add(1)
+	e.ctr.storeMisses.Add(1)
 	return nil
 }
 

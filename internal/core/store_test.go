@@ -328,23 +328,18 @@ func TestRunServedFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetStore(SetStore(st))
+	e := NewEngine(EngineOptions{Store: st})
 
 	cfg := storeTestConfig()
 	bits := payload.Random(7, 4000)
-	cold := run(t, cfg, bits)
-	before := ReadRunCounters()
-	warm := run(t, cfg, bits)
-	after := ReadRunCounters()
+	cold := runOn(t, e, cfg, bits)
+	warm := runOn(t, e, cfg, bits)
 
 	if !reflect.DeepEqual(warm, cold) {
 		t.Error("served Result differs from the simulated one")
 	}
-	if after.StoreHits != before.StoreHits+1 {
-		t.Errorf("store hits %d -> %d, want one more", before.StoreHits, after.StoreHits)
-	}
-	if after.Sims != before.Sims {
-		t.Errorf("warm run checked out a simulator (%d -> %d)", before.Sims, after.Sims)
+	if c := e.Counters(); c.StoreHits != 1 || c.Sims != 1 {
+		t.Errorf("counters %+v, want the warm run served (1 store hit) with no second simulation", c)
 	}
 	if s := st.Stats(); s.Hits != 1 || s.Writes != 1 {
 		t.Errorf("store stats %+v, want exactly 1 hit and 1 write", s)
@@ -363,11 +358,9 @@ func TestRunStoreCorruptFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetStore(SetStore(st))
-
 	cfg := storeTestConfig()
 	bits := payload.Random(11, 4000)
-	cold := run(t, cfg, bits)
+	cold := runOn(t, NewEngine(EngineOptions{Store: st}), cfg, bits)
 
 	// Flip one payload bit in the single stored entry.
 	var entry string
@@ -397,20 +390,16 @@ func TestRunStoreCorruptFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetStore(st)
+	e := NewEngine(EngineOptions{Store: st})
 
-	before := ReadRunCounters()
-	again := run(t, cfg, bits)
-	after := ReadRunCounters()
+	again := runOn(t, e, cfg, bits)
+	after := e.Counters()
 
 	if !reflect.DeepEqual(again, cold) {
 		t.Error("re-simulated Result after corruption differs from the original")
 	}
-	if after.StoreMisses != before.StoreMisses+1 {
-		t.Errorf("store misses %d -> %d, want one more", before.StoreMisses, after.StoreMisses)
-	}
-	if after.Sims != before.Sims+1 {
-		t.Errorf("corrupt entry did not fall back to simulation (%d -> %d sims)", before.Sims, after.Sims)
+	if after.StoreMisses != 1 || after.Sims != 1 {
+		t.Errorf("counters %+v: corrupt entry did not miss and fall back to simulation", after)
 	}
 	s := st.Stats()
 	if s.Quarantined != 1 {
@@ -421,11 +410,11 @@ func TestRunStoreCorruptFallback(t *testing.T) {
 	}
 
 	// The fallback's write-back healed the entry: third run is a hit again.
-	healed := run(t, cfg, bits)
+	healed := runOn(t, e, cfg, bits)
 	if !reflect.DeepEqual(healed, cold) {
 		t.Error("healed Result differs from the original")
 	}
-	if c := ReadRunCounters(); c.StoreHits != after.StoreHits+1 {
+	if c := e.Counters(); c.StoreHits != after.StoreHits+1 {
 		t.Error("healed entry not served as a hit")
 	}
 }
@@ -439,8 +428,6 @@ func TestRunWriteErrorCounted(t *testing.T) {
 	}
 	cfg := storeTestConfig()
 	bits := payload.Random(13, 4000)
-	prev := SetStore(nil)
-	defer SetStore(prev)
 	want := run(t, cfg, bits)
 
 	dir := t.TempDir()
@@ -453,8 +440,7 @@ func TestRunWriteErrorCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	SetStore(st)
-	got := run(t, cfg, bits)
+	got := runOn(t, NewEngine(EngineOptions{Store: st}), cfg, bits)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("Result with a failing write-back differs from the storeless run")
 	}
@@ -473,17 +459,15 @@ func TestStoreIneligibleConfigBypasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetStore(SetStore(st))
+	e := NewEngine(EngineOptions{Store: st})
 
 	cfg := storeTestConfig()
 	cfg.LLCPolicy = cache.NewLRU()
-	before := ReadRunCounters()
-	run(t, cfg, payload.Random(3, 2000))
-	after := ReadRunCounters()
+	runOn(t, e, cfg, payload.Random(3, 2000))
 	if s := st.Stats(); s.Writes != 0 || s.Hits != 0 || s.Misses != 0 {
 		t.Errorf("ineligible config touched the store: %+v", s)
 	}
-	if after.StoreHits != before.StoreHits || after.StoreMisses != before.StoreMisses {
+	if c := e.Counters(); c.StoreHits != 0 || c.StoreMisses != 0 {
 		t.Error("ineligible config moved the store counters")
 	}
 }
@@ -565,37 +549,30 @@ func TestChainedAndUnchainedShareOneEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("channel runs")
 	}
-	defer SetCheckpoints(SetCheckpoints(true))
 	cfg := storeTestConfig()
 	bits := payload.Random(23, 6000)
 	chained := cfg
 	chained.Chain = &ChainSpec{Key: 0x5a7e, Lengths: []int{3000, 6000}}
 
-	defer SetStore(SetStore(nil))
-	SetCheckpoints(false)
-	fresh := run(t, cfg, bits)
-	SetCheckpoints(true)
+	fresh := runOn(t, NewEngine(EngineOptions{NoReuse: true, NoCheckpoints: true}), cfg, bits)
 
 	for _, chainedFirst := range []bool{true, false} {
-		DropCheckpoints()
 		st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetStore(st)
+		e := NewEngine(EngineOptions{Store: st})
 		first, second := chained, cfg
 		if !chainedFirst {
 			first, second = cfg, chained
 		}
-		before := ReadRunCounters()
-		a := run(t, first, bits)
-		b := run(t, second, bits)
-		after := ReadRunCounters()
+		a := runOn(t, e, first, bits)
+		b := runOn(t, e, second, bits)
 
 		if !reflect.DeepEqual(a, fresh) || !reflect.DeepEqual(b, fresh) {
 			t.Errorf("chained first %v: a served or simulated Result differs from the fresh run", chainedFirst)
 		}
-		if got := after.Sims - before.Sims; got != 1 {
+		if got := e.Counters().Sims; got != 1 {
 			t.Errorf("chained first %v: %d simulations, want 1", chainedFirst, got)
 		}
 		if s := st.Stats(); s.Writes != 1 || s.Hits != 1 || s.Entries != 1 {
@@ -607,7 +584,7 @@ func TestChainedAndUnchainedShareOneEntry(t *testing.T) {
 		if plain, plainOK := storeKey(&cfg, &payloadSrc{bits: bits}); !ok || !plainOK || key != plain {
 			t.Fatal("chained and unchained store keys differ")
 		}
-		if m := memoLookup(key); !reflect.DeepEqual(m, fresh) {
+		if m := e.memoLookup(key); !reflect.DeepEqual(m, fresh) {
 			t.Errorf("chained first %v: memo entry under the store key is missing or differs", chainedFirst)
 		}
 	}
@@ -621,23 +598,21 @@ func TestChainedRunServedFromStoreWithEmptyMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("channel runs")
 	}
-	defer SetCheckpoints(SetCheckpoints(true))
 	st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetStore(SetStore(st))
-	DropCheckpoints()
+	e := NewEngine(EngineOptions{Store: st})
 
 	cfg := storeTestConfig()
 	cfg.Chain = &ChainSpec{Key: 0x5e7e, Lengths: []int{2000, 4000}}
 	bits := payload.Random(29, 4000)
-	cold := run(t, cfg, bits)
+	cold := runOn(t, e, cfg, bits)
 
-	DropCheckpoints()
-	before, beforeChain := ReadRunCounters(), ReadChainCounters()
-	warm := run(t, cfg, bits)
-	after, afterChain := ReadRunCounters(), ReadChainCounters()
+	e.DropCheckpoints()
+	before := e.Counters()
+	warm := runOn(t, e, cfg, bits)
+	after := e.Counters()
 	if !reflect.DeepEqual(warm, cold) {
 		t.Error("store-served chained Result differs from the simulated one")
 	}
@@ -647,20 +622,21 @@ func TestChainedRunServedFromStoreWithEmptyMemo(t *testing.T) {
 	if got := after.StoreHits - before.StoreHits; got != 1 {
 		t.Errorf("store hits moved by %d, want 1", got)
 	}
-	if got := afterChain.MemoHits - beforeChain.MemoHits; got != 0 {
+	if got := after.MemoHits - before.MemoHits; got != 0 {
 		t.Errorf("emptied memo served %d hits", got)
 	}
 
 	// The store hit primed the memo: the next sibling never reaches the
 	// store.
-	again := run(t, cfg, bits)
+	again := runOn(t, e, cfg, bits)
 	if !reflect.DeepEqual(again, cold) {
 		t.Error("memo-served chained Result differs from the simulated one")
 	}
-	if c := ReadChainCounters(); c.MemoHits != afterChain.MemoHits+1 {
-		t.Errorf("memo hits %d -> %d, want one more", afterChain.MemoHits, c.MemoHits)
+	c := e.Counters()
+	if c.MemoHits != after.MemoHits+1 {
+		t.Errorf("memo hits %d -> %d, want one more", after.MemoHits, c.MemoHits)
 	}
-	if c := ReadRunCounters(); c.StoreHits != after.StoreHits || c.Sims != after.Sims {
+	if c.StoreHits != after.StoreHits || c.Sims != after.Sims {
 		t.Errorf("memo-served run touched the store or simulated: %+v -> %+v", after, c)
 	}
 }

@@ -7,9 +7,10 @@
 //
 // The serving path is tiered. A submitted job first coalesces with any
 // identical in-flight job (singleflight — see below); the surviving leader
-// then runs through core's read-through store wiring, where each run is
-// answered by the store's memory tier, its disk tier, or a simulator
-// checkout, in that order. GET /results/{key} exposes the store's raw
+// then runs on the server's core.Engine, whose read-through store wiring
+// answers each run from the store's memory tier, its disk tier, or a
+// simulator checkout, in that order. Each server owns its engine, so two
+// servers in one process share neither store nor counters. GET /results/{key} exposes the store's raw
 // serving path directly: it is the endpoint the load generator hammers,
 // and it touches nothing but the store.
 //
@@ -83,13 +84,13 @@ type jobStatus struct {
 }
 
 // storeStats is the GET /store/stats body: the store's counters plus the
-// process-wide run counters, which together show how much of the daemon's
+// server engine's counters, which together show how much of the daemon's
 // work was served versus simulated. Reading it is lock-free on the store
 // side (atomic counters), so stats polling never contends with serving.
 type storeStats struct {
 	Dir       string            `json:"dir,omitempty"`
 	Store     resultstore.Stats `json:"store"`
-	Run       core.RunCounters  `json:"run"`
+	Run       core.Counters     `json:"run"`
 	Coalesced uint64            `json:"coalesced"` // submissions answered by singleflight attach
 }
 
@@ -210,9 +211,9 @@ func (j *job) status() jobStatus {
 // full queue rejects the submit with 503 rather than buffering without
 // limit.
 type Server struct {
-	store *resultstore.Store
-	queue chan *job
-	wg    sync.WaitGroup
+	engine *core.Engine
+	queue  chan *job
+	wg     sync.WaitGroup
 
 	mu        sync.Mutex
 	jobs      map[string]*job
@@ -240,12 +241,11 @@ func NewServer(store *resultstore.Store, queueCap, workers int) *Server {
 		workers = 1
 	}
 	s := &Server{
-		store:   store,
+		engine:  core.NewEngine(core.EngineOptions{Store: store}),
 		queue:   make(chan *job, queueCap),
 		jobs:    make(map[string]*job),
 		flights: make(map[flightKey]*job),
 	}
-	core.SetStore(store)
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
 		go func() {
@@ -296,6 +296,7 @@ func (s *Server) runJob(j *job) {
 		Full:     j.req.Full,
 		Workers:  j.req.Workers,
 		Progress: j,
+		Engine:   s.engine,
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -528,7 +529,8 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 // address — the daemon's lightweight serving path (no job machinery, no
 // queue). A warm key is answered entirely from the store's memory tier.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	store := s.engine.Store()
+	if store == nil {
 		http.Error(w, "no store configured", http.StatusNotFound)
 		return
 	}
@@ -537,7 +539,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad key: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	payload, ok := s.store.Get(key)
+	payload, ok := store.Get(key)
 	if !ok {
 		http.Error(w, "no such result", http.StatusNotFound)
 		return
@@ -547,12 +549,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
-	var st storeStats
-	if s.store != nil {
-		st.Dir = s.store.Dir()
-		st.Store = s.store.Stats()
+	st := storeStats{Run: s.engine.Counters()}
+	if store := s.engine.Store(); store != nil {
+		st.Dir = store.Dir()
+		st.Store = store.Stats()
 	}
-	st.Run = core.ReadRunCounters()
 	s.mu.Lock()
 	st.Coalesced = s.coalesced
 	s.mu.Unlock()

@@ -76,19 +76,44 @@ func (c *testClient) status(id string) jobStatus {
 	return js
 }
 
-// startServer builds a server plus test client and restores the previous
-// process-wide store binding on cleanup (NewServer rebinds it).
+// startServer builds a server plus test client, torn down on cleanup.
 func startServer(t *testing.T, st *resultstore.Store, queueCap, workers int) (*Server, *testClient) {
 	t.Helper()
-	prevStore := core.ActiveStore()
 	srv := NewServer(st, queueCap, workers)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Drain()
-		core.SetStore(prevStore)
 	})
 	return srv, &testClient{t: t, ts: ts}
+}
+
+// storeStats fetches and decodes GET /store/stats.
+func (c *testClient) storeStats() storeStats {
+	c.t.Helper()
+	resp, err := http.Get(c.ts.URL + "/store/stats")
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats storeStats
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		c.t.Fatal(err)
+	}
+	return stats
+}
+
+// finish tails a submitted job and returns its final status, failing the
+// test unless it is done.
+func (c *testClient) finish(body string) jobStatus {
+	c.t.Helper()
+	id := c.submit(body).ID
+	c.tail(id)
+	js := c.status(id)
+	if js.State != "done" {
+		c.t.Fatalf("job %s finished %q: %s", id, js.State, js.Error)
+	}
+	return js
 }
 
 // The end-to-end contract of the daemon: a job submitted over HTTP runs to
@@ -100,7 +125,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c := startServer(t, st, 4, 1)
+	srv, c := startServer(t, st, 4, 1)
 
 	const body = `{"exp":"ablation-ratelimit","seed":7,"quick":true,"workers":2}`
 	id1 := c.submit(body).ID
@@ -113,7 +138,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("cold job did not finish with a table: %+v", cold)
 	}
 
-	simsAfterCold := core.ReadRunCounters().Sims
+	simsAfterCold := srv.engine.Counters().Sims
 	hitsAfterCold := st.Stats().Hits
 	if simsAfterCold == 0 {
 		t.Fatal("cold job checked out no simulator — the test is not exercising the serve path")
@@ -133,7 +158,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(warm.Table, cold.Table) {
 		t.Errorf("warm table differs from cold table\nwarm %+v\ncold %+v", warm.Table, cold.Table)
 	}
-	if got := core.ReadRunCounters().Sims; got != simsAfterCold {
+	if got := srv.engine.Counters().Sims; got != simsAfterCold {
 		t.Errorf("warm job checked out %d simulators; identical resubmits must be served from the store", got-simsAfterCold)
 	}
 	if got := st.Stats().Hits; got <= hitsAfterCold {
@@ -141,15 +166,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// The stats endpoint reflects the same counters.
-	resp, err := http.Get(c.ts.URL + "/store/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats storeStats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	stats := c.storeStats()
 	if stats.Store != st.Stats() {
 		t.Errorf("/store/stats store counters %+v != %+v", stats.Store, st.Stats())
 	}
@@ -159,6 +176,46 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if stats.Dir != st.Dir() {
 		t.Errorf("/store/stats dir %q != %q", stats.Dir, st.Dir())
 	}
+
+	// The run block is the engine's merged counters: a chained job (the
+	// fig9 payload ladder) forks its longer member from the checkpoint the
+	// shorter one published.
+	if testing.Short() {
+		return // a 1.2M-bit ladder; too slow under the race detector
+	}
+	c.finish(`{"exp":"fig9","seed":7,"quick":true,"workers":2}`)
+	if run := c.storeStats().Run; run.Forks == 0 || run.Nodes == 0 {
+		t.Errorf("/store/stats run counters %+v after a chained job; want Nodes and Forks > 0", run)
+	}
+}
+
+// TestServersAreIsolated runs two servers in one process, each on its own
+// store: a job on A writes to and is served from A's store, and B sees no
+// traffic at all.
+func TestServersAreIsolated(t *testing.T) {
+	stA, err := resultstore.Open(t.TempDir(), resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stB, err := resultstore.Open(t.TempDir(), resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, a := startServer(t, stA, 4, 1)
+	_, b := startServer(t, stB, 4, 1)
+
+	const body = `{"exp":"ablation-ratelimit","seed":17,"quick":true,"workers":2}`
+	a.finish(body)
+	if s := stA.Stats(); s.Writes == 0 {
+		t.Fatalf("server A's job wrote nothing to A's store: %+v", s)
+	}
+	a.finish(body)
+	if s := a.storeStats(); s.Store.Hits == 0 || s.Run.StoreHits == 0 {
+		t.Errorf("server A's resubmit was not served from A's store: %+v", s)
+	}
+	if s := b.storeStats(); s.Store != (resultstore.Stats{}) || s.Run != (core.Counters{}) {
+		t.Errorf("server B saw traffic from A's jobs: %+v", s)
+	}
 }
 
 // TestSingleflightCoalesces is the issue's e2e proof: N identical
@@ -167,17 +224,14 @@ func TestDaemonEndToEnd(t *testing.T) {
 // then compares the simulator-checkout delta against a solo run of the
 // same job measured beforehand.
 func TestSingleflightCoalesces(t *testing.T) {
-	prevStore := core.ActiveStore()
-	core.SetStore(nil) // no store: every non-coalesced job would simulate
-	defer core.SetStore(prevStore)
-
-	opts := experiments.Opts{Seed: 9, Quick: true, Workers: 2}
-	before := core.ReadRunCounters().Sims
+	// No store anywhere: every non-coalesced job would simulate.
+	soloEngine := core.NewEngine(core.EngineOptions{})
+	opts := experiments.Opts{Seed: 9, Quick: true, Workers: 2, Engine: soloEngine}
 	soloTable, err := experiments.Run("ablation-ratelimit", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo := core.ReadRunCounters().Sims - before
+	solo := soloEngine.Counters().Sims
 	if solo == 0 {
 		t.Fatal("solo run checked out no simulator — nothing to coalesce")
 	}
@@ -187,7 +241,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	testHookJobStart = func(*job) { close(started); <-release }
 	defer func() { testHookJobStart = nil }()
 
-	_, c := startServer(t, nil, 16, 1)
+	srv, c := startServer(t, nil, 16, 1)
 
 	const body = `{"exp":"ablation-ratelimit","seed":9,"quick":true,"workers":2}`
 	lead := c.submit(body)
@@ -201,7 +255,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		}
 		ids = append(ids, f.ID)
 	}
-	simsAtRelease := core.ReadRunCounters().Sims
+	simsAtRelease := srv.engine.Counters().Sims
 	close(release)
 
 	leaderProgress := c.tail(lead.ID)
@@ -225,22 +279,13 @@ func TestSingleflightCoalesces(t *testing.T) {
 		}
 	}
 
-	if delta := core.ReadRunCounters().Sims - simsAtRelease; delta != solo {
+	if delta := srv.engine.Counters().Sims - simsAtRelease; delta != solo {
 		t.Errorf("%d identical submissions checked out %d simulator runs, want %d (exactly one simulation)",
 			followers+1, delta, solo)
 	}
 
-	resp, err := http.Get(c.ts.URL + "/store/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats storeStats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Coalesced != followers {
-		t.Errorf("coalesced counter = %d, want %d", stats.Coalesced, followers)
+	if got := c.storeStats().Coalesced; got != followers {
+		t.Errorf("coalesced counter = %d, want %d", got, followers)
 	}
 }
 

@@ -30,7 +30,7 @@ func planAblationEncoding(o Opts) (*Plan, error) {
 					cfg.Modulate = modulate
 					cfg.SyncPeriod = 0
 					cfg.Seed = seed
-					res, err := core.Run(cfg, payload.Biased(seed^0xb1a5, n, ones))
+					res, err := o.Engine.Run(cfg, payload.Biased(seed^0xb1a5, n, ones))
 					if err != nil {
 						return Out{}, err
 					}
@@ -71,7 +71,7 @@ func planAblationTrailing(o Opts) (*Plan, error) {
 	for _, lag := range lags {
 		points = append(points, Point{
 			Label: fmt.Sprintf("lag=%d", lag),
-			Run: channelRun(func(int, uint64) core.Config {
+			Run: o.channelRun(func(int, uint64) core.Config {
 				cfg := core.DefaultConfig()
 				cfg.SyncPeriod = 0
 				cfg.GapClamp = 30000
@@ -111,7 +111,7 @@ func planAblationRateLimit(o Opts) (*Plan, error) {
 		points = append(points, Point{
 			Label: fmt.Sprintf("ratelimit=%v", limit),
 			Reps:  1,
-			Run: channelRun(func(int, uint64) core.Config {
+			Run: o.channelRun(func(int, uint64) core.Config {
 				cfg := core.DefaultConfig()
 				cfg.RateLimitSender = limit
 				cfg.SyncPeriod = 0
@@ -164,9 +164,9 @@ func planAblationReplacement(o Opts) (*Plan, error) {
 		points = append(points, Point{
 			Label: p.name,
 			// The live cache.Policy makes the config ineligible for
-			// core.Run's store; the Out cache keys on the policy name.
-			Run: storedRun(fmt.Sprintf("ablation-replacement policy=%s bits=%d", p.name, n),
-				channelRun(func(rep int, seed uint64) core.Config {
+			// Engine.Run's store; the Out cache keys on the policy name.
+			Run: o.storedRun(fmt.Sprintf("ablation-replacement policy=%s bits=%d", p.name, n),
+				o.channelRun(func(rep int, seed uint64) core.Config {
 					cfg := core.DefaultConfig()
 					// The policy gets its own derived stream so its random
 					// choices stay decorrelated from the simulator's.
@@ -207,7 +207,7 @@ func planAblationPrefetcher(o Opts) (*Plan, error) {
 	for _, disable := range states {
 		points = append(points, Point{
 			Label: fmt.Sprintf("disable=%v", disable),
-			Run: channelRun(func(int, uint64) core.Config {
+			Run: o.channelRun(func(int, uint64) core.Config {
 				cfg := core.DefaultConfig()
 				cfg.DisablePrefetch = disable
 				return cfg
@@ -248,7 +248,7 @@ func planAblationHugePages(o Opts) (*Plan, error) {
 	for _, huge := range states {
 		points = append(points, Point{
 			Label: fmt.Sprintf("huge=%v", huge),
-			Run: channelRun(func(int, uint64) core.Config {
+			Run: o.channelRun(func(int, uint64) core.Config {
 				cfg := core.DefaultConfig()
 				cfg.HugePages = huge
 				return cfg

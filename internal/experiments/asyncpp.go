@@ -18,21 +18,21 @@ func planAsyncPP(o Opts) (*Plan, error) {
 		// Synchronous LLC Prime+Probe.
 		{
 			Label: "prime+probe synchronous",
-			Run: attackRun("asyncpp prime+probe(llc) sync", func(s uint64) (attacks.Attack, error) {
+			Run: o.attackRun("asyncpp prime+probe(llc) sync", func(s uint64) (attacks.Attack, error) {
 				return attacks.NewPrimeProbeLLC(0, s)
 			}, bits/4),
 		},
 		// Asynchronous Prime+Probe.
 		{
 			Label: "prime+probe asynchronous",
-			Run: attackRun("asyncpp async-prime+probe", func(s uint64) (attacks.Attack, error) {
+			Run: o.attackRun("asyncpp async-prime+probe", func(s uint64) (attacks.Attack, error) {
 				return attacks.NewAsyncPrimeProbe(s)
 			}, bits),
 		},
 		// Streamline for scale.
 		{
 			Label: "streamline",
-			Run: channelRun(func(int, uint64) core.Config {
+			Run: o.channelRun(func(int, uint64) core.Config {
 				return core.DefaultConfig()
 			}, bits*4),
 		},

@@ -28,10 +28,10 @@ func planFig6(o Opts) (*Plan, error) {
 			points = append(points, Point{
 				Label: fmt.Sprintf("gap=%d %s", gap, vname),
 				// The naive variant installs a live pattern.Pattern, which
-				// core.Run's store cannot fingerprint; the Out cache keys
+				// Engine.Run's store cannot fingerprint; the Out cache keys
 				// on the variant name instead. The other variants are
 				// wrapped too so the whole figure warms uniformly.
-				Run: storedRun(fmt.Sprintf("fig6 gap=%d variant=%s bits=%d", gap, vname, bits), channelRun(func(int, uint64) core.Config {
+				Run: o.storedRun(fmt.Sprintf("fig6 gap=%d variant=%s bits=%d", gap, vname, bits), o.channelRun(func(int, uint64) core.Config {
 					cfg := core.DefaultConfig()
 					cfg.SyncPeriod = 0
 					cfg.GapClamp = gap
@@ -98,7 +98,7 @@ func planFig7(o Opts) (*Plan, error) {
 					cfg.SyncPeriod = 200000
 				}
 				cfg.Seed = seed
-				res, err := core.RunRandom(cfg, seed^0xf16, bits)
+				res, err := o.Engine.RunRandom(cfg, seed^0xf16, bits)
 				if err != nil {
 					return Out{}, err
 				}
@@ -153,7 +153,7 @@ func planFig9(o Opts) (*Plan, error) {
 		ladder[i] = i
 		points = append(points, Point{
 			Label: fmt.Sprintf("n=%d", n),
-			Run: chainedRun(o, chainDefault, sizes, 0xbead,
+			Run: o.chainedRun(chainDefault, sizes, 0xbead,
 				func(int, uint64) core.Config {
 					return core.DefaultConfig()
 				}, n),
@@ -198,7 +198,7 @@ func planTable2(o Opts) (*Plan, error) {
 		statChain = append(statChain, len(points))
 		points = append(points, Point{
 			Label: fmt.Sprintf("n=%d", n),
-			Run: chainedRun(o, chainDefault, sizes, 0xbead,
+			Run: o.chainedRun(chainDefault, sizes, 0xbead,
 				func(int, uint64) core.Config {
 					return core.DefaultConfig()
 				}, n),
@@ -212,7 +212,7 @@ func planTable2(o Opts) (*Plan, error) {
 				cfg := core.DefaultConfig()
 				cfg.Seed = seed
 				cfg.Chain = &core.ChainSpec{Key: key, Lengths: sizes}
-				res, err := core.RunRandom(cfg, seed^0xb257, n)
+				res, err := o.Engine.RunRandom(cfg, seed^0xb257, n)
 				if err != nil {
 					return Out{}, err
 				}
@@ -266,7 +266,7 @@ func planTable3(o Opts) (*Plan, error) {
 	}
 	var points []Point
 	for _, c := range configs {
-		run := channelRun(func(int, uint64) core.Config {
+		run := o.channelRun(func(int, uint64) core.Config {
 			cfg := core.DefaultConfig()
 			cfg.ECC = c.ecc
 			return cfg
@@ -275,7 +275,7 @@ func planTable3(o Opts) (*Plan, error) {
 			// The ECC-off point is DefaultConfig at the steady payload: it
 			// joins the shared ladder, forking from fig9's checkpoints (and
 			// the matching anchors of tables 4/5 dedup through the memo).
-			run = chainedRun(o, chainDefault, o.payloadSizes(), 0xbead,
+			run = o.chainedRun(chainDefault, o.payloadSizes(), 0xbead,
 				func(int, uint64) core.Config {
 					return core.DefaultConfig()
 				}, n)
@@ -311,7 +311,7 @@ func planTable4(o Opts) (*Plan, error) {
 	sizes := []int{64, 32, 16, 8}
 	var points []Point
 	for _, mb := range sizes {
-		run := channelRun(func(int, uint64) core.Config {
+		run := o.channelRun(func(int, uint64) core.Config {
 			cfg := core.DefaultConfig()
 			cfg.ArraySize = mb << 20
 			return cfg
@@ -319,7 +319,7 @@ func planTable4(o Opts) (*Plan, error) {
 		if mb<<20 == core.DefaultConfig().ArraySize {
 			// 64MB is the default: this point is the shared ladder's steady
 			// anchor (identical to table3's ECC-off point — a memo hit).
-			run = chainedRun(o, chainDefault, o.payloadSizes(), 0xbead,
+			run = o.chainedRun(chainDefault, o.payloadSizes(), 0xbead,
 				func(int, uint64) core.Config {
 					return core.DefaultConfig()
 				}, n)
@@ -356,7 +356,7 @@ func planTable5(o Opts) (*Plan, error) {
 	periods := []int{500000, 200000, 100000, 50000, 25000}
 	var points []Point
 	for _, p := range periods {
-		run := channelRun(func(int, uint64) core.Config {
+		run := o.channelRun(func(int, uint64) core.Config {
 			cfg := core.DefaultConfig()
 			cfg.SyncPeriod = p
 			if cfg.SyncLead >= p {
@@ -367,7 +367,7 @@ func planTable5(o Opts) (*Plan, error) {
 		if p == core.DefaultConfig().SyncPeriod {
 			// The default period is the shared ladder's steady anchor
 			// (identical to table3's ECC-off point — a memo hit).
-			run = chainedRun(o, chainDefault, o.payloadSizes(), 0xbead,
+			run = o.chainedRun(chainDefault, o.payloadSizes(), 0xbead,
 				func(int, uint64) core.Config {
 					return core.DefaultConfig()
 				}, n)

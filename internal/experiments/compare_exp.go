@@ -46,7 +46,7 @@ func planFig10(o Opts) (*Plan, error) {
 			points = append(points, Point{
 				Label: fmt.Sprintf("%s sync=%d", k.Name, period),
 				Reps:  reps,
-				Run: channelRun(func(int, uint64) core.Config {
+				Run: o.channelRun(func(int, uint64) core.Config {
 					cfg := core.DefaultConfig()
 					cfg.SyncPeriod = period
 					cfg.Noise = []noise.Config{k}
@@ -84,10 +84,10 @@ func planFig10(o Opts) (*Plan, error) {
 // payload derives from the same seed. Metrics are (rate, err%); Data is
 // the attack's (name, model) pair for Assemble. desc names the point for
 // the Out-level result cache (storedout.go) — attacks never reach
-// core.Run, so this is their only store path; the bit count is appended
+// Engine.Run, so this is their only store path; the bit count is appended
 // here so callers cannot forget it.
-func attackRun(desc string, mk func(seed uint64) (attacks.Attack, error), bits int) func(int, uint64) (Out, error) {
-	return storedRun(fmt.Sprintf("%s bits=%d", desc, bits), func(rep int, seed uint64) (Out, error) {
+func (o Opts) attackRun(desc string, mk func(seed uint64) (attacks.Attack, error), bits int) func(int, uint64) (Out, error) {
+	return o.storedRun(fmt.Sprintf("%s bits=%d", desc, bits), func(rep int, seed uint64) (Out, error) {
 		a, err := mk(seed)
 		if err != nil {
 			return Out{}, err
@@ -116,7 +116,7 @@ func planFig11(o Opts) (*Plan, error) {
 	for _, w := range windows {
 		points = append(points, Point{
 			Label: fmt.Sprintf("window=%d", w),
-			Run: attackRun(fmt.Sprintf("fig11 flush+reload window=%d jitter=600", w), func(seed uint64) (attacks.Attack, error) {
+			Run: o.attackRun(fmt.Sprintf("fig11 flush+reload window=%d jitter=600", w), func(seed uint64) (attacks.Attack, error) {
 				a, err := attacks.NewFlushReload(w, seed)
 				if err != nil {
 					return nil, err
@@ -131,7 +131,7 @@ func planFig11(o Opts) (*Plan, error) {
 	}
 	points = append(points, Point{
 		Label: "streamline",
-		Run: channelRun(func(int, uint64) core.Config {
+		Run: o.channelRun(func(int, uint64) core.Config {
 			return core.DefaultConfig()
 		}, 1000000),
 	})
@@ -187,20 +187,20 @@ func planTable6(o Opts) (*Plan, error) {
 	for i, f := range mk {
 		points = append(points, Point{
 			Label: fmt.Sprintf("baseline %d", i),
-			Run:   attackRun("table6 "+f.name, f.mk, bits),
+			Run:   o.attackRun("table6 "+f.name, f.mk, bits),
 		})
 	}
 	// Thrash+Reload: tiny payload, each bit thrashes the LLC.
 	points = append(points, Point{
 		Label: "thrash+reload",
 		Reps:  1,
-		Run: attackRun("table6 thrash+reload", func(s uint64) (attacks.Attack, error) {
+		Run: o.attackRun("table6 thrash+reload", func(s uint64) (attacks.Attack, error) {
 			return attacks.NewThrashReload(s)
 		}, trBits),
 	})
 	points = append(points, Point{
 		Label: "streamline",
-		Run: channelRun(func(int, uint64) core.Config {
+		Run: o.channelRun(func(int, uint64) core.Config {
 			return core.DefaultConfig()
 		}, 1000000),
 	})

@@ -41,7 +41,7 @@ func planDefMatrix(o Opts) (*Plan, error) {
 	}
 	atks := []atkSpec{
 		{"streamline", func(d defenseSpec, _ int) func(int, uint64) (Out, error) {
-			return defmatrixStreamlineRun(d, slBits)
+			return defmatrixStreamlineRun(o.Engine, d, slBits)
 		}},
 		{"flush+reload", defmatrixAttackRun(func(o attacks.BuildOpts) (attacks.Attack, error) {
 			return attacks.NewFlushReloadWith(o)
@@ -59,7 +59,7 @@ func planDefMatrix(o Opts) (*Plan, error) {
 	var points []Point
 	for _, a := range atks {
 		for _, d := range defs {
-			// Baseline attacks never reach core.Run, so the Out cache is
+			// Baseline attacks never reach Engine.Run, so the Out cache is
 			// their only store path; streamline's row is also wrapped to
 			// skip the (cheap but nonzero) stealth recomputation on warm
 			// passes. Descriptors carry the bit count each cell actually
@@ -71,7 +71,7 @@ func planDefMatrix(o Opts) (*Plan, error) {
 			points = append(points, Point{
 				Label: fmt.Sprintf("%s vs %s", a.name, d.name),
 				Reps:  1,
-				Run: storedRun(
+				Run: o.storedRun(
 					fmt.Sprintf("defmatrix %s vs %s bits=%d window=%d", a.name, d.name, bits, defMonitorWindow),
 					a.mk(d, atkBits)),
 			})
@@ -163,13 +163,13 @@ func defenseSpecs() []defenseSpec {
 
 // defmatrixStreamlineRun measures Streamline under one defense, with the
 // counter monitor streaming windows out of the run for the stealth score.
-func defmatrixStreamlineRun(d defenseSpec, bits int) func(int, uint64) (Out, error) {
+func defmatrixStreamlineRun(e *core.Engine, d defenseSpec, bits int) func(int, uint64) (Out, error) {
 	return func(rep int, seed uint64) (Out, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = seed
 		cfg.CounterWindow = defMonitorWindow
 		d.core(&cfg)
-		res, err := core.RunRandom(cfg, seed^0xdef, bits)
+		res, err := e.RunRandom(cfg, seed^0xdef, bits)
 		if err != nil {
 			return Out{}, err
 		}

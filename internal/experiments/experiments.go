@@ -52,6 +52,19 @@ type Opts struct {
 	// Workers sets the worker-pool size: 0 selects GOMAXPROCS, 1 runs
 	// serially. Results are bit-identical at any value.
 	Workers int
+	// Engine runs every channel simulation, and its store (Engine.Store)
+	// also backs the point-level Out cache. nil gives each Run or RunBatch
+	// call a fresh engine with no store. Results are bit-identical either
+	// way; sharing one engine across calls shares its reuse layers.
+	Engine *core.Engine
+}
+
+// withEngine returns o with a fresh storeless engine when none is set.
+func (o Opts) withEngine() Opts {
+	if o.Engine == nil {
+		o.Engine = core.NewEngine(core.EngineOptions{})
+	}
+	return o
 }
 
 func (o Opts) runs() int {
@@ -234,6 +247,7 @@ func Known(id string) bool {
 
 // Run executes the experiment with the given id on the worker pool.
 func Run(id string, o Opts) (*Table, error) {
+	o = o.withEngine()
 	plan, err := planFor(id, o)
 	if err != nil {
 		return nil, err
@@ -257,6 +271,7 @@ func RunBatch(ids []string, o Opts) ([]*Table, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("experiments: empty batch")
 	}
+	o = o.withEngine()
 	seen := make(map[string]bool, len(ids))
 	plans := make([]*Plan, len(ids))
 	for i, id := range ids {
@@ -323,10 +338,10 @@ func executePlans(ids []string, plans []*Plan, o Opts) ([]*Table, error) {
 		return byID[s.Experiment].Points[s.Point].Run(s.Rep, seed)
 	}
 	ropt := runner.Options{Root: o.Seed, Workers: o.Workers, Hook: hook}
-	if st := core.ActiveStore(); st != nil {
+	if st := o.Engine.Store(); st != nil {
 		// The progress hook labels each run [hit]/[miss] from these
-		// cumulative counters; the handle covers both core.Run serving and
-		// the point-level Out cache (storedout.go).
+		// cumulative counters; the handle covers both Engine.Run serving
+		// and the point-level Out cache (storedout.go).
 		ropt.StoreCounters = func() (uint64, uint64) {
 			s := st.Stats()
 			return s.Hits, s.Misses
@@ -387,11 +402,11 @@ const (
 // channelRun returns a pure per-run function that executes the channel
 // once with mk's config and a seed-derived payload, reporting the standard
 // channel metrics (see the cm* indexes).
-func channelRun(mk func(rep int, seed uint64) core.Config, bits int) func(int, uint64) (Out, error) {
+func (o Opts) channelRun(mk func(rep int, seed uint64) core.Config, bits int) func(int, uint64) (Out, error) {
 	return func(rep int, seed uint64) (Out, error) {
 		cfg := mk(rep, seed)
 		cfg.Seed = seed
-		res, err := core.RunRandom(cfg, seed^0xbead, bits)
+		res, err := o.Engine.RunRandom(cfg, seed^0xbead, bits)
 		if err != nil {
 			return Out{}, err
 		}
@@ -440,14 +455,14 @@ func chainSeed(o Opts, tag string, rep int) (key, seed uint64) {
 // is a prefix of the longer members' payloads, the precondition for
 // checkpoint forking (core.ChainSpec). mk must return the same config for
 // every member that is meant to share state.
-func chainedRun(o Opts, tag string, lengths []int, payloadTag uint64,
+func (o Opts) chainedRun(tag string, lengths []int, payloadTag uint64,
 	mk func(rep int, seed uint64) core.Config, bits int) func(int, uint64) (Out, error) {
 	return func(rep int, _ uint64) (Out, error) {
 		key, seed := chainSeed(o, tag, rep)
 		cfg := mk(rep, seed)
 		cfg.Seed = seed
 		cfg.Chain = &core.ChainSpec{Key: key, Lengths: lengths}
-		res, err := core.RunRandom(cfg, seed^payloadTag, bits)
+		res, err := o.Engine.RunRandom(cfg, seed^payloadTag, bits)
 		if err != nil {
 			return Out{}, err
 		}

@@ -32,9 +32,9 @@ var update = flag.Bool("update", false, "rewrite golden files from the serial (-
 
 const goldenSeed = 42
 
-func goldenOutput(t *testing.T, id string, workers int) []byte {
+func goldenOutput(t *testing.T, id string, workers int, e *core.Engine) []byte {
 	t.Helper()
-	tab, err := Run(id, Opts{Seed: goldenSeed, Quick: true, Workers: workers})
+	tab, err := Run(id, Opts{Seed: goldenSeed, Quick: true, Workers: workers, Engine: e})
 	if err != nil {
 		t.Fatalf("Run(%q, workers=%d): %v", id, workers, err)
 	}
@@ -43,119 +43,126 @@ func goldenOutput(t *testing.T, id string, workers int) []byte {
 	return buf.Bytes()
 }
 
+// checkGolden compares got with id's committed golden file.
+func checkGolden(t *testing.T, id, axis string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", id+".golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: %s output differs from %s\n--- got ---\n%s--- want ---\n%s", id, axis, path, got, want)
+	}
+}
+
 func TestGoldenConformance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("compute-bound golden regeneration exceeds the package timeout under -race; CI runs it in a dedicated race-free job")
 	}
+	// The reference: one serial engine shared across ids, as a sweep
+	// process shares one. These subtests run (and -update writes) before
+	// any axis below starts.
+	ref := core.NewEngine(core.EngineOptions{})
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			path := filepath.Join("testdata", id+".golden")
-			got := goldenOutput(t, id, 1)
+			got := goldenOutput(t, id, 1, ref)
 			if *update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join("testdata", id+".golden"), got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("serial output differs from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
-			if testing.Short() {
-				return
-			}
-			if par := goldenOutput(t, id, 8); !bytes.Equal(par, want) {
-				t.Errorf("workers=8 output differs from the serial golden — parallel execution is not deterministic\n--- got ---\n%s--- want ---\n%s", par, want)
-			}
-			// Third axis: simulator pooling and warmup-snapshot reuse (on by
-			// default above) must be invisible in the output — a from-scratch
-			// build per run reproduces the same bytes.
-			prev := core.SetReuse(false)
-			noReuse := goldenOutput(t, id, 8)
-			core.SetReuse(prev)
-			if !bytes.Equal(noReuse, want) {
-				t.Errorf("reuse-off output differs from the golden — simulator reuse is leaking state\n--- got ---\n%s--- want ---\n%s", noReuse, want)
-			}
-			// Fourth axis: the mid-run checkpoint tree (chained experiments
-			// fork from published snapshots and dedup through the result
-			// memo) must also be invisible — with checkpoints disabled every
-			// chained run simulates from scratch and reproduces the bytes.
-			prevCkpt := core.SetCheckpoints(false)
-			cold := goldenOutput(t, id, 8)
-			core.SetCheckpoints(prevCkpt)
-			if !bytes.Equal(cold, want) {
-				t.Errorf("checkpoint-off output differs from the golden — checkpoint forking is changing results\n--- got ---\n%s--- want ---\n%s", cold, want)
-			}
-			// Fifth axis: the on-disk result store. A store-backed sweep
-			// must be invisible twice over — the cold pass (simulating and
-			// writing back) and the warm pass (served entirely from disk)
-			// both reproduce the committed bytes.
-			st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prevStore := core.SetStore(st)
-			defer core.SetStore(prevStore)
-			if storeCold := goldenOutput(t, id, 8); !bytes.Equal(storeCold, want) {
-				t.Errorf("store-on cold output differs from the golden — write-back is changing results\n--- got ---\n%s--- want ---\n%s", storeCold, want)
-			}
-			if storeWarm := goldenOutput(t, id, 8); !bytes.Equal(storeWarm, want) {
-				t.Errorf("store-on warm output differs from the golden — served results are not bit-identical\n--- got ---\n%s--- want ---\n%s", storeWarm, want)
-			}
-			// Sixth axis: the in-memory result tier. The warm pass above was
-			// served from the write-back's own residency; a disabled-tier
-			// handle over the same directory (pure disk reads) and a fresh
-			// enabled-tier handle (cold memory filling from disk, then
-			// resident serving) must all reproduce the committed bytes —
-			// memory tier on ≡ off ≡ golden.
-			stOff, err := resultstore.Open(st.Dir(), resultstore.Options{MemBytes: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			core.SetStore(stOff)
-			if memOff := goldenOutput(t, id, 8); !bytes.Equal(memOff, want) {
-				t.Errorf("memory-tier-off output differs from the golden\n--- got ---\n%s--- want ---\n%s", memOff, want)
-			}
-			stOn, err := resultstore.Open(st.Dir(), resultstore.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			core.SetStore(stOn)
-			if memCold := goldenOutput(t, id, 8); !bytes.Equal(memCold, want) {
-				t.Errorf("memory-tier disk-fill output differs from the golden\n--- got ---\n%s--- want ---\n%s", memCold, want)
-			}
-			if memWarm := goldenOutput(t, id, 8); !bytes.Equal(memWarm, want) {
-				t.Errorf("memory-tier resident output differs from the golden — the memory tier is not serving the committed bytes\n--- got ---\n%s--- want ---\n%s", memWarm, want)
-			}
-			if id == corruptAxisID {
-				// Corrupt every entry in place: each Get must quarantine and
-				// fall back to a cold recompute that still matches the
-				// golden. One representative id keeps the axis cheap. The
-				// fresh handle models the next process to open the store —
-				// its memory tier is cold, so every Get reads the corrupted
-				// file (an existing handle's residency would, correctly,
-				// keep serving the pristine bytes it wrote).
-				corruptStoreEntries(t, st.Dir())
-				stCorrupt, err := resultstore.Open(st.Dir(), resultstore.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				core.SetStore(stCorrupt)
-				if fallback := goldenOutput(t, id, 8); !bytes.Equal(fallback, want) {
-					t.Errorf("corrupt-store output differs from the golden — quarantine fallback is changing results\n--- got ---\n%s--- want ---\n%s", fallback, want)
-				}
-				if stCorrupt.Stats().Quarantined == 0 {
-					t.Error("corrupt-store axis quarantined nothing — the corruption never reached Get")
-				}
-			}
-			core.SetStore(prevStore)
+			checkGolden(t, id, "serial", got)
 		})
+	}
+	if testing.Short() {
+		return
+	}
+	// Every axis builds its own engines and runs every id on an 8-worker
+	// pool; engines share no state, so the axes run in parallel. Each
+	// must reproduce the committed bytes.
+	axes := []struct {
+		name string
+		opt  core.EngineOptions
+	}{
+		// Parallel determinism: result order and seeding are independent
+		// of scheduling.
+		{"workers-8", core.EngineOptions{}},
+		// Simulator pooling and warmup-snapshot reuse are invisible: a
+		// from-scratch build per run reproduces the same bytes.
+		{"reuse-off", core.EngineOptions{NoReuse: true}},
+		// The mid-run checkpoint tree and chain memo are invisible: with
+		// checkpoints off every chained run simulates from scratch.
+		{"checkpoint-off", core.EngineOptions{NoCheckpoints: true}},
+	}
+	for _, ax := range axes {
+		t.Run(ax.name, func(t *testing.T) {
+			t.Parallel()
+			goldenPass(t, ax.name, core.NewEngine(ax.opt))
+		})
+	}
+	t.Run("store", func(t *testing.T) {
+		t.Parallel()
+		storeAxis(t)
+	})
+}
+
+// goldenPass runs every id on e with 8 workers against its golden file.
+func goldenPass(t *testing.T, axis string, e *core.Engine) {
+	t.Helper()
+	for _, id := range IDs() {
+		checkGolden(t, id, axis, goldenOutput(t, id, 8, e))
 	}
 }
 
-// corruptAxisID is the experiment the corrupt-entry fallback axis runs on:
+// storeAxis walks the sweep through the on-disk result store, one engine
+// per step over one directory. The cold pass (simulating and writing
+// back) and the warm pass share one store handle, so the warm pass is
+// served from the residency the write-back's Puts created; both reproduce
+// the committed bytes. So do a disabled-memory-tier handle (pure disk
+// reads) and a fresh enabled-tier handle (cold memory filling from disk,
+// then resident serving) — memory tier on ≡ off ≡ golden. Last, every
+// entry is corrupted in place: each Get must quarantine and fall back to
+// a cold recompute that still matches.
+func storeAxis(t *testing.T) {
+	dir := t.TempDir()
+	mustOpen := func(opt resultstore.Options) *resultstore.Store {
+		t.Helper()
+		st, err := resultstore.Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	open := func(opt resultstore.Options) *core.Engine {
+		return core.NewEngine(core.EngineOptions{Store: mustOpen(opt)})
+	}
+	written := mustOpen(resultstore.Options{})
+	goldenPass(t, "store-on cold", core.NewEngine(core.EngineOptions{Store: written}))
+	coldHits := written.Stats().MemHits
+	goldenPass(t, "store-on warm", core.NewEngine(core.EngineOptions{Store: written}))
+	if written.Stats().MemHits == coldHits {
+		t.Error("store-on warm pass served nothing from the write-back's memory tier")
+	}
+	goldenPass(t, "memory-tier-off", open(resultstore.Options{MemBytes: -1}))
+	memOn := open(resultstore.Options{})
+	goldenPass(t, "memory-tier disk-fill", memOn)
+	goldenPass(t, "memory-tier resident", memOn)
+
+	// One representative id keeps the corrupt step cheap. The fresh
+	// handle models the next process to open the store: its memory tier
+	// is cold, so every Get reads the corrupted file (an existing handle's
+	// residency would, correctly, keep serving the pristine bytes it
+	// wrote).
+	corruptStoreEntries(t, dir)
+	corrupt := open(resultstore.Options{})
+	checkGolden(t, corruptAxisID, "corrupt-store", goldenOutput(t, corruptAxisID, 8, corrupt))
+	if corrupt.Store().Stats().Quarantined == 0 {
+		t.Error("corrupt-store step quarantined nothing — the corruption never reached Get")
+	}
+}
+
+// corruptAxisID is the experiment the corrupt-entry fallback step runs on:
 // table1 exercises the Out-level cache (its points never reach core.Run)
 // and is among the cheapest sweeps to recompute.
 const corruptAxisID = "table1"

@@ -30,7 +30,7 @@ func planMitigations(o Opts) (*Plan, error) {
 				cfg := core.DefaultConfig()
 				cfg.Seed = seed
 				mut(&cfg, seed)
-				res, err := core.RunRandom(cfg, seed^0x3a7, sendBits)
+				res, err := o.Engine.RunRandom(cfg, seed^0x3a7, sendBits)
 				if err != nil {
 					return Out{}, err
 				}

@@ -26,9 +26,9 @@ func planTable1(o Opts) (*Plan, error) {
 			points = append(points, Point{
 				Label: fmt.Sprintf("x=%d y=%d", x, y),
 				Reps:  reps,
-				// missRateXY drives the hierarchy directly (no core.Run),
+				// missRateXY drives the hierarchy directly (no Engine.Run),
 				// so the Out cache is its only store path.
-				Run: storedRun(fmt.Sprintf("table1 x=%d y=%d n=%d", x, y, n), func(rep int, seed uint64) (Out, error) {
+				Run: o.storedRun(fmt.Sprintf("table1 x=%d y=%d n=%d", x, y, n), func(rep int, seed uint64) (Out, error) {
 					mr, err := missRateXY(seed, x, y, n)
 					if err != nil {
 						return Out{}, err

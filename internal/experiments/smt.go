@@ -50,7 +50,7 @@ func planSMT(o Opts) (*Plan, error) {
 	for _, v := range variants {
 		points = append(points, Point{
 			Label: v.name,
-			Run: channelRun(func(int, uint64) core.Config {
+			Run: o.channelRun(func(int, uint64) core.Config {
 				return v.mk()
 			}, bits),
 		})

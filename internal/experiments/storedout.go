@@ -1,10 +1,11 @@
-// Out-level result cache for experiment points that never reach core.Run —
-// attack baselines built directly on internal/attacks, pattern- and
-// policy-bound channel runs (core.Config carries a live object the store
-// cannot fingerprint), and raw hierarchy probes like Table 1's miss-rate
-// sweep. core.Run's own store (internal/core/store.go) serves the bulk of
-// a warm `-exp all`; this layer covers the remainder so the whole sweep
-// completes without simulating.
+// Out-level result cache for experiment points that never reach
+// Engine.Run — attack baselines built directly on internal/attacks,
+// pattern- and policy-bound channel runs (core.Config carries a live
+// object the store cannot fingerprint), and raw hierarchy probes like
+// Table 1's miss-rate sweep. Engine.Run's own store path
+// (internal/core/store.go) serves the bulk of a warm `-exp all`; this
+// layer covers the remainder, through the same handle (Opts.Engine's
+// Store), so the whole sweep completes without simulating.
 //
 // Keying: a cached Out is addressed by (schema, descriptor, seed). The
 // descriptor is an explicit string naming the experiment, every parameter
@@ -13,7 +14,7 @@
 // is derived from (root seed, experiment, point, rep), so two sweeps with
 // different root seeds never share entries.
 //
-// Legality: unlike core.Run's store, whose key re-encodes the entire
+// Legality: unlike Engine.Run's store, whose key re-encodes the entire
 // Config, a descriptor cannot see the code behind it — changing an
 // attack's implementation without changing its descriptor would serve
 // stale Outs. The contract is therefore code identity: storedOutSchema
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"math"
 
-	"streamline/internal/core"
 	"streamline/internal/resultstore"
 )
 
@@ -36,12 +36,12 @@ import (
 // Bumping it changes every key, retiring old entries in place.
 const storedOutSchema = "streamline-exp-out-v1"
 
-// storedOut returns compute's Out, serving it from the active result store
-// when a previous run with the same (desc, seed) left one behind. With no
-// store wired, or an Out whose Data kind the codec does not know, it is a
-// transparent pass-through.
-func storedOut(desc string, seed uint64, compute func() (Out, error)) (Out, error) {
-	st := core.ActiveStore()
+// storedOut returns compute's Out, serving it from the engine's result
+// store when a previous run with the same (desc, seed) left one behind.
+// With no store, or an Out whose Data kind the codec does not know, it is
+// a transparent pass-through.
+func (o Opts) storedOut(desc string, seed uint64, compute func() (Out, error)) (Out, error) {
+	st := o.Engine.Store()
 	if st == nil {
 		return compute()
 	}
@@ -66,9 +66,9 @@ func storedOut(desc string, seed uint64, compute func() (Out, error)) (Out, erro
 // storedRun lifts storedOut over a point's per-run function, folding the
 // rep index into the descriptor (the seed already separates reps; the
 // descriptor keeps the entry self-describing).
-func storedRun(desc string, run func(int, uint64) (Out, error)) func(int, uint64) (Out, error) {
+func (o Opts) storedRun(desc string, run func(int, uint64) (Out, error)) func(int, uint64) (Out, error) {
 	return func(rep int, seed uint64) (Out, error) {
-		return storedOut(fmt.Sprintf("%s rep=%d", desc, rep), seed, func() (Out, error) {
+		return o.storedOut(fmt.Sprintf("%s rep=%d", desc, rep), seed, func() (Out, error) {
 			return run(rep, seed)
 		})
 	}

@@ -69,19 +69,18 @@ func TestStoredOutServesAndFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := core.SetStore(st)
-	defer core.SetStore(prev)
+	o := Opts{Engine: core.NewEngine(core.EngineOptions{Store: st})}
 
 	calls := 0
 	compute := func() (Out, error) {
 		calls++
 		return Out{Metrics: []float64{3.5}, Data: "v"}, nil
 	}
-	first, err := storedOut("test point bits=100", 7, compute)
+	first, err := o.storedOut("test point bits=100", 7, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := storedOut("test point bits=100", 7, compute)
+	second, err := o.storedOut("test point bits=100", 7, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +92,10 @@ func TestStoredOutServesAndFallsBack(t *testing.T) {
 	}
 
 	// A different descriptor or seed misses.
-	if _, err := storedOut("test point bits=200", 7, compute); err != nil {
+	if _, err := o.storedOut("test point bits=200", 7, compute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storedOut("test point bits=100", 8, compute); err != nil {
+	if _, err := o.storedOut("test point bits=100", 8, compute); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 3 {
@@ -106,7 +105,7 @@ func TestStoredOutServesAndFallsBack(t *testing.T) {
 	// Uncacheable Data passes through without writing.
 	writes := st.Stats().Writes
 	for i := 0; i < 2; i++ {
-		out, err := storedOut("uncacheable", 1, func() (Out, error) {
+		out, err := o.storedOut("uncacheable", 1, func() (Out, error) {
 			calls++
 			return Out{Data: []core.GapSample{{}}}, nil
 		})
@@ -130,11 +129,10 @@ func TestStoredRunFoldsRepIntoKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := core.SetStore(st)
-	defer core.SetStore(prev)
+	o := Opts{Engine: core.NewEngine(core.EngineOptions{Store: st})}
 
 	calls := 0
-	run := storedRun("point", func(rep int, seed uint64) (Out, error) {
+	run := o.storedRun("point", func(rep int, seed uint64) (Out, error) {
 		calls++
 		return Out{Metrics: []float64{float64(rep)}}, nil
 	})

@@ -57,7 +57,7 @@ func planUniversality(o Opts) (*Plan, error) {
 		points = append(points, Point{
 			Label: b.name,
 			Reps:  1,
-			Run: storedRun(fmt.Sprintf("universality %s +armprobe bits=%d", b.name, baselineBits), func(rep int, seed uint64) (Out, error) {
+			Run: o.storedRun(fmt.Sprintf("universality %s +armprobe bits=%d", b.name, baselineBits), func(rep int, seed uint64) (Out, error) {
 				a, err := b.mk(nil, seed)
 				if err != nil {
 					return Out{}, err
@@ -88,7 +88,7 @@ func planUniversality(o Opts) (*Plan, error) {
 		points = append(points, Point{
 			Label: fmt.Sprintf("prime+probe platform %d", i),
 			Reps:  1,
-			Run: storedRun(fmt.Sprintf("universality prime+probe(llc) platform=%d bits=%d", i, baselineBits), func(rep int, seed uint64) (Out, error) {
+			Run: o.storedRun(fmt.Sprintf("universality prime+probe(llc) platform=%d bits=%d", i, baselineBits), func(rep int, seed uint64) (Out, error) {
 				a, err := attacks.NewPrimeProbeLLCOn(mkM(), 0, seed)
 				if err != nil {
 					return Out{}, err
@@ -107,7 +107,7 @@ func planUniversality(o Opts) (*Plan, error) {
 	for i, mkCfg := range slConfigs {
 		points = append(points, Point{
 			Label: fmt.Sprintf("streamline platform %d", i),
-			Run: channelRun(func(int, uint64) core.Config {
+			Run: o.channelRun(func(int, uint64) core.Config {
 				return mkCfg()
 			}, bits),
 		})

@@ -58,10 +58,15 @@ type Attack = attacks.Attack
 // machine.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
+// engine runs every channel this package transmits (Run, Send,
+// SendReliable). It has no result store; sharing it lets repeated calls
+// reuse pooled simulators and warm snapshots.
+var engine = core.NewEngine(core.EngineOptions{})
+
 // Run transmits a 0/1 bit vector over the channel and returns the
 // measured Result (bit-rate, error breakdown, gap trace).
 func Run(cfg Config, payloadBits []byte) (*Result, error) {
-	return core.Run(cfg, payloadBits)
+	return engine.Run(cfg, payloadBits)
 }
 
 // Transfer is the outcome of a byte-level Send.
@@ -87,7 +92,7 @@ func Send(cfg Config, data []byte) (*Transfer, error) {
 		cfg.PreambleBits = 8192
 	}
 	bits := payload.FromBytes(data)
-	res, err := core.Run(cfg, bits)
+	res, err := engine.Run(cfg, bits)
 	if err != nil {
 		return nil, err
 	}

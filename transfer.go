@@ -80,7 +80,7 @@ func SendReliable(cfg Config, data []byte, opt ReliableOptions) (*ReliableResult
 		// round index (a small additive constant would hand near-identical
 		// generator states to consecutive rounds).
 		cfg.Seed = rng.Derive(baseSeed, rng.HashString("reliable-round"), uint64(res.Rounds))
-		run, err := core.Run(cfg, payload.FromBytes(buf))
+		run, err := engine.Run(cfg, payload.FromBytes(buf))
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func SendReliable(cfg Config, data []byte, opt ReliableOptions) (*ReliableResult
 	if res.Cycles > 0 {
 		m := cfg.Machine
 		if m == nil {
-			// An unset machine means core.Run simulated the default config's
+			// An unset machine means the run simulated the default config's
 			// platform, so the rate conversion uses that same clock instead
 			// of a hardcoded frequency.
 			m = core.DefaultConfig().Machine
