@@ -48,7 +48,7 @@ func BenchmarkRunnerScaling(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := runner.Execute(specs, run, runner.Options{Root: 1, Workers: workers}); err != nil {
+				if _, err := runner.Execute(specs, nil, run, runner.Options{Root: 1, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

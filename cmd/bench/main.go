@@ -721,7 +721,7 @@ func suite(scale float64) []bench {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rates, err := runner.Execute(specs, fn, runner.Options{Root: 7, Workers: 1})
+				rates, err := runner.Execute(specs, nil, fn, runner.Options{Root: 7, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -734,7 +734,7 @@ func suite(scale float64) []bench {
 		},
 	})
 
-	// Chained ladder through the work-stealing segment scheduler: the shape
+	// Chained ladder through the runner's work-stealing scheduler: the shape
 	// of the payload-size experiments under checkpoints. Each op runs a
 	// skewed ladder of payload prefixes twice (two repetitions, two
 	// workers): the first member of each chain runs cold, the longer ones
@@ -791,7 +791,7 @@ func suite(scale float64) []bench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				stealEngine.DropCheckpoints()
-				rates, err := runner.ExecuteSegments(specs, deps, fn, runner.Options{Root: 7, Workers: 2})
+				rates, err := runner.Execute(specs, deps, fn, runner.Options{Root: 7, Workers: 2})
 				if err != nil {
 					b.Fatal(err)
 				}

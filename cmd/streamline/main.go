@@ -194,7 +194,7 @@ func multiRun(engine *core.Engine, cfg core.Config, seed uint64, payloadBits, ru
 		specs[r] = runner.Spec{Experiment: "streamline-cli", Rep: r,
 			Label: fmt.Sprintf("%d bits", payloadBits)}
 	}
-	outs, err := runner.Execute(specs, func(s runner.Spec, runSeed uint64) (*core.Result, error) {
+	outs, err := runner.Execute(specs, nil, func(s runner.Spec, runSeed uint64) (*core.Result, error) {
 		c := cfg
 		c.Seed = runSeed
 		return engine.Run(c, payload.Random(runSeed^0xbead, payloadBits))

@@ -185,16 +185,15 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 
 	// Chain runs (Config.Chain): a prefix-sharing sibling may have
 	// published a checkpoint to fork from (see checkpoint.go).
-	hopt := buildHierOptions(&cfg)
 	var chain *chainRun
 	if chained {
-		chain = e.newChainRun(&cfg, &hopt, tx)
+		chain = e.newChainRun(&cfg, tx)
 	}
 	var lease *simLease
 	var fork *chainCheckpoint
 	if chain != nil {
 		if fork = chain.bestFork(); fork != nil {
-			if lease = e.leaseForFork(&cfg, &hopt, fork); lease == nil {
+			if lease = e.leaseForFork(&cfg, fork); lease == nil {
 				fork = nil
 			} else {
 				e.ctr.forks.Add(1)
@@ -203,7 +202,7 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	}
 	if lease == nil {
 		var err error
-		lease, err = e.acquireSim(&cfg, hopt)
+		lease, err = e.acquireSim(&cfg)
 		if err != nil {
 			return nil, err
 		}

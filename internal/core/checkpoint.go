@@ -229,66 +229,37 @@ func chainTxLen(cfg *Config, payloadLen int) int {
 	return n + cfg.PreambleBits
 }
 
-// chainFingerprint extends the run fingerprint (hierarchy shape and
-// behaviour) with every remaining Config field that steers the simulation,
-// so two runs with equal chain fingerprints differ at most in payload. The
-// statetest audit on Config in checkpoint_test.go keeps this exhaustive:
-// a new Config field fails the audit until it is folded here (or documented
-// as covered elsewhere).
-func chainFingerprint(cfg *Config, hopt *hier.Options) uint64 {
-	h := params.FNVUint(params.FNVOffset, runFingerprint(cfg, hopt))
-	h = params.FNVUint(h, cfg.Chain.Key)
-	h = params.FNVUint(h, cfg.Seed)
-	h = params.FNVUint(h, cfg.KeySeed)
-	h = params.FNVUint(h, uint64(cfg.ArraySize))
-	h = fnvBool(h, cfg.Modulate)
-	h = params.FNVUint(h, uint64(cfg.TrailingLag))
-	h = fnvBool(h, cfg.RateLimitSender)
-	h = params.FNVUint(h, uint64(cfg.SyncPeriod))
-	h = params.FNVUint(h, uint64(cfg.SyncLead))
-	h = params.FNVUint(h, uint64(cfg.DelayedStartBits))
-	h = fnvBool(h, cfg.ECC)
-	h = params.FNVUint(h, uint64(cfg.PreambleBits))
-	h = params.FNVUint(h, uint64(cfg.SenderCore))
-	h = params.FNVUint(h, uint64(cfg.ReceiverCore))
-	h = fnvBool(h, cfg.SameCore)
-	h = params.FNVUint(h, uint64(cfg.ThresholdOverride))
-	h = fnvBool(h, cfg.TraceLevels)
-	h = fnvBool(h, cfg.OSJitter)
-	h = params.FNVUint(h, uint64(cfg.WarmupBytes))
-	h = fnvBool(h, cfg.SystemNoise)
-	h = params.FNVUint(h, uint64(len(cfg.Noise)))
-	for _, nc := range cfg.Noise {
-		h = params.FNVUint(h, rng.HashString(nc.Name))
-		h = params.FNVUint(h, uint64(nc.Shape))
-		h = params.FNVUint(h, uint64(nc.Footprint))
-		h = params.FNVUint(h, uint64(nc.ComputeGap))
-		h = params.FNVUint(h, uint64(nc.Stride))
-		h = params.FNVUint(h, uint64(nc.Parallel))
-	}
-	h = params.FNVUint(h, uint64(cfg.GapSampleEvery))
-	h = params.FNVUint(h, uint64(cfg.CamouflageAccesses))
-	h = params.FNVUint(h, uint64(cfg.GapClamp))
-	return h
+// chainFingerprint identifies a chain family: the canonical config
+// encoding the store key hashes (configTerms) plus the chain key, so two
+// runs with equal chain fingerprints differ at most in payload. It keeps no
+// field list of its own. chainEligible requires a nil Pattern and
+// LLCPolicy, so every chained config is store-keyable, and the store key's
+// sensitivity audit (store_test.go) asserts every keyed field moves it.
+func chainFingerprint(cfg *Config) uint64 {
+	e := newEnc(512)
+	e.configTerms(cfg)
+	e.u64(cfg.Chain.Key)
+	return fnvBytes(e.b)
 }
 
-// hashBits is FNV-1a over a 0/1 bit vector, used to verify transmitted-bit
-// prefix identity before forking. (Whole payloads are identified by the
-// store key, which covers them packed 8 bits per hashed byte.)
-func hashBits(bits []byte) uint64 {
+// fnvBytes is FNV-1a over a byte slice: the transmitted-bit prefix identity
+// verified before forking, and the in-memory run identities (chain and pool
+// keys) over the canonical config encoding. (Whole payloads are identified
+// by the store key, which covers them packed 8 bits per hashed byte.)
+func fnvBytes(p []byte) uint64 {
 	const prime = 0x100000001b3
 	h := params.FNVOffset
-	for _, b := range bits {
+	for _, b := range p {
 		h = (h ^ uint64(b)) * prime
 	}
 	return h
 }
 
 // newChainRun builds a chain-eligible Run's chain view.
-func (e *Engine) newChainRun(cfg *Config, hopt *hier.Options, tx []byte) *chainRun {
+func (e *Engine) newChainRun(cfg *Config, tx []byte) *chainRun {
 	c := &chainRun{
 		e:    e,
-		key:  chainFingerprint(cfg, hopt),
+		key:  chainFingerprint(cfg),
 		tx:   tx,
 		ownC: int64(len(tx)) - 1,
 	}
@@ -338,7 +309,7 @@ func (c *chainRun) bestFork() *chainCheckpoint {
 	if node == nil {
 		return nil
 	}
-	if hashBits(c.tx[:node.boundary]) != node.txHash {
+	if fnvBytes(c.tx[:node.boundary]) != node.txHash {
 		return nil
 	}
 	return node
@@ -380,7 +351,7 @@ func (c *chainRun) publish(p *pauseCtl, h *hier.Hierarchy, s *sched.Scheduler,
 	}
 	node := &chainCheckpoint{
 		boundary: p.at,
-		txHash:   hashBits(c.tx[:p.at]),
+		txHash:   fnvBytes(c.tx[:p.at]),
 		ckpt:     ck,
 		snd:      captureSender(snd),
 		rcv:      captureReceiver(rcv),

@@ -118,14 +118,13 @@ func TestCheckpointForkEqualsFreshRun(t *testing.T) {
 }
 
 // chainFingerprintFor recomputes a config's chain fingerprint the way Run
-// does (validate fills the machine; the hier options mirror Run's).
+// does (validate fills the machine).
 func chainFingerprintFor(t *testing.T, cfg *Config) uint64 {
 	t.Helper()
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	hopt := buildHierOptions(cfg)
-	return chainFingerprint(cfg, &hopt)
+	return chainFingerprint(cfg)
 }
 
 // TestChainContractViolationFallsBack feeds two different payloads under
@@ -182,18 +181,6 @@ func TestCheckpointFieldAudits(t *testing.T) {
 	// chainCheckpoint itself: every component of a frozen run.
 	statetest.Fields(t, chainCheckpoint{},
 		"boundary", "txHash", "ckpt", "sched", "snd", "rcv", "sync", "noise")
-	// Config: every field must be covered by the chain fingerprint —
-	// folded in chainFingerprint or runFingerprint, hashed via the payload
-	// (Seed/KeySeed also folded), or required zero/nil by chainEligible.
-	statetest.Fields(t, Config{},
-		"Machine", "ArraySize", "Seed", "KeySeed", "Modulate", "Pattern",
-		"TrailingLag", "RateLimitSender", "SyncPeriod", "SyncLead",
-		"DelayedStartBits", "ECC", "PreambleBits", "SenderCore",
-		"ReceiverCore", "SameCore", "ThresholdOverride", "DisablePrefetch",
-		"LLCPolicy", "DRAM", "TraceLevels", "OSJitter", "WarmupBytes",
-		"HugePages", "SystemNoise", "Noise", "GapSampleEvery",
-		"CamouflageAccesses", "PartitionWays", "RandomFillProb", "Quota",
-		"CounterWindow", "GapClamp", "Chain")
-	statetest.Fields(t, noise.Config{},
-		"Name", "Shape", "Footprint", "ComputeGap", "Stride", "Parallel")
+	// Config needs no list here: the chain fingerprint hashes the store
+	// key's config encoding, which TestStoreKeySensitivity audits.
 }

@@ -19,7 +19,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -244,52 +243,26 @@ type simLease struct {
 	snapKey  uint64
 }
 
-func fnvBool(h uint64, b bool) uint64 {
-	if b {
-		return params.FNVUint(h, 1)
+// runFingerprint is the pool key: it hashes everything that determines a
+// hierarchy's shape and behaviour except the seed, so two runs with equal
+// fingerprints can share pooled simulator state (Reset supplies the seed).
+// These are the Config fields buildHierOptions reads, less the two that
+// make a config unpoolable (LLCPolicy, Quota): the TLB model is a pure
+// function of HugePages, and the trust domains of PartitionWays and
+// ReceiverCore. TestStoreKeySensitivity asserts exactly these fields move
+// it.
+func runFingerprint(cfg *Config) uint64 {
+	e := newEnc(160)
+	e.u64(cfg.Machine.Fingerprint())
+	e.bool(cfg.HugePages)
+	e.bool(cfg.DisablePrefetch)
+	e.f64(cfg.RandomFillProb)
+	e.i(cfg.PartitionWays)
+	if cfg.PartitionWays > 0 {
+		e.i(cfg.ReceiverCore)
 	}
-	return params.FNVUint(h, 0)
-}
-
-// runFingerprint hashes everything that determines a hierarchy's shape and
-// behaviour except the seed: two runs with equal fingerprints can share
-// pooled simulator state (Reset supplies the seed). The statetest audits on
-// Machine plus the explicit option folds below keep it exhaustive.
-func runFingerprint(cfg *Config, hopt *hier.Options) uint64 {
-	h := params.FNVUint(params.FNVOffset, cfg.Machine.Fingerprint())
-	h = params.FNVUint(h, uint64(hopt.PartitionWays))
-	h = params.FNVUint(h, uint64(len(hopt.CoreDomains)))
-	for _, d := range hopt.CoreDomains {
-		h = params.FNVUint(h, uint64(d))
-	}
-	h = fnvBool(h, hopt.DisablePrefetch)
-	h = params.FNVUint(h, math.Float64bits(hopt.RandomFillProb))
-	h = fnvBool(h, hopt.TLB != nil)
-	if t := hopt.TLB; t != nil {
-		h = params.FNVUint(h, uint64(t.PageBytes))
-		h = params.FNVUint(h, uint64(t.L1Entries))
-		h = params.FNVUint(h, uint64(t.L1Ways))
-		h = params.FNVUint(h, uint64(t.L2Entries))
-		h = params.FNVUint(h, uint64(t.L2Ways))
-		h = params.FNVUint(h, uint64(t.L2HitPenalty))
-		h = params.FNVUint(h, uint64(t.WalkPenalty))
-	}
-	h = fnvBool(h, hopt.DRAM != nil)
-	if d := hopt.DRAM; d != nil {
-		h = params.FNVUint(h, uint64(d.Banks))
-		h = params.FNVUint(h, uint64(d.RowBytes))
-		h = params.FNVUint(h, uint64(d.RowHit))
-		h = params.FNVUint(h, uint64(d.RowMiss))
-		h = params.FNVUint(h, uint64(d.RowConflict))
-		h = params.FNVUint(h, uint64(d.JitterSD))
-		h = params.FNVUint(h, uint64(d.BankBusy))
-		h = params.FNVUint(h, uint64(d.ChannelBusy))
-		h = params.FNVUint(h, uint64(d.RowCloseCycles))
-		h = params.FNVUint(h, math.Float64bits(d.FastTailProb))
-		h = params.FNVUint(h, uint64(d.FastTailLat))
-		h = params.FNVUint(h, uint64(d.MinLatency))
-	}
-	return h
+	e.dram(cfg.DRAM)
+	return fnvBytes(e.b)
 }
 
 // effectiveWarmup returns the byte count the warmup walk will actually
@@ -319,7 +292,8 @@ func snapKey(runFp uint64, warmBytes, senderCore int) uint64 {
 // snapshot exists (warmup already applied), from the idle pool when one of
 // the right shape is free (reset in place), or freshly built. Configurations
 // outside the lifecycle get a plain hier.New and are never pooled.
-func (e *Engine) acquireSim(cfg *Config, hopt hier.Options) (*simLease, error) {
+func (e *Engine) acquireSim(cfg *Config) (*simLease, error) {
+	hopt := buildHierOptions(cfg)
 	poolable := !e.opt.NoReuse && cfg.LLCPolicy == nil && cfg.RandomFillProb == 0 &&
 		cfg.Quota == nil
 	if !poolable {
@@ -329,7 +303,7 @@ func (e *Engine) acquireSim(cfg *Config, hopt hier.Options) (*simLease, error) {
 		}
 		return &simLease{h: h}, nil
 	}
-	key := runFingerprint(cfg, &hopt)
+	key := runFingerprint(cfg)
 	warm := effectiveWarmup(cfg)
 	if warm > 0 {
 		sk := snapKey(key, warm, cfg.SenderCore)
@@ -392,8 +366,8 @@ func (e *Engine) leaseCold(cfg *Config, hopt hier.Options, key uint64) (*simLeas
 // state: into a pooled same-shape hierarchy when one is idle (and pooling
 // is on), else as a fresh clone. Returns nil on failure, in which case the
 // caller falls back to a cold start.
-func (e *Engine) leaseForFork(cfg *Config, hopt *hier.Options, node *chainCheckpoint) *simLease {
-	key := runFingerprint(cfg, hopt)
+func (e *Engine) leaseForFork(cfg *Config, node *chainCheckpoint) *simLease {
+	key := runFingerprint(cfg)
 	if !e.opt.NoReuse {
 		if pooled, ok := e.pool.Get(key); ok {
 			// Same run fingerprint (the chain fingerprint embeds it) means

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 
+	"streamline/internal/dram"
 	"streamline/internal/hier"
 	"streamline/internal/resultstore"
 	"streamline/internal/stats"
@@ -69,8 +70,21 @@ func storeKey(cfg *Config, src *payloadSrc) (resultstore.Key, bool) {
 }
 
 // keyTerms appends the canonical encoding storeKey hashes, for a config
-// the key can canonicalize.
+// the key can canonicalize: the config terms, then the payload term.
 func (e *enc) keyTerms(cfg *Config, src *payloadSrc) {
+	e.configTerms(cfg)
+	if src.gen {
+		e.payloadKeyGen(src.seed, src.n)
+	} else {
+		e.payloadKeyBits(src.bits)
+	}
+}
+
+// configTerms appends the canonical encoding of every Config field that
+// steers the simulation. It is the one Config field list behind all three
+// run identities: the store key, the chain fingerprint (checkpoint.go) and,
+// through its dram helper, the pool key (reuse.go).
+func (e *enc) configTerms(cfg *Config) {
 	e.str(storeKeySchema)
 	e.u64(cfg.Machine.Fingerprint())
 	e.i(cfg.ArraySize)
@@ -89,21 +103,7 @@ func (e *enc) keyTerms(cfg *Config, src *payloadSrc) {
 	e.bool(cfg.SameCore)
 	e.i(cfg.ThresholdOverride)
 	e.bool(cfg.DisablePrefetch)
-	e.bool(cfg.DRAM != nil)
-	if d := cfg.DRAM; d != nil {
-		e.i(d.Banks)
-		e.i(d.RowBytes)
-		e.i(d.RowHit)
-		e.i(d.RowMiss)
-		e.i(d.RowConflict)
-		e.i(d.JitterSD)
-		e.i(d.BankBusy)
-		e.i(d.ChannelBusy)
-		e.i(d.RowCloseCycles)
-		e.f64(d.FastTailProb)
-		e.i(d.FastTailLat)
-		e.i(d.MinLatency)
-	}
+	e.dram(cfg.DRAM)
 	e.bool(cfg.TraceLevels)
 	e.bool(cfg.OSJitter)
 	e.i(cfg.WarmupBytes)
@@ -135,11 +135,27 @@ func (e *enc) keyTerms(cfg *Config, src *payloadSrc) {
 	e.u64(cfg.CounterWindow)
 	e.i(cfg.GapClamp)
 	// Chain: excluded by design; see package comment.
-	if src.gen {
-		e.payloadKeyGen(src.seed, src.n)
-	} else {
-		e.payloadKeyBits(src.bits)
+}
+
+// dram appends an optional DRAM timing override: its presence, then every
+// field.
+func (e *enc) dram(d *dram.Config) {
+	e.bool(d != nil)
+	if d == nil {
+		return
 	}
+	e.i(d.Banks)
+	e.i(d.RowBytes)
+	e.i(d.RowHit)
+	e.i(d.RowMiss)
+	e.i(d.RowConflict)
+	e.i(d.JitterSD)
+	e.i(d.BankBusy)
+	e.i(d.ChannelBusy)
+	e.i(d.RowCloseCycles)
+	e.f64(d.FastTailProb)
+	e.i(d.FastTailLat)
+	e.i(d.MinLatency)
 }
 
 // Payload key forms. Each encoding opens with its own tag byte, so the

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamline/internal/cache"
@@ -153,50 +154,62 @@ func mustKey(t *testing.T, cfg Config) resultstore.Key {
 	return k
 }
 
-// TestStoreKeySensitivity is the key-sensitivity audit (satellite 2): every
-// Config field either moves the key when mutated, makes the config
-// store-ineligible, or is documented as excluded — and the statetest field
-// audit forces a new Config field to show up in exactly one of those lists
-// before the suite passes again.
+// chainFP is cfg's chain fingerprint under a fixed chain key.
+func chainFP(cfg Config) uint64 {
+	cfg.Chain = &ChainSpec{Key: 1}
+	return chainFingerprint(&cfg)
+}
+
+// TestStoreKeySensitivity is the run-identity audit: every Config field
+// either moves the store key and the chain fingerprint when mutated, makes
+// the config store-ineligible, or is documented as excluded — and the
+// statetest field audit forces a new Config field to show up in exactly one
+// of those lists before the suite passes again. Each keyed field also
+// declares whether it shapes the hierarchy: exactly those fields move the
+// pool key (runFingerprint).
 func TestStoreKeySensitivity(t *testing.T) {
 	base := keyedConfig()
 	baseKey := mustKey(t, base)
+	baseChain, basePool := chainFP(base), runFingerprint(&base)
 
-	change := map[string]func(*Config){
-		"Machine":            func(c *Config) { m := params.SkylakeE3(); m.FreqMHz++; c.Machine = m },
-		"ArraySize":          func(c *Config) { c.ArraySize *= 2 },
-		"Seed":               func(c *Config) { c.Seed++ },
-		"KeySeed":            func(c *Config) { c.KeySeed++ },
-		"Modulate":           func(c *Config) { c.Modulate = !c.Modulate },
-		"TrailingLag":        func(c *Config) { c.TrailingLag++ },
-		"RateLimitSender":    func(c *Config) { c.RateLimitSender = !c.RateLimitSender },
-		"SyncPeriod":         func(c *Config) { c.SyncPeriod++ },
-		"SyncLead":           func(c *Config) { c.SyncLead++ },
-		"DelayedStartBits":   func(c *Config) { c.DelayedStartBits++ },
-		"ECC":                func(c *Config) { c.ECC = !c.ECC },
-		"PreambleBits":       func(c *Config) { c.PreambleBits++ },
-		"SenderCore":         func(c *Config) { c.SenderCore = 2 },
-		"ReceiverCore":       func(c *Config) { c.ReceiverCore = 3 },
-		"SameCore":           func(c *Config) { c.SameCore = !c.SameCore },
-		"ThresholdOverride":  func(c *Config) { c.ThresholdOverride++ },
-		"DisablePrefetch":    func(c *Config) { c.DisablePrefetch = !c.DisablePrefetch },
-		"TraceLevels":        func(c *Config) { c.TraceLevels = !c.TraceLevels },
-		"OSJitter":           func(c *Config) { c.OSJitter = !c.OSJitter },
-		"WarmupBytes":        func(c *Config) { c.WarmupBytes++ },
-		"HugePages":          func(c *Config) { c.HugePages = !c.HugePages },
-		"SystemNoise":        func(c *Config) { c.SystemNoise = !c.SystemNoise },
-		"GapSampleEvery":     func(c *Config) { c.GapSampleEvery++ },
-		"CamouflageAccesses": func(c *Config) { c.CamouflageAccesses++ },
-		"PartitionWays":      func(c *Config) { c.PartitionWays++ },
-		"RandomFillProb":     func(c *Config) { c.RandomFillProb += 0.25 },
-		"CounterWindow":      func(c *Config) { c.CounterWindow++ },
-		"GapClamp":           func(c *Config) { c.GapClamp++ },
+	change := map[string]struct {
+		pool   bool // shapes the hierarchy, so it must move the pool key
+		mutate func(*Config)
+	}{
+		"Machine":            {true, func(c *Config) { m := params.SkylakeE3(); m.FreqMHz++; c.Machine = m }},
+		"ArraySize":          {false, func(c *Config) { c.ArraySize *= 2 }},
+		"Seed":               {false, func(c *Config) { c.Seed++ }},
+		"KeySeed":            {false, func(c *Config) { c.KeySeed++ }},
+		"Modulate":           {false, func(c *Config) { c.Modulate = !c.Modulate }},
+		"TrailingLag":        {false, func(c *Config) { c.TrailingLag++ }},
+		"RateLimitSender":    {false, func(c *Config) { c.RateLimitSender = !c.RateLimitSender }},
+		"SyncPeriod":         {false, func(c *Config) { c.SyncPeriod++ }},
+		"SyncLead":           {false, func(c *Config) { c.SyncLead++ }},
+		"DelayedStartBits":   {false, func(c *Config) { c.DelayedStartBits++ }},
+		"ECC":                {false, func(c *Config) { c.ECC = !c.ECC }},
+		"PreambleBits":       {false, func(c *Config) { c.PreambleBits++ }},
+		"SenderCore":         {false, func(c *Config) { c.SenderCore = 2 }},
+		"ReceiverCore":       {false, func(c *Config) { c.ReceiverCore = 3 }},
+		"SameCore":           {false, func(c *Config) { c.SameCore = !c.SameCore }},
+		"ThresholdOverride":  {false, func(c *Config) { c.ThresholdOverride++ }},
+		"DisablePrefetch":    {true, func(c *Config) { c.DisablePrefetch = !c.DisablePrefetch }},
+		"TraceLevels":        {false, func(c *Config) { c.TraceLevels = !c.TraceLevels }},
+		"OSJitter":           {false, func(c *Config) { c.OSJitter = !c.OSJitter }},
+		"WarmupBytes":        {false, func(c *Config) { c.WarmupBytes++ }},
+		"HugePages":          {true, func(c *Config) { c.HugePages = !c.HugePages }},
+		"SystemNoise":        {false, func(c *Config) { c.SystemNoise = !c.SystemNoise }},
+		"GapSampleEvery":     {false, func(c *Config) { c.GapSampleEvery++ }},
+		"CamouflageAccesses": {false, func(c *Config) { c.CamouflageAccesses++ }},
+		"PartitionWays":      {true, func(c *Config) { c.PartitionWays++ }},
+		"RandomFillProb":     {true, func(c *Config) { c.RandomFillProb += 0.25 }},
+		"CounterWindow":      {false, func(c *Config) { c.CounterWindow++ }},
+		"GapClamp":           {false, func(c *Config) { c.GapClamp++ }},
 
 		// Pointer sub-configs: presence and every inner field must move the
 		// key. The statetest audits below keep the inner lists exhaustive.
-		"DRAM":  func(c *Config) { c.DRAM = nil },
-		"Noise": func(c *Config) { c.Noise = nil },
-		"Quota": func(c *Config) { c.Quota = nil },
+		"DRAM":  {true, func(c *Config) { c.DRAM = nil }},
+		"Noise": {false, func(c *Config) { c.Noise = nil }},
+		"Quota": {false, func(c *Config) { c.Quota = nil }},
 	}
 	// Caller-supplied interfaces cannot be canonically encoded: the config
 	// must bypass the store entirely rather than alias under one key.
@@ -223,11 +236,17 @@ func TestStoreKeySensitivity(t *testing.T) {
 	}
 	statetest.Fields(t, Config{}, covered...)
 
-	for name, mutate := range change {
+	for name, m := range change {
 		cfg := keyedConfig()
-		mutate(&cfg)
+		m.mutate(&cfg)
 		if mustKey(t, cfg) == baseKey {
 			t.Errorf("mutating Config.%s did not change the store key — storeKey is missing the field", name)
+		}
+		if chainFP(cfg) == baseChain {
+			t.Errorf("mutating Config.%s did not change the chain fingerprint", name)
+		}
+		if moved := runFingerprint(&cfg) != basePool; moved != m.pool {
+			t.Errorf("mutating Config.%s moved the pool key: %v, want %v", name, moved, m.pool)
 		}
 	}
 	for name, mutate := range ineligible {
@@ -245,6 +264,22 @@ func TestStoreKeySensitivity(t *testing.T) {
 		}
 	}
 
+	// The chain key separates chain families that share a config.
+	other := base
+	other.Chain = &ChainSpec{Key: 2}
+	if chainFingerprint(&other) == baseChain {
+		t.Error("Chain.Key did not change the chain fingerprint")
+	}
+	// Partitioned, the receiver's core picks the trust domains the
+	// hierarchy is built with.
+	part := keyedConfig()
+	part.PartitionWays = 4
+	moved := part
+	moved.ReceiverCore = 3
+	if runFingerprint(&part) == runFingerprint(&moved) {
+		t.Error("partitioned, ReceiverCore did not change the pool key")
+	}
+
 	// Payload identity is part of the key.
 	if k, _ := storeKey(&base, &payloadSrc{bits: []byte{1, 0, 0}}); k == baseKey {
 		t.Error("payload content did not change the store key")
@@ -256,8 +291,9 @@ func TestStoreKeySensitivity(t *testing.T) {
 
 // TestStoreKeySubConfigSensitivity extends the audit into the pointed-to
 // sub-configs: every field of dram.Config, hier.QuotaConfig, and
-// noise.Config must move the key, and the statetest audits fail the moment
-// any of those structs gains a field the encoder misses.
+// noise.Config must move the store key and the chain fingerprint, every
+// DRAM field must move the pool key too, and the statetest audits fail the
+// moment any of those structs gains a field the encoder misses.
 func TestStoreKeySubConfigSensitivity(t *testing.T) {
 	statetest.Fields(t, dram.Config{}, "Banks", "RowBytes", "RowHit", "RowMiss",
 		"RowConflict", "JitterSD", "BankBusy", "ChannelBusy", "RowCloseCycles",
@@ -267,7 +303,9 @@ func TestStoreKeySubConfigSensitivity(t *testing.T) {
 	statetest.Fields(t, noise.Config{}, "Name", "Shape", "Footprint",
 		"ComputeGap", "Stride", "Parallel")
 
-	baseKey := mustKey(t, keyedConfig())
+	base := keyedConfig()
+	baseKey := mustKey(t, base)
+	baseChain, basePool := chainFP(base), runFingerprint(&base)
 	muts := map[string]func(*Config){
 		"DRAM.Banks":            func(c *Config) { c.DRAM.Banks++ },
 		"DRAM.RowBytes":         func(c *Config) { c.DRAM.RowBytes *= 2 },
@@ -298,6 +336,13 @@ func TestStoreKeySubConfigSensitivity(t *testing.T) {
 		mutate(&cfg)
 		if mustKey(t, cfg) == baseKey {
 			t.Errorf("mutating %s did not change the store key", name)
+		}
+		if chainFP(cfg) == baseChain {
+			t.Errorf("mutating %s did not change the chain fingerprint", name)
+		}
+		pool := strings.HasPrefix(name, "DRAM.")
+		if moved := runFingerprint(&cfg) != basePool; moved != pool {
+			t.Errorf("mutating %s moved the pool key: %v, want %v", name, moved, pool)
 		}
 	}
 }

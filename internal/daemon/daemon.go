@@ -347,10 +347,58 @@ func (s *Server) Handler() http.Handler {
 // into the JSON decoder.
 const maxBodyBytes = 64 << 10
 
-// decodeBody decodes a size-limited JSON request body into v. On failure it
-// has already answered: 413 for an oversized body, 400 for anything else.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+// maxRuns bounds a request's repetitions per point (the paper uses 5).
+// executePlans allocates one spec per run up front, so an unbounded value
+// would exhaust memory before the job could fail on its own.
+const maxRuns = 1000
+
+// request is a POST body the handlers accept once it decodes and passes
+// its check.
+type request interface{ check() error }
+
+func (req *jobRequest) check() error {
+	return checkRequest([]string{req.Exp}, req.Runs)
+}
+
+func (req *batchRequest) check() error {
+	if len(req.Exps) == 0 {
+		return errors.New("empty batch")
+	}
+	return checkRequest(req.Exps, req.Runs)
+}
+
+// checkRequest is the one request check both submit endpoints share: known,
+// distinct experiment ids and a bounded repetition count.
+func checkRequest(exps []string, runs int) error {
+	if runs < 0 || runs > maxRuns {
+		return fmt.Errorf("runs %d outside [0, %d]", runs, maxRuns)
+	}
+	seen := make(map[string]bool, len(exps))
+	for _, id := range exps {
+		if !experiments.Known(id) {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+		if seen[id] {
+			return fmt.Errorf("duplicate experiment %q", id)
+		}
+		seen[id] = true
+	}
+	return nil
+}
+
+// decodeRequest decodes one JSON request body from r into v and checks it.
+func decodeRequest(r io.Reader, v request) error {
+	if err := json.NewDecoder(r).Decode(v); err != nil {
+		return fmt.Errorf("bad request: %w", err)
+	}
+	return v.check()
+}
+
+// decodeBody decodes and checks a size-limited JSON request body into v. On
+// failure it has already answered: 413 for an oversized body, 400 for
+// anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v request) bool {
+	err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
 	if err == nil {
 		return true
 	}
@@ -358,7 +406,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if errors.As(err, &tooBig) {
 		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
 	} else {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 	return false
 }
@@ -366,10 +414,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
 	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !experiments.Known(req.Exp) {
-		http.Error(w, fmt.Sprintf("unknown experiment %q", req.Exp), http.StatusBadRequest)
 		return
 	}
 	s.mu.Lock()
@@ -417,22 +461,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !decodeBody(w, r, &req) {
 		return
-	}
-	if len(req.Exps) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	seen := make(map[string]bool, len(req.Exps))
-	for _, id := range req.Exps {
-		if !experiments.Known(id) {
-			http.Error(w, fmt.Sprintf("unknown experiment %q", id), http.StatusBadRequest)
-			return
-		}
-		if seen[id] {
-			http.Error(w, fmt.Sprintf("duplicate experiment %q", id), http.StatusBadRequest)
-			return
-		}
-		seen[id] = true
 	}
 	s.mu.Lock()
 	if s.closed {

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -445,6 +446,59 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// badRunsBodies are submit bodies whose repetition count is out of bounds;
+// each must be refused with 400 by its endpoint. FuzzDecodeRequest seeds
+// its corpus from them.
+var badRunsBodies = []struct{ path, body string }{
+	{"/jobs", `{"exp":"table1","runs":-1}`},
+	{"/jobs", fmt.Sprintf(`{"exp":"table1","quick":true,"runs":%d}`, maxRuns+1)},
+	{"/jobs", `{"exp":"table1","runs":1000000000000}`},
+	{"/jobs/batch", `{"exps":["table1"],"runs":-1}`},
+	{"/jobs/batch", fmt.Sprintf(`{"exps":["table1"],"quick":true,"runs":%d}`, maxRuns+1)},
+	{"/jobs/batch", `{"exps":["table1","fig9"],"runs":1000000000000}`},
+}
+
+// TestDaemonRejectsBadRuns pins the repetition bound: a runs value below 0
+// or above maxRuns is answered 400 on both submit endpoints, before any
+// job is built, and the server goes on serving.
+func TestDaemonRejectsBadRuns(t *testing.T) {
+	_, c := startServer(t, nil, 1, 1)
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(c.ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range badRunsBodies {
+		if got := post(tc.path, tc.body); got != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400", tc.path, tc.body, got)
+		}
+	}
+	// The bound itself is accepted.
+	for _, req := range []request{
+		&jobRequest{Exp: "table1", Runs: maxRuns},
+		&batchRequest{Exps: []string{"table1"}, Runs: maxRuns},
+	} {
+		if err := req.check(); err != nil {
+			t.Errorf("runs = maxRuns refused: %v", err)
+		}
+	}
+	if got := post("/jobs", `{"exp":"nope"}`); got != http.StatusBadRequest {
+		t.Errorf("POST after refusals: status %d, want 400", got)
+	}
+	resp, err := http.Get(c.ts.URL + "/store/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("stats after refusals: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // TestRunBatchMatchesSequential pins the batch executor's contract: a batch
 // of experiments compiled into one combined runner plan yields tables
 // bit-identical to running each id on its own. The pair below covers both
-// execution paths — ablation-ratelimit is an unchained Execute plan, fig9
-// declares a checkpoint chain and rides ExecuteSegments.
+// plan shapes — ablation-ratelimit is unchained, fig9 declares a
+// checkpoint chain whose dependencies ride the same Execute call.
 func TestRunBatchMatchesSequential(t *testing.T) {
 	ids := []string{"ablation-ratelimit", "fig9"}
 	o := Opts{Seed: 11, Quick: true, Workers: 4}

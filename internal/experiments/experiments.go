@@ -190,10 +190,9 @@ type Plan struct {
 	// Chains declares prefix-sharing structure (see core.ChainSpec): each
 	// entry lists point indices in ascending payload order whose runs form
 	// a checkpoint chain. Execution adds a per-repetition dependency from
-	// each member on its predecessor — a member must not start before the
-	// run it forks from has published its boundary — and the sweep runs on
-	// the work-stealing segment scheduler instead of the plain pool.
-	// Results are bit-identical either way; chains only shape scheduling.
+	// each member on its predecessor: a member must not start before the
+	// run it forks from has published its boundary. Results are
+	// bit-identical either way; chains only shape scheduling.
 	Chains [][]int
 	// Assemble builds the Table from the collected outputs,
 	// res[point][rep], which arrive in deterministic order.
@@ -260,9 +259,9 @@ func Run(id string, o Opts) (*Table, error) {
 }
 
 // RunBatch executes several experiments through one combined runner plan:
-// every plan's specs flatten into a single Execute (or ExecuteSegments)
-// call, so the worker pool, progress hook, and store-counter wiring are
-// checked out once for the whole batch instead of once per experiment.
+// every plan's specs flatten into a single runner.Execute call, so the
+// worker pool, progress hook, and store-counter wiring are checked out once
+// for the whole batch instead of once per experiment.
 // Each run's seed is derived from (root, experiment id, point, rep) alone
 // — never from its position in the combined spec list — so every table is
 // bit-identical to a sequential Run of the same id (pinned by
@@ -299,16 +298,14 @@ func planFor(id string, o Opts) (*Plan, error) {
 
 // executePlans flattens the plans into one spec list, fans it out on the
 // runner, and regroups the outputs per plan and point for Assemble. Plans
-// that declare chains run on the segment scheduler with per-repetition
-// dependencies along each chain; specs are point-major within each plan,
-// so chain dependencies always point to earlier indices and the serial
-// schedule is plain spec order. Chains never cross plan boundaries —
+// that declare chains add per-repetition dependencies along each chain;
+// specs are point-major within each plan, so chain dependencies always
+// point to earlier indices and the serial schedule is plain spec order. Chains never cross plan boundaries —
 // cross-experiment sharing stays content-addressed through the memo and
 // checkpoint stores, which are order-independent.
 func executePlans(ids []string, plans []*Plan, o Opts) ([]*Table, error) {
 	var specs []runner.Spec
 	firsts := make([][]int, len(plans))
-	chained := false
 	for pl, plan := range plans {
 		first := make([]int, len(plan.Points))
 		for pi := range plan.Points {
@@ -324,7 +321,6 @@ func executePlans(ids []string, plans []*Plan, o Opts) ([]*Table, error) {
 			}
 		}
 		firsts[pl] = first
-		chained = chained || len(plan.Chains) > 0
 	}
 	var hook runner.Hook
 	if o.Progress != nil {
@@ -347,29 +343,26 @@ func executePlans(ids []string, plans []*Plan, o Opts) ([]*Table, error) {
 			return s.Hits, s.Misses
 		}
 	}
-	var outs []Out
-	var err error
-	if chained {
-		deps := make([][]int, len(specs))
-		for pl, plan := range plans {
-			first := firsts[pl]
-			for _, chain := range plan.Chains {
-				for k := 1; k < len(chain); k++ {
-					prev, cur := chain[k-1], chain[k]
-					reps := plan.Points[cur].Reps
-					if p := plan.Points[prev].Reps; p < reps {
-						reps = p
-					}
-					for r := 0; r < reps; r++ {
-						deps[first[cur]+r] = append(deps[first[cur]+r], first[prev]+r)
-					}
+	var deps [][]int // stays nil unless some plan declares chains
+	for pl, plan := range plans {
+		first := firsts[pl]
+		for _, chain := range plan.Chains {
+			if deps == nil {
+				deps = make([][]int, len(specs))
+			}
+			for k := 1; k < len(chain); k++ {
+				prev, cur := chain[k-1], chain[k]
+				reps := plan.Points[cur].Reps
+				if p := plan.Points[prev].Reps; p < reps {
+					reps = p
+				}
+				for r := 0; r < reps; r++ {
+					deps[first[cur]+r] = append(deps[first[cur]+r], first[prev]+r)
 				}
 			}
 		}
-		outs, err = runner.ExecuteSegments(specs, deps, run, ropt)
-	} else {
-		outs, err = runner.Execute(specs, run, ropt)
 	}
+	outs, err := runner.Execute(specs, deps, run, ropt)
 	if err != nil {
 		return nil, err
 	}

@@ -71,15 +71,11 @@ func TestPoolConcurrentCheckouts(t *testing.T) {
 
 // TestHookDoesNotInfluenceResults pins that a progress hook is observational
 // only: the same sweep returns identical results with a nil hook, the stock
-// Progress hook, and at any worker count — Event.Elapsed (the one
-// wall-clock-derived field) must never feed back into what Execute returns.
+// Progress hook, and at any worker count and dependency shape —
+// Event.Elapsed and Event.SegmentsStolen must never feed back into what
+// Execute returns.
 func TestHookDoesNotInfluenceResults(t *testing.T) {
-	var specs []Spec
-	for p := 0; p < 4; p++ {
-		for r := 0; r < 8; r++ {
-			specs = append(specs, Spec{Experiment: "hooktest", Point: p, Rep: r})
-		}
-	}
+	specs := sweep("hooktest", 8, 4)
 	fn := func(spec Spec, seed uint64) ([4]uint64, error) {
 		x := rng.New(seed)
 		var out [4]uint64
@@ -88,34 +84,23 @@ func TestHookDoesNotInfluenceResults(t *testing.T) {
 		}
 		return out, nil
 	}
-	ref, err := Execute(specs, fn, Options{Root: 42, Workers: 1})
+	ref, err := Execute(specs, nil, fn, Options{Root: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []Options{
-		{Root: 42, Workers: 1, Hook: Progress(io.Discard)},
-		{Root: 42, Workers: 8},
-		{Root: 42, Workers: 8, Hook: Progress(io.Discard)},
-	} {
-		got, err := Execute(specs, fn, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("results differ for workers=%d hook=%v", opt.Workers, opt.Hook != nil)
-		}
-		// The segment scheduler honours the same contract: its extra Event
-		// fields (SegmentsDone, SegmentsStolen) are observational only.
-		deps := make([][]int, len(specs))
-		for i := 8; i < len(specs); i++ {
-			deps[i] = []int{i - 8}
-		}
-		seg, err := ExecuteSegments(specs, deps, fn, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seg, ref) {
-			t.Fatalf("segment results differ for workers=%d hook=%v", opt.Workers, opt.Hook != nil)
+	for _, shape := range depShapes(8, 4) {
+		for _, opt := range []Options{
+			{Root: 42, Workers: 1, Hook: Progress(io.Discard)},
+			{Root: 42, Workers: 8},
+			{Root: 42, Workers: 8, Hook: Progress(io.Discard)},
+		} {
+			got, err := Execute(specs, shape.deps, fn, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s: results differ for workers=%d hook=%v", shape.name, opt.Workers, opt.Hook != nil)
+			}
 		}
 	}
 }

@@ -10,9 +10,12 @@
 // breakdowns, table rows — are therefore identical whether the sweep ran on
 // one worker or sixteen.
 //
-// The zero worker count selects GOMAXPROCS; Workers == 1 runs the specs
-// serially on the calling goroutine, which is the reference path the golden
-// conformance tests compare every other worker count against.
+// Specs may depend on earlier specs (a chain of checkpoint forks is one
+// such dependency path); Execute honours those edges on every path and
+// schedules the parallel one with work stealing (segments.go). The zero
+// worker count selects GOMAXPROCS; Workers == 1 runs the specs serially, in
+// index order, on the calling goroutine, which is the reference path the
+// golden conformance tests compare every other worker count against.
 package runner
 
 import (
@@ -60,11 +63,10 @@ type Event struct {
 	Elapsed time.Duration
 	// Err is the run's error, if any.
 	Err error
-	// SegmentsDone and SegmentsStolen report ExecuteSegments scheduling
-	// activity: specs completed, and how many of those a worker stole from
-	// another worker's deque. Zero under plain Execute. Informational only
-	// — like Elapsed, they never influence results.
-	SegmentsDone, SegmentsStolen int
+	// SegmentsStolen counts the completed specs a worker stole from
+	// another worker's deque; always zero on the serial path.
+	// Informational only — like Elapsed, it never influences results.
+	SegmentsStolen int
 	// StoreHits and StoreMisses count result-store hits and misses since
 	// this sweep started (Options.StoreCounters, rebased to the sweep's
 	// entry so one sweep never inherits another's totals); hooks diff
@@ -139,14 +141,32 @@ func call[T any](fn Func[T], s Spec, root uint64) (out T, err error) {
 }
 
 // Execute runs every spec through fn and returns the results in spec
-// order. On failure it returns the error of the lowest-index failing spec
-// (again independent of scheduling); a spec whose run panics fails with a
-// *PanicError. Remaining specs may be skipped once a failure is observed.
-func Execute[T any](specs []Spec, fn Func[T], opt Options) ([]T, error) {
+// order, honouring dependencies: deps[i] lists spec indices that must
+// complete before spec i starts. Every dependency must point to an earlier
+// index (the experiments emit chain segments in ascending prefix order),
+// which makes plain index order — the serial path — a valid schedule and
+// rules out cycles by construction. A nil deps slice (or nil entries)
+// means the specs are independent.
+//
+// On failure Execute returns the error of the lowest-index failing spec,
+// independent of scheduling; a spec whose run panics fails with a
+// *PanicError. Once a failure is observed, specs above the lowest failing
+// index are skipped.
+func Execute[T any](specs []Spec, deps [][]int, fn Func[T], opt Options) ([]T, error) {
 	n := len(specs)
 	results := make([]T, n)
 	if n == 0 {
 		return results, nil
+	}
+	if deps != nil && len(deps) != n {
+		return nil, fmt.Errorf("runner: %d specs but %d dependency lists", n, len(deps))
+	}
+	for i, ds := range deps {
+		for _, d := range ds {
+			if d < 0 || d >= i {
+				return nil, fmt.Errorf("runner: spec %d depends on %d; dependencies must point to earlier specs", i, d)
+			}
+		}
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -156,8 +176,9 @@ func Execute[T any](specs []Spec, fn Func[T], opt Options) ([]T, error) {
 		workers = n
 	}
 	stamp := opt.stamper()
-
 	if workers == 1 {
+		// Index order satisfies every dependency; this is the reference
+		// path the golden conformance tests pin the parallel path against.
 		for i, s := range specs {
 			// The stopwatch (two small closures) is skipped entirely when
 			// nobody observes it: hookless serial sweeps — the bench
@@ -172,67 +193,98 @@ func Execute[T any](specs []Spec, fn Func[T], opt Options) ([]T, error) {
 					Elapsed: elapsed(), Err: err}))
 			}
 			if err != nil {
-				return nil, fmt.Errorf("%s point %d rep %d: %w",
-					s.Experiment, s.Point, s.Rep, err)
+				return nil, specError(s, err)
 			}
 			results[i] = out
 		}
 		return results, nil
 	}
 
-	var (
-		mu     sync.Mutex
-		done   int
-		failed bool
-		errs   = make([]error, n)
-		next   = make(chan int)
-		wg     sync.WaitGroup
-	)
-	go func() {
-		defer close(next)
-		for i := range specs {
-			mu.Lock()
-			stop := failed
-			mu.Unlock()
-			if stop {
-				return
-			}
-			next <- i
+	q := &segQueue{
+		deques: make([][]int, workers),
+		waits:  make([]int, n),
+		succs:  make([][]int, n),
+		limit:  n,
+	}
+	q.cond = sync.NewCond(&q.mu)
+	for i, ds := range deps {
+		q.waits[i] = len(ds)
+		for _, d := range ds {
+			q.succs[d] = append(q.succs[d], i)
 		}
-	}()
+	}
+	// Seed the deques round-robin with the initially ready specs, in index
+	// order, so the sweep's head spreads across the pool.
+	w := 0
+	for i := 0; i < n; i++ {
+		if q.waits[i] == 0 {
+			q.deques[w%workers] = append(q.deques[w%workers], i)
+			w++
+		}
+	}
+
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(self int) {
 			defer wg.Done()
-			for i := range next {
+			for {
+				i, stole, ok := q.take(self)
+				if !ok {
+					return
+				}
 				s := specs[i]
-				elapsed := stopwatch()
+				var elapsed stopfunc
+				if opt.Hook != nil {
+					elapsed = stopwatch()
+				}
 				out, err := call(fn, s, opt.Root)
-				mu.Lock()
-				done++
+				q.mu.Lock()
+				q.done++
+				if stole {
+					q.stolen++
+				}
 				if err != nil {
 					errs[i] = err
-					failed = true
+					// Specs below the lowest failing index keep running,
+					// so the error returned does not depend on scheduling.
+					q.limit = min(q.limit, i)
 				} else {
 					results[i] = out
+					// Newly ready successors continue on this worker: a
+					// chain's next segment forks from state this worker
+					// just parked in the simulator pool.
+					for _, succ := range q.succs[i] {
+						q.waits[succ]--
+						if q.waits[succ] == 0 {
+							q.deques[self] = append(q.deques[self], succ)
+						}
+					}
 				}
+				q.running--
 				if opt.Hook != nil {
-					opt.Hook(stamp(Event{Spec: s, Index: i, Done: done, Total: n,
-						Elapsed: elapsed(), Err: err}))
+					// Under the lock: hooks are never called concurrently.
+					opt.Hook(stamp(Event{Spec: s, Index: i, Done: q.done, Total: n,
+						Elapsed: elapsed(), Err: err, SegmentsStolen: q.stolen}))
 				}
-				mu.Unlock()
+				q.mu.Unlock()
+				q.cond.Broadcast()
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			s := specs[i]
-			return nil, fmt.Errorf("%s point %d rep %d: %w",
-				s.Experiment, s.Point, s.Rep, err)
+			return nil, specError(specs[i], err)
 		}
 	}
 	return results, nil
+}
+
+// specError names the failing spec in its run's error.
+func specError(s Spec, err error) error {
+	return fmt.Errorf("%s point %d rep %d: %w", s.Experiment, s.Point, s.Rep, err)
 }
 
 // stopfunc reports the elapsed wall time since its stopwatch started.
@@ -250,10 +302,10 @@ func stopwatch() stopfunc {
 }
 
 // Progress returns a Hook that writes one line per completed run to w,
-// with the run's label, wall time, and sweep completion count. Sweeps
-// scheduled through ExecuteSegments additionally report work stealing:
-// once any segment has been stolen, each line carries the running count of
-// segments a worker took from another worker's deque. When a result store
+// with the run's label, wall time, and sweep completion count. Parallel
+// sweeps additionally report work stealing: once any spec has been stolen,
+// each line carries the running count of specs a worker took from another
+// worker's deque. When a result store
 // is wired (Options.StoreCounters), each line reports whether the run was
 // served from the store ([hit]) or simulated and written back ([miss]),
 // attributed by diffing consecutive events' cumulative counters — safe

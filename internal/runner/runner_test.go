@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,30 +32,30 @@ func echo(s Spec, seed uint64) ([3]uint64, error) {
 }
 
 // TestWorkerCountInvariance is the core determinism property: the same
-// sweep must produce identical result slices at every worker count,
-// regardless of how the scheduler interleaves runs.
+// sweep must produce the serial path's result slice at every worker count,
+// for every dependency shape, regardless of how the scheduler interleaves
+// runs.
 func TestWorkerCountInvariance(t *testing.T) {
 	specs := sweep("invariance", 13, 7)
-	ref, err := Execute(specs, echo, Options{Root: 99, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 3, 8, 64} {
-		got, err := Execute(specs, func(s Spec, seed uint64) ([3]uint64, error) {
-			// Jitter completion order so the test actually exercises
-			// out-of-order reassembly.
-			if (s.Point+s.Rep)%3 == 0 {
-				time.Sleep(time.Duration(s.Rep) * 100 * time.Microsecond)
-			}
-			return echo(s, seed)
-		}, Options{Root: 99, Workers: workers})
+	for _, shape := range depShapes(13, 7) {
+		ref, err := Execute(specs, shape.deps, echo, Options{Root: 99, Workers: 1})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: result %d = %v, serial %v",
-					workers, i, got[i], ref[i])
+		for _, workers := range []int{0, 2, 3, 8, 64} {
+			got, err := Execute(specs, shape.deps, func(s Spec, seed uint64) ([3]uint64, error) {
+				// Jitter completion order so the test actually exercises
+				// out-of-order reassembly.
+				if (s.Point+s.Rep)%3 == 0 {
+					time.Sleep(time.Duration(s.Rep) * 100 * time.Microsecond)
+				}
+				return echo(s, seed)
+			}, Options{Root: 99, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", shape.name, workers, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s workers=%d: results differ from the serial path", shape.name, workers)
 			}
 		}
 	}
@@ -93,29 +94,34 @@ func TestSeedsDistinctWithinSweep(t *testing.T) {
 	}
 }
 
+// TestErrorIsLowestIndex pins the error contract: the lowest-index failing
+// spec's error comes back, wrapped, at every worker count and dependency
+// shape — even when a higher failing spec finishes first.
 func TestErrorIsLowestIndex(t *testing.T) {
 	specs := sweep("errs", 10, 1)
+	errBoom := errors.New("boom")
 	boom := func(s Spec, seed uint64) (int, error) {
 		if s.Point == 3 || s.Point == 7 {
-			return 0, fmt.Errorf("point %d exploded", s.Point)
+			return 0, fmt.Errorf("point %d exploded: %w", s.Point, errBoom)
 		}
 		return s.Point, nil
 	}
-	for _, workers := range []int{1, 4} {
-		_, err := Execute(specs, boom, Options{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: error swallowed", workers)
-		}
-		if !strings.Contains(err.Error(), "point 3 exploded") {
-			t.Fatalf("workers=%d: want lowest-index error, got %v", workers, err)
+	for _, shape := range depShapes(10, 1) {
+		for _, workers := range []int{1, 3, 4} {
+			_, err := Execute(specs, shape.deps, boom, Options{Workers: workers})
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("%s workers=%d: want the run's error, got %v", shape.name, workers, err)
+			}
+			if !strings.Contains(err.Error(), "point 3 exploded") {
+				t.Fatalf("%s workers=%d: want lowest-index error, got %v", shape.name, workers, err)
+			}
 		}
 	}
 }
 
 // TestPanicBecomesSpecError pins panic containment: a run that panics
 // fails its sweep with a *PanicError naming the spec, at every worker
-// count and under both Execute and ExecuteSegments, instead of killing the
-// process.
+// count and dependency shape, instead of killing the process.
 func TestPanicBecomesSpecError(t *testing.T) {
 	specs := sweep("panics", 8, 1)
 	fn := func(s Spec, seed uint64) (int, error) {
@@ -124,19 +130,18 @@ func TestPanicBecomesSpecError(t *testing.T) {
 		}
 		return s.Point, nil
 	}
-	for _, workers := range []int{1, 3} {
-		_, errExec := Execute(specs, fn, Options{Workers: workers})
-		_, errSeg := ExecuteSegments(specs, nil, fn, Options{Workers: workers})
-		for name, err := range map[string]error{"Execute": errExec, "ExecuteSegments": errSeg} {
+	for _, shape := range depShapes(8, 1) {
+		for _, workers := range []int{1, 3} {
+			_, err := Execute(specs, shape.deps, fn, Options{Workers: workers})
 			var pe *PanicError
 			if !errors.As(err, &pe) {
-				t.Fatalf("%s workers=%d: want a *PanicError, got %v", name, workers, err)
+				t.Fatalf("%s workers=%d: want a *PanicError, got %v", shape.name, workers, err)
 			}
 			if !strings.Contains(err.Error(), "panics point 5 rep 0: panic: point 5 blew up") {
-				t.Errorf("%s workers=%d: error %q does not name the panicking spec", name, workers, err)
+				t.Errorf("%s workers=%d: error %q does not name the panicking spec", shape.name, workers, err)
 			}
 			if !strings.Contains(string(pe.Stack), "TestPanicBecomesSpecError") {
-				t.Errorf("%s workers=%d: stack does not reach the panicking function:\n%s", name, workers, pe.Stack)
+				t.Errorf("%s workers=%d: stack does not reach the panicking function:\n%s", shape.name, workers, pe.Stack)
 			}
 		}
 	}
@@ -145,7 +150,7 @@ func TestPanicBecomesSpecError(t *testing.T) {
 func TestErrorStopsFeedingSerial(t *testing.T) {
 	var calls atomic.Int64
 	specs := sweep("stop", 10, 1)
-	_, err := Execute(specs, func(s Spec, seed uint64) (int, error) {
+	_, err := Execute(specs, nil, func(s Spec, seed uint64) (int, error) {
 		calls.Add(1)
 		if s.Point == 2 {
 			return 0, errors.New("dead")
@@ -164,7 +169,7 @@ func TestHookSeesEveryRun(t *testing.T) {
 	specs := sweep("hooked", 6, 3)
 	for _, workers := range []int{1, 4} {
 		var events []Event
-		_, err := Execute(specs, echo, Options{Workers: workers, Hook: func(e Event) {
+		_, err := Execute(specs, nil, echo, Options{Workers: workers, Hook: func(e Event) {
 			events = append(events, e)
 		}})
 		if err != nil {
@@ -188,7 +193,7 @@ func TestHookSeesEveryRun(t *testing.T) {
 
 func TestProgressHookOutput(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := Execute(sweep("prog", 2, 1), echo, Options{Workers: 1, Hook: Progress(&buf)})
+	_, err := Execute(sweep("prog", 2, 1), nil, echo, Options{Workers: 1, Hook: Progress(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,29 +204,28 @@ func TestProgressHookOutput(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "stolen") {
-		t.Fatalf("plain Execute progress should not mention stealing:\n%s", out)
+		t.Fatalf("serial progress should not mention stealing:\n%s", out)
 	}
 }
 
-// TestProgressHookStealSuffix: the stock Progress hook surfaces segment
+// TestProgressHookStealSuffix: the stock Progress hook surfaces work
 // stealing once it happens, and stays silent about it before that.
 func TestProgressHookStealSuffix(t *testing.T) {
 	var buf bytes.Buffer
 	hook := Progress(&buf)
-	hook(Event{Spec: Spec{Experiment: "seg"}, Done: 3, Total: 9, SegmentsDone: 3})
+	hook(Event{Spec: Spec{Experiment: "seg"}, Done: 3, Total: 9})
 	if strings.Contains(buf.String(), "stolen") {
 		t.Fatalf("no steals yet, but output mentions stealing:\n%s", buf.String())
 	}
 	buf.Reset()
-	hook(Event{Spec: Spec{Experiment: "seg"}, Done: 7, Total: 9,
-		SegmentsDone: 7, SegmentsStolen: 2})
+	hook(Event{Spec: Spec{Experiment: "seg"}, Done: 7, Total: 9, SegmentsStolen: 2})
 	if !strings.Contains(buf.String(), "[2 stolen]") {
 		t.Fatalf("output missing steal count:\n%s", buf.String())
 	}
 }
 
 func TestEmptySweep(t *testing.T) {
-	res, err := Execute(nil, echo, Options{})
+	res, err := Execute(nil, nil, echo, Options{})
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty sweep: %v, %v", res, err)
 	}

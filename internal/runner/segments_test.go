@@ -26,33 +26,45 @@ func chainDeps(points, reps int, chains [][]int) [][]int {
 	return deps
 }
 
-// TestSegmentsMatchExecute: with and without dependencies, at every worker
-// count, ExecuteSegments returns the same result slice as plain Execute.
+// depShapes lists the dependency shapes the scheduler tests run over, for a
+// points×reps sweep (points >= 7): independent specs, one chain, and two
+// chains plus free specs.
+func depShapes(points, reps int) []struct {
+	name string
+	deps [][]int
+} {
+	return []struct {
+		name string
+		deps [][]int
+	}{
+		{"nil-deps", nil},
+		{"one-chain", chainDeps(points, reps, [][]int{{0, 1, 2, 3}})},
+		{"two-chains-and-free", chainDeps(points, reps, [][]int{{0, 2, 4, 6}, {1, 3, 5}})},
+	}
+}
+
+// TestSegmentsMatchExecute: dependencies constrain only the order runs
+// start in, never their results — at every worker count, each dependency
+// shape returns the same slice as the dependency-free serial sweep.
 func TestSegmentsMatchExecute(t *testing.T) {
 	specs := sweep("segments", 12, 3)
-	ref, err := Execute(specs, echo, Options{Root: 42, Workers: 1})
+	ref, err := Execute(specs, nil, echo, Options{Root: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shapes := map[string][][]int{
-		"nil-deps":  nil,
-		"one-chain": chainDeps(12, 3, [][]int{{0, 1, 2, 3}}),
-		"two-chains-and-free": chainDeps(12, 3,
-			[][]int{{0, 2, 4, 6}, {1, 3, 5}}),
-	}
-	for name, deps := range shapes {
+	for _, shape := range depShapes(12, 3) {
 		for _, workers := range []int{1, 2, 3, 8} {
-			got, err := ExecuteSegments(specs, deps, func(s Spec, seed uint64) ([3]uint64, error) {
+			got, err := Execute(specs, shape.deps, func(s Spec, seed uint64) ([3]uint64, error) {
 				if (s.Point+s.Rep)%3 == 0 {
 					time.Sleep(time.Duration(s.Rep) * 100 * time.Microsecond)
 				}
 				return echo(s, seed)
 			}, Options{Root: 42, Workers: workers})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s workers=%d: %v", shape.name, workers, err)
 			}
 			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("%s workers=%d: results differ from Execute", name, workers)
+				t.Fatalf("%s workers=%d: results differ from the dependency-free sweep", shape.name, workers)
 			}
 		}
 	}
@@ -72,7 +84,7 @@ func TestSegmentsHonorDependencies(t *testing.T) {
 			delete(finished, k)
 		}
 		mu.Unlock()
-		_, err := ExecuteSegments(specs, deps, func(s Spec, seed uint64) ([3]uint64, error) {
+		_, err := Execute(specs, deps, func(s Spec, seed uint64) ([3]uint64, error) {
 			idx := s.Point*reps + s.Rep
 			mu.Lock()
 			for _, d := range deps[idx] {
@@ -102,36 +114,40 @@ func TestSegmentsRejectForwardDeps(t *testing.T) {
 		{nil, {1}, nil}, // self
 		{nil, {-1}, nil},
 	} {
-		if _, err := ExecuteSegments(specs, deps, echo, Options{Workers: 1}); err == nil {
+		if _, err := Execute(specs, deps, echo, Options{Workers: 1}); err == nil {
 			t.Errorf("deps %v accepted", deps)
 		}
 	}
-	if _, err := ExecuteSegments(specs, [][]int{nil}, echo, Options{Workers: 1}); err == nil {
+	if _, err := Execute(specs, [][]int{nil}, echo, Options{Workers: 1}); err == nil {
 		t.Error("mismatched deps length accepted")
 	}
 }
 
-// TestSegmentsErrorIsLowestIndex mirrors Execute's error contract.
+// TestSegmentsErrorIsLowestIndex: when a tail of the sweep fails, including
+// specs whose dependents can then never run, the sweep returns the lowest
+// failing index's error at every worker count instead of waiting on them.
 func TestSegmentsErrorIsLowestIndex(t *testing.T) {
 	specs := sweep("segfail", 10, 1)
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		_, err := ExecuteSegments(specs, nil, func(s Spec, seed uint64) ([3]uint64, error) {
-			if s.Point >= 6 {
-				return [3]uint64{}, fmt.Errorf("point %d: %w", s.Point, boom)
+	for _, shape := range depShapes(10, 1) {
+		for _, workers := range []int{1, 4} {
+			_, err := Execute(specs, shape.deps, func(s Spec, seed uint64) ([3]uint64, error) {
+				if s.Point >= 6 {
+					return [3]uint64{}, fmt.Errorf("point %d: %w", s.Point, boom)
+				}
+				return echo(s, seed)
+			}, Options{Workers: workers})
+			if err == nil || !errors.Is(err, boom) {
+				t.Fatalf("%s workers=%d: err = %v", shape.name, workers, err)
 			}
-			return echo(s, seed)
-		}, Options{Workers: workers})
-		if err == nil || !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		if workers == 1 && !strings.Contains(err.Error(), "point 6") {
-			t.Fatalf("serial error should be the lowest failing index: %v", err)
+			if !strings.Contains(err.Error(), "point 6") {
+				t.Fatalf("%s workers=%d: error should be the lowest failing index: %v", shape.name, workers, err)
+			}
 		}
 	}
 }
 
-// TestSegmentsEventCounters: the hook sees monotonically complete segment
+// TestSegmentsEventCounters: the hook sees monotonically complete run
 // counts, and a skew-blocked sweep records stolen segments.
 func TestSegmentsEventCounters(t *testing.T) {
 	const points = 8
@@ -141,7 +157,7 @@ func TestSegmentsEventCounters(t *testing.T) {
 	deps := chainDeps(points, 1, [][]int{{0, 1, 2, 3, 4}})
 	var events []Event
 	var calls atomic.Int64
-	_, err := ExecuteSegments(specs, deps, func(s Spec, seed uint64) ([3]uint64, error) {
+	_, err := Execute(specs, deps, func(s Spec, seed uint64) ([3]uint64, error) {
 		calls.Add(1)
 		time.Sleep(200 * time.Microsecond)
 		return echo(s, seed)
@@ -155,17 +171,17 @@ func TestSegmentsEventCounters(t *testing.T) {
 		t.Fatalf("ran %d specs, hook saw %d, want %d", calls.Load(), len(events), points)
 	}
 	last := events[len(events)-1]
-	if last.SegmentsDone != points {
-		t.Fatalf("final SegmentsDone = %d, want %d", last.SegmentsDone, points)
+	if last.Done != points {
+		t.Fatalf("final Done = %d, want %d", last.Done, points)
 	}
 	prev := 0
 	for _, e := range events {
-		if e.SegmentsDone != prev+1 {
-			t.Fatalf("SegmentsDone not monotone: %d after %d", e.SegmentsDone, prev)
+		if e.Done != prev+1 {
+			t.Fatalf("Done not monotone: %d after %d", e.Done, prev)
 		}
-		prev = e.SegmentsDone
-		if e.SegmentsStolen < 0 || e.SegmentsStolen > e.SegmentsDone {
-			t.Fatalf("implausible SegmentsStolen %d at done %d", e.SegmentsStolen, e.SegmentsDone)
+		prev = e.Done
+		if e.SegmentsStolen < 0 || e.SegmentsStolen > e.Done {
+			t.Fatalf("implausible SegmentsStolen %d at done %d", e.SegmentsStolen, e.Done)
 		}
 	}
 }
