@@ -6,6 +6,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"streamline/internal/rng"
@@ -30,6 +31,28 @@ type Policy interface {
 	Victim(s int) int
 	// OnInvalidate is called when way w of set s is invalidated.
 	OnInvalidate(s, w int)
+}
+
+// NewNamed builds an LLC replacement policy by name, so a configuration can
+// select one by value: "skylake" (NewSkylakeLLC), "srrip", "brrip", "drrip",
+// "lru" and "random". seed drives the policy's random choices, where it
+// makes any.
+func NewNamed(name string, seed uint64) (Policy, error) {
+	switch name {
+	case "skylake":
+		return NewSkylakeLLC(seed), nil
+	case "srrip":
+		return NewRRIP(SRRIP, seed), nil
+	case "brrip":
+		return NewRRIP(BRRIP, seed), nil
+	case "drrip":
+		return NewRRIP(DRRIP, seed), nil
+	case "lru":
+		return NewLRU(), nil
+	case "random":
+		return NewRandom(seed), nil
+	}
+	return nil, fmt.Errorf("cache: unknown replacement policy %q", name)
 }
 
 // PrefetchAware is implemented by policies that insert prefetched lines with

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"streamline/internal/cache"
 	"streamline/internal/ecc"
 	"streamline/internal/hier"
 	"streamline/internal/mem"
@@ -145,16 +146,15 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	chained := e.chainEligible(&cfg)
 	st := e.opt.Store
 	var key resultstore.Key
-	var keyed bool
 	if chained || st != nil {
-		key, keyed = storeKey(&cfg, &src)
+		key = storeKey(&cfg, &src)
 	}
-	if keyed && chained {
+	if chained {
 		if res := e.memoLookup(key); res != nil {
 			return res, nil
 		}
 	}
-	if keyed && st != nil {
+	if st != nil {
 		// A bit-identical run completed by any earlier process is served
 		// as a store read, before any simulator is checked out. A hit also
 		// primes the chain memo for this run's siblings.
@@ -218,9 +218,9 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	arr := alloc.Alloc(cfg.ArraySize)
 	syncRegion := alloc.Alloc(syncch.RegionBytes(h))
 
-	pat := cfg.Pattern
-	if pat == nil {
-		pat = pattern.NewStreamline(h.Geometry())
+	var pat pattern.Pattern = pattern.NewStreamline(h.Geometry())
+	if cfg.NaivePattern {
+		pat = pattern.NewNaivePerPage(h.Geometry())
 	}
 
 	sc, err := syncch.New(h, syncRegion)
@@ -395,12 +395,12 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 		res.BitRateKBps = float64(res.PayloadBits) / 8192.0 / secs
 		res.ChannelKBps = float64(res.ChannelBits) / 8192.0 / secs
 	}
-	if keyed && chained {
+	if chained {
 		// A Result is a pure function of its key: park a copy so
 		// bit-identical chain siblings skip simulation.
 		e.memoStore(key, res)
 	}
-	if keyed && st != nil {
+	if st != nil {
 		// Best-effort write-back: the entry is an optimization for later
 		// readers.
 		st.Put(key, encodeResult(res))
@@ -412,12 +412,16 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 // builds its simulator with.
 func buildHierOptions(cfg *Config) hier.Options {
 	hopt := hier.Options{
-		LLCPolicy:       cfg.LLCPolicy,
 		DisablePrefetch: cfg.DisablePrefetch,
 		DRAM:            cfg.DRAM,
 		Seed:            cfg.Seed,
 		RandomFillProb:  cfg.RandomFillProb,
 		Quota:           cfg.Quota,
+	}
+	if cfg.LLCPolicy != "" {
+		// validate accepted the name. The policy draws from its own
+		// stream, decorrelated from the simulator's.
+		hopt.LLCPolicy, _ = cache.NewNamed(cfg.LLCPolicy, rng.Derive(cfg.Seed, 1))
 	}
 	if !cfg.HugePages {
 		t := tlb.Skylake4K()

@@ -203,14 +203,13 @@ type chainRun struct {
 
 // chainEligible reports whether cfg can participate in the engine's
 // checkpoint tree (NoCheckpoints unset): every piece of run state must
-// live inside what the lifecycle plus the
-// agent captures cover. Caller-supplied LLC policies, random fill, and
-// quotas are outside the lifecycle (same rule as pooling); counter monitors
-// are dropped by Clone; caller-supplied patterns cannot be fingerprinted.
+// live inside what the lifecycle plus the agent captures cover. Named LLC
+// policies, random fill, and quotas are outside the lifecycle (same rule
+// as pooling); counter monitors are dropped by Clone.
 func (e *Engine) chainEligible(cfg *Config) bool {
 	return cfg.Chain != nil && len(cfg.Chain.Lengths) > 0 && !e.opt.NoCheckpoints &&
-		cfg.LLCPolicy == nil && cfg.RandomFillProb == 0 && cfg.Quota == nil &&
-		cfg.CounterWindow == 0 && cfg.Pattern == nil
+		cfg.LLCPolicy == "" && cfg.RandomFillProb == 0 && cfg.Quota == nil &&
+		cfg.CounterWindow == 0
 }
 
 // chainTxLen maps a payload length to its transmitted-bit count, or -1 when
@@ -232,9 +231,8 @@ func chainTxLen(cfg *Config, payloadLen int) int {
 // chainFingerprint identifies a chain family: the canonical config
 // encoding the store key hashes (configTerms) plus the chain key, so two
 // runs with equal chain fingerprints differ at most in payload. It keeps no
-// field list of its own. chainEligible requires a nil Pattern and
-// LLCPolicy, so every chained config is store-keyable, and the store key's
-// sensitivity audit (store_test.go) asserts every keyed field moves it.
+// field list of its own: the store key's sensitivity audit (store_test.go)
+// asserts every keyed field moves it.
 func chainFingerprint(cfg *Config) uint64 {
 	e := newEnc(512)
 	e.configTerms(cfg)

@@ -49,6 +49,11 @@ func TestCheckpointForkEqualsFreshRun(t *testing.T) {
 				Footprint: 1 << 20, ComputeGap: 100}}
 			return cfg, []int{3000, 9000, 15000}
 		},
+		"naive-pattern": func() (Config, []int) {
+			cfg := chainTestConfig()
+			cfg.NaivePattern = true
+			return cfg, []int{3000, 8000, 12000}
+		},
 	}
 	for name, mk := range variants {
 		t.Run(name, func(t *testing.T) {

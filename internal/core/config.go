@@ -24,7 +24,6 @@ import (
 	"streamline/internal/hier"
 	"streamline/internal/noise"
 	"streamline/internal/params"
-	"streamline/internal/pattern"
 )
 
 // Config selects the channel configuration. DefaultConfig returns the
@@ -43,9 +42,10 @@ type Config struct {
 	// Modulate applies the PRNG channel encoding (Section 3.2). Disabling
 	// it reproduces the naive encoding of Figure 4.
 	Modulate bool
-	// Pattern is the address sequence; nil selects the paper's
-	// (x=3, y=2, start=14) pattern. (Figure 6 varies this.)
-	Pattern pattern.Pattern
+	// NaivePattern replaces the paper's (x=3, y=2, start=14) address
+	// sequence with the naive one-line-per-page pattern Figure 6 compares
+	// it against.
+	NaivePattern bool
 	// TrailingLag is the distance, in bits, of the sender's replacement-
 	// fooling re-accesses (paper: 5000). 0 disables them.
 	TrailingLag int
@@ -84,9 +84,10 @@ type Config struct {
 	ThresholdOverride int
 	// DisablePrefetch turns hardware prefetchers off (ablation).
 	DisablePrefetch bool
-	// LLCPolicy overrides the LLC replacement policy (ablation); nil uses
-	// the Skylake-flavoured default.
-	LLCPolicy cache.Policy
+	// LLCPolicy names an LLC replacement policy to override the
+	// Skylake-flavoured default with (ablation): one of the cache.NewNamed
+	// names, seeded from Seed. "" keeps the default.
+	LLCPolicy string
 	// DRAM overrides the DRAM timing model (ablation); nil uses defaults.
 	DRAM *dram.Config
 	// TraceLevels records each received bit's serving level into
@@ -252,6 +253,11 @@ func (c *Config) validate() error {
 	}
 	if c.Quota != nil && c.PartitionWays > 0 {
 		return fmt.Errorf("core: Quota and PartitionWays are mutually exclusive")
+	}
+	if c.LLCPolicy != "" {
+		if _, err := cache.NewNamed(c.LLCPolicy, 0); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
 	}
 	return nil
 }

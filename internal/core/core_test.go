@@ -43,6 +43,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"sync lead":     func(c *Config) { c.SyncLead = 0 },
 		"sync lead>per": func(c *Config) { c.SyncLead = c.SyncPeriod + 1 },
 		"bad machine":   func(c *Config) { c.Machine = params.SkylakeE3(); c.Machine.FreqMHz = 0 },
+		"llc policy":    func(c *Config) { c.LLCPolicy = "bogus" },
 	} {
 		cfg := testConfig()
 		mutate(&cfg)

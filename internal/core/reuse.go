@@ -294,7 +294,7 @@ func snapKey(runFp uint64, warmBytes, senderCore int) uint64 {
 // outside the lifecycle get a plain hier.New and are never pooled.
 func (e *Engine) acquireSim(cfg *Config) (*simLease, error) {
 	hopt := buildHierOptions(cfg)
-	poolable := !e.opt.NoReuse && cfg.LLCPolicy == nil && cfg.RandomFillProb == 0 &&
+	poolable := !e.opt.NoReuse && cfg.LLCPolicy == "" && cfg.RandomFillProb == 0 &&
 		cfg.Quota == nil
 	if !poolable {
 		h, err := hier.New(cfg.Machine, hopt)

@@ -47,12 +47,7 @@ func TestPayloadRandomPinned(t *testing.T) {
 func TestPayloadGenKeyAudit(t *testing.T) {
 	cfg := keyedConfig()
 	gen := func(seed uint64, n int) resultstore.Key {
-		t.Helper()
-		k, ok := storeKey(&cfg, &payloadSrc{gen: true, seed: seed, n: n})
-		if !ok {
-			t.Fatal("config unexpectedly store-ineligible")
-		}
-		return k
+		return storeKey(&cfg, &payloadSrc{gen: true, seed: seed, n: n})
 	}
 	base := gen(5, 1000)
 	if gen(6, 1000) == base {
@@ -99,7 +94,7 @@ func TestPayloadGenKeyAudit(t *testing.T) {
 		if i != len(full.b)-len(want) || b.b[i] != payloadFormPacked {
 			t.Errorf("n=%d: generated and bits encodings diverge at byte %d, not at the payload form tag", n, i)
 		}
-		if gen(9, n) == mustBitsKey(t, cfg, bits) {
+		if gen(9, n) == storeKey(&cfg, &payloadSrc{bits: bits}) {
 			t.Errorf("n=%d: generated key equals the bits key of the same payload", n)
 		}
 	}
@@ -110,15 +105,6 @@ func keyEnc(cfg *Config, src *payloadSrc) *enc {
 	e := newEnc(0)
 	e.keyTerms(cfg, src)
 	return e
-}
-
-func mustBitsKey(t *testing.T, cfg Config, bits []byte) resultstore.Key {
-	t.Helper()
-	k, ok := storeKey(&cfg, &payloadSrc{bits: bits})
-	if !ok {
-		t.Fatal("config unexpectedly store-ineligible")
-	}
-	return k
 }
 
 func runRandom(t *testing.T, e *Engine, cfg Config, seed uint64, n int) *Result {
@@ -207,7 +193,7 @@ func TestRunRandomServedAllocs(t *testing.T) {
 	cfg.GapSampleEvery = 0
 	cfg.TraceLevels = false
 	runRandom(t, e, cfg, seed, n) // populate the entry
-	key, _ := storeKey(&cfg, &payloadSrc{gen: true, seed: seed, n: n})
+	key := storeKey(&cfg, &payloadSrc{gen: true, seed: seed, n: n})
 
 	allocs := func(f func()) uint64 {
 		var a, b runtime.MemStats

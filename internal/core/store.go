@@ -10,8 +10,9 @@
 //
 // Legality is one rule, made explicit: a key must cover everything that
 // can steer the simulation, so two runs with equal keys are bit-identical
-// by construction and serving one for the other is unobservable. Configurations carrying caller-supplied behaviour the key
-// cannot canonicalize (an LLCPolicy or Pattern interface) bypass the store.
+// by construction and serving one for the other is unobservable. Every
+// Config field is a value (the address pattern and LLC policy are chosen
+// by flag and by name), so every run is keyed; none bypasses the store.
 // Config.Chain is deliberately excluded from the key: it is a pure
 // scheduling optimization, pinned bit-identical by the golden suite's
 // checkpoint-off axis, so chained and unchained runs share entries.
@@ -38,14 +39,13 @@ import (
 // below: any change to either — a field added to the encoding, a codec
 // layout change — must bump it, which retires every old entry by changing
 // its key rather than risking a misdecode. v2 packed the payload 8 bits
-// per hashed byte (see payloadKeyBits).
-const storeKeySchema = "streamline-core-result-v2"
+// per hashed byte (see payloadKeyBits); v3 added NaivePattern and
+// LLCPolicy.
+const storeKeySchema = "streamline-core-result-v3"
 
 // storeKey derives the content address for one Run: an explicit
 // field-by-field canonical encoding of everything that steers the
-// simulation, hashed to 128 bits. Returns ok=false for configurations the
-// key cannot canonicalize (caller-supplied Pattern or LLCPolicy
-// interfaces), which bypass the store.
+// simulation, hashed to 128 bits.
 //
 // The encoding is exhaustive by audit, not by reflection: the
 // key-sensitivity test (store_test.go) mutates every Config field — and
@@ -56,21 +56,18 @@ const storeKeySchema = "streamline-core-result-v2"
 // HugePages is covered directly; the TLB model it selects is a pure
 // function of it. The payload term is the bits themselves or, for a
 // generated payload, the generator's inputs (payloadKeyGen).
-func storeKey(cfg *Config, src *payloadSrc) (resultstore.Key, bool) {
-	if cfg.Pattern != nil || cfg.LLCPolicy != nil {
-		return resultstore.Key{}, false
-	}
+func storeKey(cfg *Config, src *payloadSrc) resultstore.Key {
 	capHint := 512
 	if !src.gen {
 		capHint += len(src.bits)/8 + 1
 	}
 	e := newEnc(capHint)
 	e.keyTerms(cfg, src)
-	return resultstore.KeyOf(e.b), true
+	return resultstore.KeyOf(e.b)
 }
 
-// keyTerms appends the canonical encoding storeKey hashes, for a config
-// the key can canonicalize: the config terms, then the payload term.
+// keyTerms appends the canonical encoding storeKey hashes: the config
+// terms, then the payload term.
 func (e *enc) keyTerms(cfg *Config, src *payloadSrc) {
 	e.configTerms(cfg)
 	if src.gen {
@@ -134,6 +131,8 @@ func (e *enc) configTerms(cfg *Config) {
 	}
 	e.u64(cfg.CounterWindow)
 	e.i(cfg.GapClamp)
+	e.bool(cfg.NaivePattern)
+	e.str(cfg.LLCPolicy)
 	// Chain: excluded by design; see package comment.
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"streamline/internal/cache"
 	"streamline/internal/dram"
 	"streamline/internal/ecc"
 	"streamline/internal/hier"
@@ -121,11 +120,6 @@ func TestResultCodecRejectsCorrupt(t *testing.T) {
 	}
 }
 
-type stubPattern struct{}
-
-func (stubPattern) Name() string           { return "stub" }
-func (stubPattern) Offset(uint64, int) int { return 0 }
-
 // keyedConfig is the key-sensitivity base: every optional sub-config
 // populated so field mutations inside them are visible to the audit.
 func keyedConfig() Config {
@@ -145,13 +139,9 @@ func keyedConfig() Config {
 	return cfg
 }
 
-func mustKey(t *testing.T, cfg Config) resultstore.Key {
-	t.Helper()
-	k, ok := storeKey(&cfg, &payloadSrc{bits: []byte{1, 0, 1}})
-	if !ok {
-		t.Fatal("config unexpectedly store-ineligible")
-	}
-	return k
+// cfgKey is cfg's store key under a fixed payload.
+func cfgKey(cfg Config) resultstore.Key {
+	return storeKey(&cfg, &payloadSrc{bits: []byte{1, 0, 1}})
 }
 
 // chainFP is cfg's chain fingerprint under a fixed chain key.
@@ -161,15 +151,15 @@ func chainFP(cfg Config) uint64 {
 }
 
 // TestStoreKeySensitivity is the run-identity audit: every Config field
-// either moves the store key and the chain fingerprint when mutated, makes
-// the config store-ineligible, or is documented as excluded — and the
-// statetest field audit forces a new Config field to show up in exactly one
-// of those lists before the suite passes again. Each keyed field also
+// either moves the store key and the chain fingerprint when mutated or is
+// documented as excluded — and the statetest field audit forces a new
+// Config field to show up in one of those lists before the suite passes
+// again. Each keyed field also
 // declares whether it shapes the hierarchy: exactly those fields move the
 // pool key (runFingerprint).
 func TestStoreKeySensitivity(t *testing.T) {
 	base := keyedConfig()
-	baseKey := mustKey(t, base)
+	baseKey := cfgKey(base)
 	baseChain, basePool := chainFP(base), runFingerprint(&base)
 
 	change := map[string]struct {
@@ -204,18 +194,14 @@ func TestStoreKeySensitivity(t *testing.T) {
 		"RandomFillProb":     {true, func(c *Config) { c.RandomFillProb += 0.25 }},
 		"CounterWindow":      {false, func(c *Config) { c.CounterWindow++ }},
 		"GapClamp":           {false, func(c *Config) { c.GapClamp++ }},
+		"NaivePattern":       {false, func(c *Config) { c.NaivePattern = !c.NaivePattern }},
+		"LLCPolicy":          {false, func(c *Config) { c.LLCPolicy = "lru" }},
 
 		// Pointer sub-configs: presence and every inner field must move the
 		// key. The statetest audits below keep the inner lists exhaustive.
 		"DRAM":  {true, func(c *Config) { c.DRAM = nil }},
 		"Noise": {false, func(c *Config) { c.Noise = nil }},
 		"Quota": {false, func(c *Config) { c.Quota = nil }},
-	}
-	// Caller-supplied interfaces cannot be canonically encoded: the config
-	// must bypass the store entirely rather than alias under one key.
-	ineligible := map[string]func(*Config){
-		"Pattern":   func(c *Config) { c.Pattern = stubPattern{} },
-		"LLCPolicy": func(c *Config) { c.LLCPolicy = cache.NewLRU() },
 	}
 	// Chain is a pure scheduling optimization — the golden suite's
 	// checkpoint-off axis pins that results are bit-identical with and
@@ -228,9 +214,6 @@ func TestStoreKeySensitivity(t *testing.T) {
 	for name := range change {
 		covered = append(covered, name)
 	}
-	for name := range ineligible {
-		covered = append(covered, name)
-	}
 	for name := range excluded {
 		covered = append(covered, name)
 	}
@@ -239,7 +222,7 @@ func TestStoreKeySensitivity(t *testing.T) {
 	for name, m := range change {
 		cfg := keyedConfig()
 		m.mutate(&cfg)
-		if mustKey(t, cfg) == baseKey {
+		if cfgKey(cfg) == baseKey {
 			t.Errorf("mutating Config.%s did not change the store key — storeKey is missing the field", name)
 		}
 		if chainFP(cfg) == baseChain {
@@ -249,17 +232,10 @@ func TestStoreKeySensitivity(t *testing.T) {
 			t.Errorf("mutating Config.%s moved the pool key: %v, want %v", name, moved, m.pool)
 		}
 	}
-	for name, mutate := range ineligible {
-		cfg := keyedConfig()
-		mutate(&cfg)
-		if _, ok := storeKey(&cfg, &payloadSrc{bits: []byte{1, 0, 1}}); ok {
-			t.Errorf("Config.%s set should make the config store-ineligible", name)
-		}
-	}
 	for name, mutate := range excluded {
 		cfg := keyedConfig()
 		mutate(&cfg)
-		if mustKey(t, cfg) != baseKey {
+		if cfgKey(cfg) != baseKey {
 			t.Errorf("Config.%s is documented as key-excluded but changed the key", name)
 		}
 	}
@@ -281,10 +257,10 @@ func TestStoreKeySensitivity(t *testing.T) {
 	}
 
 	// Payload identity is part of the key.
-	if k, _ := storeKey(&base, &payloadSrc{bits: []byte{1, 0, 0}}); k == baseKey {
+	if storeKey(&base, &payloadSrc{bits: []byte{1, 0, 0}}) == baseKey {
 		t.Error("payload content did not change the store key")
 	}
-	if k, _ := storeKey(&base, &payloadSrc{bits: []byte{1, 0, 1, 0}}); k == baseKey {
+	if storeKey(&base, &payloadSrc{bits: []byte{1, 0, 1, 0}}) == baseKey {
 		t.Error("payload length did not change the store key")
 	}
 }
@@ -304,7 +280,7 @@ func TestStoreKeySubConfigSensitivity(t *testing.T) {
 		"ComputeGap", "Stride", "Parallel")
 
 	base := keyedConfig()
-	baseKey := mustKey(t, base)
+	baseKey := cfgKey(base)
 	baseChain, basePool := chainFP(base), runFingerprint(&base)
 	muts := map[string]func(*Config){
 		"DRAM.Banks":            func(c *Config) { c.DRAM.Banks++ },
@@ -334,7 +310,7 @@ func TestStoreKeySubConfigSensitivity(t *testing.T) {
 	for name, mutate := range muts {
 		cfg := keyedConfig()
 		mutate(&cfg)
-		if mustKey(t, cfg) == baseKey {
+		if cfgKey(cfg) == baseKey {
 			t.Errorf("mutating %s did not change the store key", name)
 		}
 		if chainFP(cfg) == baseChain {
@@ -494,29 +470,6 @@ func TestRunWriteErrorCounted(t *testing.T) {
 	}
 }
 
-// TestStoreIneligibleConfigBypasses pins that a caller-supplied pattern
-// bypasses the store entirely: no writes, no counter movement.
-func TestStoreIneligibleConfigBypasses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("channel runs")
-	}
-	st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(EngineOptions{Store: st})
-
-	cfg := storeTestConfig()
-	cfg.LLCPolicy = cache.NewLRU()
-	runOn(t, e, cfg, payload.Random(3, 2000))
-	if s := st.Stats(); s.Writes != 0 || s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("ineligible config touched the store: %+v", s)
-	}
-	if c := e.Counters(); c.StoreHits != 0 || c.StoreMisses != 0 {
-		t.Error("ineligible config moved the store counters")
-	}
-}
-
 // TestPayloadKeyBits pins the packed payload encoding the key derivation
 // hashes: the word-at-a-time packer must agree bit-for-bit with the
 // obvious scalar packer at every alignment, out-of-contract payloads
@@ -625,8 +578,8 @@ func TestChainedAndUnchainedShareOneEntry(t *testing.T) {
 		}
 		// The chained run parked (or was served and primed) its Result
 		// under the very key the unchained run's store entry uses.
-		key, ok := storeKey(&chained, &payloadSrc{bits: bits})
-		if plain, plainOK := storeKey(&cfg, &payloadSrc{bits: bits}); !ok || !plainOK || key != plain {
+		key := storeKey(&chained, &payloadSrc{bits: bits})
+		if key != storeKey(&cfg, &payloadSrc{bits: bits}) {
 			t.Fatal("chained and unchained store keys differ")
 		}
 		if m := e.memoLookup(key); !reflect.DeepEqual(m, fresh) {

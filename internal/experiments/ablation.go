@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"streamline/internal/cache"
 	"streamline/internal/core"
 	"streamline/internal/payload"
-	"streamline/internal/rng"
 )
 
 // planAblationEncoding contrasts the naive channel encoding with the PRNG
@@ -148,31 +146,23 @@ func planAblationReplacement(o Opts) (*Plan, error) {
 	if o.Quick {
 		n = 200000
 	}
-	policies := []struct {
-		name string
-		mk   func(seed uint64) cache.Policy
-	}{
-		{"skylake (srrip+distant-mix)", func(s uint64) cache.Policy { return cache.NewSkylakeLLC(s) }},
-		{"srrip", func(s uint64) cache.Policy { return cache.NewRRIP(cache.SRRIP, s) }},
-		{"brrip", func(s uint64) cache.Policy { return cache.NewRRIP(cache.BRRIP, s) }},
-		{"drrip", func(s uint64) cache.Policy { return cache.NewRRIP(cache.DRRIP, s) }},
-		{"lru", func(uint64) cache.Policy { return cache.NewLRU() }},
-		{"random", func(s uint64) cache.Policy { return cache.NewRandom(s) }},
+	policies := []struct{ label, policy string }{
+		{"skylake (srrip+distant-mix)", "skylake"},
+		{"srrip", "srrip"},
+		{"brrip", "brrip"},
+		{"drrip", "drrip"},
+		{"lru", "lru"},
+		{"random", "random"},
 	}
 	var points []Point
 	for _, p := range policies {
 		points = append(points, Point{
-			Label: p.name,
-			// The live cache.Policy makes the config ineligible for
-			// Engine.Run's store; the Out cache keys on the policy name.
-			Run: o.storedRun(fmt.Sprintf("ablation-replacement policy=%s bits=%d", p.name, n),
-				o.channelRun(func(rep int, seed uint64) core.Config {
-					cfg := core.DefaultConfig()
-					// The policy gets its own derived stream so its random
-					// choices stay decorrelated from the simulator's.
-					cfg.LLCPolicy = p.mk(rng.Derive(seed, 1))
-					return cfg
-				}, n)),
+			Label: p.label,
+			Run: o.channelRun(func(int, uint64) core.Config {
+				cfg := core.DefaultConfig()
+				cfg.LLCPolicy = p.policy
+				return cfg
+			}, n),
 		})
 	}
 	return &Plan{
@@ -187,7 +177,7 @@ func planAblationReplacement(o Opts) (*Plan, error) {
 				},
 			}
 			for i, p := range policies {
-				t.Rows = append(t.Rows, []string{p.name, pct(summarize(res[i], cmErr))})
+				t.Rows = append(t.Rows, []string{p.label, pct(summarize(res[i], cmErr))})
 			}
 			return t, nil
 		},

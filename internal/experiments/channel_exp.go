@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"streamline/internal/core"
-	"streamline/internal/pattern"
 )
 
 // planFig6 regenerates Figure 6: bit-error-rate versus a controlled
@@ -27,24 +26,20 @@ func planFig6(o Opts) (*Plan, error) {
 		for vi, vname := range variants {
 			points = append(points, Point{
 				Label: fmt.Sprintf("gap=%d %s", gap, vname),
-				// The naive variant installs a live pattern.Pattern, which
-				// Engine.Run's store cannot fingerprint; the Out cache keys
-				// on the variant name instead. The other variants are
-				// wrapped too so the whole figure warms uniformly.
-				Run: o.storedRun(fmt.Sprintf("fig6 gap=%d variant=%s bits=%d", gap, vname, bits), o.channelRun(func(int, uint64) core.Config {
+				Run: o.channelRun(func(int, uint64) core.Config {
 					cfg := core.DefaultConfig()
 					cfg.SyncPeriod = 0
 					cfg.GapClamp = gap
 					cfg.WarmupBytes = 0 // isolate the replacement effect
 					switch vi {
 					case 0:
-						cfg.Pattern = pattern.NewNaivePerPage(patternGeom())
+						cfg.NaivePattern = true
 						cfg.TrailingLag = 0
 					case 1:
 						cfg.TrailingLag = 0
 					}
 					return cfg
-				}, bits)),
+				}, bits),
 			})
 		}
 	}

@@ -5,19 +5,9 @@ import (
 
 	"streamline/internal/attacks"
 	"streamline/internal/core"
-	"streamline/internal/mem"
 	"streamline/internal/noise"
 	"streamline/internal/payload"
 )
-
-// patternGeom returns the 64B/4KB geometry every experiment machine uses.
-func patternGeom() mem.Geometry {
-	g, err := mem.NewGeometry(64, 4096)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
 
 // planFig10 regenerates Figure 10: Streamline's error rate while each
 // stress-ng-style cache stressor co-runs on an adjacent core, for

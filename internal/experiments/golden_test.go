@@ -119,7 +119,7 @@ func goldenPass(t *testing.T, axis string, e *core.Engine) {
 // per step over one directory. The cold pass (simulating and writing
 // back) and the warm pass share one store handle, so the warm pass is
 // served from the residency the write-back's Puts created; both reproduce
-// the committed bytes. So do a disabled-memory-tier handle (pure disk
+// the committed bytes, and the warm pass neither misses nor simulates. So do a disabled-memory-tier handle (pure disk
 // reads) and a fresh enabled-tier handle (cold memory filling from disk,
 // then resident serving) — memory tier on ≡ off ≡ golden. Last, every
 // entry is corrupted in place: each Get must quarantine and fall back to
@@ -139,10 +139,18 @@ func storeAxis(t *testing.T) {
 	}
 	written := mustOpen(resultstore.Options{})
 	goldenPass(t, "store-on cold", core.NewEngine(core.EngineOptions{Store: written}))
-	coldHits := written.Stats().MemHits
-	goldenPass(t, "store-on warm", core.NewEngine(core.EngineOptions{Store: written}))
-	if written.Stats().MemHits == coldHits {
+	cold := written.Stats()
+	warm := core.NewEngine(core.EngineOptions{Store: written})
+	goldenPass(t, "store-on warm", warm)
+	s := written.Stats()
+	if s.MemHits == cold.MemHits {
 		t.Error("store-on warm pass served nothing from the write-back's memory tier")
+	}
+	if s.Misses != cold.Misses {
+		t.Errorf("store-on warm pass missed the store %d times", s.Misses-cold.Misses)
+	}
+	if n := warm.Counters().Sims; n != 0 {
+		t.Errorf("store-on warm pass simulated %d runs, want 0", n)
 	}
 	goldenPass(t, "memory-tier-off", open(resultstore.Options{MemBytes: -1}))
 	memOn := open(resultstore.Options{})

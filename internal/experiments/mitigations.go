@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"streamline/internal/cache"
 	"streamline/internal/core"
 	"streamline/internal/defense"
 	"streamline/internal/noise"
-	"streamline/internal/rng"
 )
 
 // planMitigations evaluates the Section 7 defense strategies against
@@ -51,7 +49,7 @@ func planMitigations(o Opts) (*Plan, error) {
 			cfg.CamouflageAccesses = 3
 		}),
 		chanRun("random replacement", bits, func(cfg *core.Config, seed uint64) {
-			cfg.LLCPolicy = cache.NewRandom(rng.Derive(seed, 1))
+			cfg.LLCPolicy = "random"
 		}),
 		chanRun("random fill p=0.1", bits, func(cfg *core.Config, seed uint64) {
 			cfg.RandomFillProb = 0.1

@@ -1,9 +1,7 @@
 // Out-level result cache for experiment points that never reach
-// Engine.Run — attack baselines built directly on internal/attacks,
-// pattern- and policy-bound channel runs (core.Config carries a live
-// object the store cannot fingerprint), and raw hierarchy probes like
-// Table 1's miss-rate sweep. Engine.Run's own store path
-// (internal/core/store.go) serves the bulk of a warm `-exp all`; this
+// Engine.Run: attack baselines built directly on internal/attacks and raw
+// hierarchy probes like Table 1's miss-rate sweep. Every channel run goes
+// through Engine.Run's own store path (internal/core/store.go); this
 // layer covers the remainder, through the same handle (Opts.Engine's
 // Store), so the whole sweep completes without simulating.
 //

@@ -12,7 +12,6 @@ package hier
 import (
 	"fmt"
 
-	"streamline/internal/cache"
 	"streamline/internal/mem"
 	"streamline/internal/prefetch"
 )
@@ -183,14 +182,4 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 	copy(h.ServedPerCore, src.ServedPerCore)
 	h.SkippedFills = src.SkippedFills
 	h.opt.Seed = src.opt.Seed
-}
-
-// LifecycleOK reports whether Reset and Clone are available for this
-// hierarchy (no caller-supplied LLC policy outside the lifecycle).
-func (h *Hierarchy) LifecycleOK() bool {
-	if h.opt.LLCPolicy == nil {
-		return true
-	}
-	_, ok := h.opt.LLCPolicy.(cache.Lifecycle)
-	return ok
 }
