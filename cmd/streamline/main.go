@@ -243,7 +243,7 @@ func dumpTrace(path string, sent []byte, res *core.Result) error {
 		if direct {
 			level = names[res.LevelTrace[i]]
 		}
-		fmt.Fprintf(w, "%d,%d,%d,%s\n", i, sent[i], res.Decoded[i], level)
+		fmt.Fprintf(w, "%d,%d,%d,%s\n", i, sent[i], res.Decoded.At(i), level)
 	}
 	return w.Flush()
 }

@@ -53,8 +53,10 @@ type Result struct {
 	// SyncWaits and SyncTimeouts count epoch-boundary waits and fail-safe
 	// resumes.
 	SyncWaits, SyncTimeouts uint64
-	// Decoded is the recovered payload bit vector.
-	Decoded []byte
+	// Decoded is the recovered payload, packed 8 bits per byte: Decoded.At(i)
+	// is payload bit i as the receiver decoded it, and Decoded.Bytes() is
+	// the received payload bytes when PayloadBits is a multiple of 8.
+	Decoded payload.Bits
 	// ReceiverLevels counts the receiver's decoded loads by serving level
 	// (L1, L2, LLC, DRAM).
 	ReceiverLevels [4]uint64
@@ -384,11 +386,11 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 		res.ECCStats = eccRes
 		decoded = decoded[:len(payloadBits)]
 	}
-	res.Decoded = decoded
 	res.Errors, err = stats.Compare(payloadBits, decoded)
 	if err != nil {
 		return nil, err
 	}
+	res.Decoded = payload.Pack(decoded)
 
 	secs := float64(res.Cycles) / (float64(cfg.Machine.FreqMHz) * 1e6)
 	if secs > 0 {
@@ -401,9 +403,7 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 		e.memoStore(key, res)
 	}
 	if st != nil {
-		// Best-effort write-back: the entry is an optimization for later
-		// readers.
-		st.Put(key, encodeResult(res))
+		e.storePut(key, res)
 	}
 	return res, nil
 }

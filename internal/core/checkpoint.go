@@ -395,7 +395,7 @@ func cloneSlice[T any](s []T) []T {
 // copy must DeepEqual a freshly computed Result exactly.
 func cloneResult(r *Result) *Result {
 	c := *r
-	c.Decoded = cloneSlice(r.Decoded)
+	c.Decoded = r.Decoded.Clone()
 	c.GapSamples = cloneSlice(r.GapSamples)
 	c.LevelTrace = cloneSlice(r.LevelTrace)
 	c.CoreServed = cloneSlice(r.CoreServed)
@@ -405,6 +405,6 @@ func cloneResult(r *Result) *Result {
 
 // resultBytes estimates a Result's retained size for the memo budget.
 func resultBytes(r *Result) int {
-	return len(r.Decoded) + len(r.LevelTrace) +
+	return len(r.Decoded.Bytes()) + len(r.LevelTrace) +
 		16*len(r.GapSamples) + 32*len(r.CoreServed) + 256
 }

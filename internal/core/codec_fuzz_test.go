@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"streamline/internal/hier"
+	"streamline/internal/payload"
 )
 
 // FuzzDecodeResult pins the Result codec's contracts on arbitrary input:
@@ -13,9 +14,9 @@ import (
 // valid encodings of a full, a zero and an empty-slices Result, and every
 // corruptResults variant.
 func FuzzDecodeResult(f *testing.F) {
-	f.Add(encodeResult(fullResult()))
-	f.Add(encodeResult(&Result{}))
-	f.Add(encodeResult(&Result{GapSamples: []GapSample{}, Decoded: []byte{}, Counters: []hier.CounterWindow{{}}}))
+	f.Add(encoded(fullResult()))
+	f.Add(encoded(&Result{}))
+	f.Add(encoded(&Result{GapSamples: []GapSample{}, Decoded: payload.Pack([]byte{}), Counters: []hier.CounterWindow{{}}}))
 	for _, raw := range corruptResults() {
 		f.Add(raw)
 	}
@@ -24,7 +25,11 @@ func FuzzDecodeResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := encodeResult(r); !bytes.Equal(again, raw) {
+		again, err := encodeResult(r)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, raw) {
 			t.Fatalf("accepted payload does not re-encode to its own bytes\n got %x\nwant %x", again, raw)
 		}
 	})

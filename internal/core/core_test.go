@@ -69,8 +69,8 @@ func TestRoundTripLowError(t *testing.T) {
 	if r := res.Errors.Rate(); r > 0.03 {
 		t.Fatalf("error rate %.3f too high", r)
 	}
-	if len(res.Decoded) != len(bits) {
-		t.Fatalf("decoded length %d != %d", len(res.Decoded), len(bits))
+	if res.Decoded.Len() != len(bits) {
+		t.Fatalf("decoded length %d != %d", res.Decoded.Len(), len(bits))
 	}
 }
 
@@ -336,7 +336,7 @@ func TestDecodedPayloadMatchesModuloErrors(t *testing.T) {
 	res := run(t, testConfig(), bits)
 	diff := 0
 	for i := range bits {
-		if bits[i] != res.Decoded[i] {
+		if bits[i] != res.Decoded.At(i) {
 			diff++
 		}
 	}
@@ -397,8 +397,8 @@ func TestPreambleBurnsTransient(t *testing.T) {
 	if wr.ChannelBits != 20000+8192 {
 		t.Fatalf("channel bits %d, want payload+preamble", wr.ChannelBits)
 	}
-	if len(wr.Decoded) != len(bits) {
-		t.Fatalf("decoded length %d", len(wr.Decoded))
+	if wr.Decoded.Len() != len(bits) {
+		t.Fatalf("decoded length %d", wr.Decoded.Len())
 	}
 }
 

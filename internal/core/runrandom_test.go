@@ -176,9 +176,10 @@ func TestRunRandomMatchesRun(t *testing.T) {
 // TestRunRandomServedAllocs pins that a store hit never builds the payload:
 // beyond reading and decoding the stored entry, a served 1M-bit RunRandom
 // allocates less than the n/8 bytes a packed bits key alone would take
-// (and far less than the n-byte payload), and simulates nothing. The
-// entry's decoded Result holds an n-byte Decoded vector, so the read itself
-// is measured and subtracted rather than bounded.
+// (and far less than the n-byte payload), and simulates nothing. The read
+// itself is measured and subtracted, and bounded too: the entry's Decoded
+// is kept packed, so decoding it copies n/8 bytes, under n/4 in all, where
+// a one-byte-per-bit vector would take n.
 func TestRunRandomServedAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-bit channel run")
@@ -211,6 +212,9 @@ func TestRunRandomServedAllocs(t *testing.T) {
 	served := allocs(func() { runRandom(t, e, cfg, seed, n) })
 	if c := e.Counters(); c.Sims != before.Sims || c.StoreHits != before.StoreHits+1 {
 		t.Errorf("served RunRandom was not a store hit: %+v -> %+v", before, c)
+	}
+	if read >= n/4 {
+		t.Errorf("store read allocated %d bytes, want < %d", read, n/4)
 	}
 	if served > read && served-read >= n/8 {
 		t.Errorf("served RunRandom allocated %d bytes beyond the %d-byte store read, want < %d",

@@ -25,12 +25,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"streamline/internal/dram"
 	"streamline/internal/hier"
+	"streamline/internal/payload"
 	"streamline/internal/resultstore"
 	"streamline/internal/stats"
 )
@@ -40,8 +40,9 @@ import (
 // layout change — must bump it, which retires every old entry by changing
 // its key rather than risking a misdecode. v2 packed the payload 8 bits
 // per hashed byte (see payloadKeyBits); v3 added NaivePattern and
-// LLCPolicy.
-const storeKeySchema = "streamline-core-result-v3"
+// LLCPolicy; v4 stores Decoded packed 8 bits per byte and LevelTrace at 2
+// bits per level.
+const storeKeySchema = "streamline-core-result-v4"
 
 // storeKey derives the content address for one Run: an explicit
 // field-by-field canonical encoding of everything that steers the
@@ -193,28 +194,8 @@ func (e *enc) payloadKeyBits(p []byte) {
 	mark := len(e.b)
 	e.b = append(e.b, payloadFormPacked)
 	e.i(len(p)) // length in bits (so a packed tail byte cannot alias a shorter payload)
-	// Eight bytes per step: the multiplier gathers each byte's low bit
-	// into the product's top byte (bit k of the result is byte k's low
-	// bit; the contributions land on distinct bit positions, so no
-	// carries). bad accumulates any bit outside the low bit of each byte.
-	var bad uint64
-	const low = 0x0101010101010101
-	i := 0
-	for ; i+8 <= len(p); i += 8 {
-		w := binary.LittleEndian.Uint64(p[i:])
-		bad |= w &^ low
-		e.b = append(e.b, byte((w*0x0102040810204080)>>56))
-	}
-	if i < len(p) {
-		var tail byte
-		for j := 0; i+j < len(p); j++ {
-			b := p[i+j]
-			bad |= uint64(b &^ 1)
-			tail |= (b & 1) << j
-		}
-		e.b = append(e.b, tail)
-	}
-	if bad != 0 {
+	var ok bool
+	if e.b, ok = payload.AppendPacked(e.b, p); !ok {
 		e.b = e.b[:mark]
 		e.b = append(e.b, payloadFormRaw)
 		e.bytes(p)
@@ -237,15 +218,28 @@ func (e *Engine) storeLookup(key resultstore.Key) *Result {
 	return nil
 }
 
+// storePut writes a computed Result back under key. The write-back is
+// best-effort, an optimization for later readers: a Result the codec cannot
+// encode (a LevelTrace level above 3) is not written, and the run that
+// produced it returns it all the same.
+func (e *Engine) storePut(key resultstore.Key, res *Result) {
+	if raw, err := encodeResult(res); err == nil {
+		e.opt.Store.Put(key, raw)
+	}
+}
+
 // --- Result codec ---------------------------------------------------------
 
 // encodeResult serializes a Result into the store payload form decodeResult
 // reverses. Field order is fixed; slices carry an explicit nil flag so a
-// decoded Result DeepEquals the original exactly. The statetest audit in
-// store_test.go pins the field list: a new Result field fails the audit
-// until it is added here, to decodeResult, and the schema tag is bumped.
-func encodeResult(r *Result) []byte {
-	e := newEnc(256 + len(r.Decoded) + len(r.LevelTrace))
+// decoded Result DeepEquals the original exactly. Decoded goes on the wire
+// as its packed bytes and LevelTrace at 2 bits per level (DESIGN.md §9
+// "Result codec"); a level above 3 has no 2-bit form and is an error. The
+// statetest audit in store_test.go pins the field list: a new Result field
+// fails the audit until it is added here, to decodeResult, and the schema
+// tag is bumped.
+func encodeResult(r *Result) ([]byte, error) {
+	e := newEnc(256 + len(r.Decoded.Bytes()) + len(r.LevelTrace)/4)
 	e.i(r.PayloadBits)
 	e.i(r.ChannelBits)
 	e.u64(r.Cycles)
@@ -264,7 +258,7 @@ func encodeResult(r *Result) []byte {
 	}
 	e.u64(r.SyncWaits)
 	e.u64(r.SyncTimeouts)
-	e.nilableBytes(r.Decoded)
+	e.packedBits(r.Decoded)
 	for _, v := range r.ReceiverLevels {
 		e.u64(v)
 	}
@@ -277,7 +271,9 @@ func encodeResult(r *Result) []byte {
 	e.f64(r.BurstSingleFrac01)
 	e.f64(r.BurstSingleFrac10)
 	e.i(r.MaxBurst01)
-	e.nilableBytes(r.LevelTrace)
+	if err := e.levels(r.LevelTrace); err != nil {
+		return nil, err
+	}
 	e.sliceHdr(len(r.Counters), r.Counters == nil)
 	for _, w := range r.Counters {
 		e.sliceHdr(len(w.PerCore), w.PerCore == nil)
@@ -287,7 +283,7 @@ func encodeResult(r *Result) []byte {
 			}
 		}
 	}
-	return e.b
+	return e.b, nil
 }
 
 // decodeResult reverses encodeResult, validating every length against the
@@ -316,7 +312,7 @@ func decodeResult(raw []byte) (*Result, error) {
 	}
 	r.SyncWaits = d.u64()
 	r.SyncTimeouts = d.u64()
-	r.Decoded = d.nilableBytes()
+	r.Decoded = d.packedBits()
 	for i := range r.ReceiverLevels {
 		r.ReceiverLevels[i] = d.u64()
 	}
@@ -331,7 +327,7 @@ func decodeResult(raw []byte) (*Result, error) {
 	r.BurstSingleFrac01 = d.f64()
 	r.BurstSingleFrac10 = d.f64()
 	r.MaxBurst01 = d.i()
-	r.LevelTrace = d.nilableBytes()
+	r.LevelTrace = d.levels()
 	if n, isNil := d.sliceHdr(1); !isNil {
 		r.Counters = make([]hier.CounterWindow, n)
 		for i := range r.Counters {
@@ -390,9 +386,30 @@ func (e *enc) sliceHdr(n int, isNil bool) {
 	e.i(n)
 }
 
-func (e *enc) nilableBytes(p []byte) {
-	e.sliceHdr(len(p), p == nil)
+// packedBits writes a packed bit vector: its nil flag, its length in bits,
+// then its ceil(n/8) packed bytes.
+func (e *enc) packedBits(x payload.Bits) {
+	p := x.Bytes()
+	e.sliceHdr(x.Len(), p == nil)
 	e.b = append(e.b, p...)
+}
+
+// levels writes a serving-level trace: its nil flag and length, then the
+// levels at 2 bits each, four per byte, low bits first, with the unused
+// bits of the last byte zero.
+func (e *enc) levels(t []byte) error {
+	e.sliceHdr(len(t), t == nil)
+	for i := 0; i < len(t); i += 4 {
+		var b byte
+		for j, v := range t[i:min(i+4, len(t))] {
+			if v > 3 {
+				return fmt.Errorf("core: result codec: level %d at index %d has no 2-bit form", v, i+j)
+			}
+			b |= v << (2 * j)
+		}
+		e.b = append(e.b, b)
+	}
+	return nil
 }
 
 func (e *enc) breakdown(b *stats.ErrorBreakdown) {
@@ -464,18 +481,60 @@ func (d *dec) sliceHdr(elemSize int) (n int, isNil bool) {
 	return n, isNil
 }
 
-func (d *dec) nilableBytes() []byte {
-	n, isNil := d.sliceHdr(1)
+// packed returns the ceil(n/perByte) input bytes holding n packed
+// elements. The slice aliases the input: a decoded Result must copy what it
+// keeps, since the input may be the store's shared memory-tier copy.
+func (d *dec) packed(n, perByte int) []byte {
+	nb := n / perByte
+	if n%perByte != 0 {
+		nb++
+	}
+	if nb > len(d.b)-d.off {
+		d.fail("%d packed elements run past the input at offset %d", n, d.off)
+		return nil
+	}
+	p := d.b[d.off : d.off+nb]
+	d.off += nb
+	return p
+}
+
+// packedBits reads what enc.packedBits wrote. Nonzero padding bits are
+// rejected, so every vector has exactly one valid encoding.
+func (d *dec) packedBits() payload.Bits {
+	n, isNil := d.sliceHdr(0)
+	if isNil || d.err != nil {
+		return payload.Bits{}
+	}
+	p := d.packed(n, 8)
+	if d.err != nil {
+		return payload.Bits{}
+	}
+	x, err := payload.FromPacked(n, append([]byte{}, p...))
+	if err != nil {
+		d.fail("%v at offset %d", err, d.off)
+	}
+	return x
+}
+
+// levels reads what enc.levels wrote, rejecting nonzero padding bits.
+func (d *dec) levels() []byte {
+	n, isNil := d.sliceHdr(0)
 	if isNil || d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.b) {
-		d.fail("truncated bytes at offset %d", d.off)
+	p := d.packed(n, 4)
+	if d.err != nil {
 		return nil
 	}
-	p := append([]byte{}, d.b[d.off:d.off+n]...)
-	d.off += n
-	return p
+	if r := n % 4; r != 0 && p[len(p)-1]>>(2*r) != 0 {
+		d.fail("nonzero level padding at offset %d", d.off-1)
+		return nil
+	}
+	t := make([]byte, n)
+	for i := range t {
+		t[i] = p[i>>2] >> (2 * (i & 3)) & 3
+	}
+	return t
 }
 
 func (d *dec) breakdown(b *stats.ErrorBreakdown) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,7 +22,9 @@ import (
 )
 
 // fullResult returns a Result with every field populated (non-zero, non-nil)
-// so a codec that drops a field cannot round-trip it.
+// so a codec that drops a field cannot round-trip it. Decoded (13 bits) and
+// LevelTrace (5 levels) both end part-way through their last packed byte,
+// so the padding rules are exercised.
 func fullResult() *Result {
 	return &Result{
 		PayloadBits: 4000, ChannelBits: 4500, Cycles: 987654,
@@ -34,12 +37,12 @@ func fullResult() *Result {
 			{Bits: 1000, Gap: 800}, {Bits: 2000, Gap: -5},
 		},
 		SyncWaits: 3, SyncTimeouts: 1,
-		Decoded:           []byte{1, 0, 1, 1, 0},
+		Decoded:           payload.Pack([]byte{1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1}),
 		ReceiverLevels:    [4]uint64{10, 20, 30, 40},
 		CoreServed:        [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		BurstSingleFrac01: 0.75, BurstSingleFrac10: 0.5,
 		MaxBurst01: 9,
-		LevelTrace: []byte{0, 1, 2, 3},
+		LevelTrace: []byte{0, 1, 2, 3, 2},
 		Counters: []hier.CounterWindow{
 			{PerCore: [][4]uint64{{9, 8, 7, 6}, {5, 4, 3, 2}}},
 			{PerCore: [][4]uint64{{1, 1, 1, 1}, {2, 2, 2, 2}}},
@@ -52,13 +55,13 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		"full": fullResult(),
 		"zero": {},
 		"empty non-nil slices": {
-			GapSamples: []GapSample{}, Decoded: []byte{},
+			GapSamples: []GapSample{}, Decoded: payload.Pack([]byte{}),
 			CoreServed: [][4]uint64{}, LevelTrace: []byte{},
 			Counters: []hier.CounterWindow{{PerCore: [][4]uint64{}}, {}},
 		},
 	}
 	for name, r := range cases {
-		got, err := decodeResult(encodeResult(r))
+		got, err := decodeResult(encoded(r))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
@@ -80,23 +83,65 @@ func TestResultCodecFieldAudit(t *testing.T) {
 		"Counters")
 }
 
+// encoded is encodeResult for a Result known to be encodable.
+func encoded(r *Result) []byte {
+	raw, err := encodeResult(r)
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
+// TestResultEncodeRejectsLevelAbove3: a serving level above 3 has no 2-bit
+// wire form, so encodeResult refuses it rather than truncate it, and the
+// write-back skips such a Result instead of storing a wrong one.
+func TestResultEncodeRejectsLevelAbove3(t *testing.T) {
+	r := fullResult()
+	r.LevelTrace[2] = 4
+	if _, err := encodeResult(r); err == nil {
+		t.Fatal("encodeResult accepted level 4")
+	}
+	st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(EngineOptions{Store: st})
+	key := cfgKey(DefaultConfig())
+	e.storePut(key, r)
+	if s := st.Stats(); s.Writes != 0 || s.WriteErrors != 0 || s.Entries != 0 {
+		t.Errorf("unencodable Result reached the store: %+v", s)
+	}
+	r.LevelTrace[2] = 3
+	e.storePut(key, r)
+	if s := st.Stats(); s.Writes != 1 || s.Entries != 1 {
+		t.Errorf("encodable Result not written: %+v", s)
+	}
+}
+
 // corruptResults builds, from the encoding of fullResult, each kind of
 // structural damage the Result codec must reject. TestResultCodecRejectsCorrupt
 // checks every one is rejected, and FuzzDecodeResult starts from them.
 func corruptResults() map[string][]byte {
-	good := encodeResult(fullResult())
+	good := encoded(fullResult())
 	edit := func(fn func(b []byte) []byte) []byte {
 		return fn(append([]byte(nil), good...))
 	}
-	// Locate the GapSamples slice header (nil flag, then length) by
-	// diffing against an encoding that differs only in that flag.
-	noGaps := fullResult()
-	noGaps.GapSamples = nil
-	other := encodeResult(noGaps)
-	flag := 0
-	for good[flag] == other[flag] {
-		flag++
+	// headerAt locates a slice header (nil flag, then length) by diffing
+	// against an encoding that differs only in that field being nil; the
+	// packed bytes follow the 9-byte header.
+	headerAt := func(drop func(r *Result)) int {
+		r := fullResult()
+		drop(r)
+		other := encoded(r)
+		at := 0
+		for good[at] == other[at] {
+			at++
+		}
+		return at
 	}
+	flag := headerAt(func(r *Result) { r.GapSamples = nil })
+	bits := headerAt(func(r *Result) { r.Decoded = payload.Bits{} })
+	levels := headerAt(func(r *Result) { r.LevelTrace = nil })
 	return map[string][]byte{
 		"truncated": good[:len(good)-3],
 		"trailing":  edit(func(b []byte) []byte { return append(b, 0) }),
@@ -109,6 +154,16 @@ func corruptResults() map[string][]byte {
 			}
 			return b
 		}),
+		// Decoded holds 13 bits in 2 bytes: bits 5-7 of the second are
+		// padding and must be zero.
+		"nonzero bit padding": edit(func(b []byte) []byte { b[bits+10] |= 0x80; return b }),
+		"bit count past input": edit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[bits+1:], uint64(8*len(b)))
+			return b
+		}),
+		// LevelTrace holds 5 levels in 2 bytes: the second carries one
+		// level, so any value of 4 or more sets padding bits.
+		"level byte above 3": edit(func(b []byte) []byte { b[levels+10] |= 4; return b }),
 	}
 }
 

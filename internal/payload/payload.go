@@ -4,7 +4,9 @@
 //
 // Bit vectors use one byte per bit with values 0 or 1: the simulator
 // inspects and compares individual bits constantly, and the flat encoding
-// keeps that cheap and obvious.
+// keeps that cheap and obvious. Bits is the packed form, 8 bits per byte,
+// for vectors that are kept rather than worked on (a run's decoded
+// payload, cached and stored with its Result).
 package payload
 
 import (

@@ -40,7 +40,10 @@ import (
 // knob. DefaultConfig returns the paper's evaluation setup.
 type Config = core.Config
 
-// Result reports a channel run: bit-rate, error breakdown, gap statistics.
+// Result reports a channel run: bit-rate, error breakdown, gap statistics,
+// and the decoded payload. Result.Decoded is a packed payload.Bits, 8 bits
+// per byte: read bit i with Decoded.At(i), the received bytes with
+// Decoded.Bytes(), or a one-byte-per-bit vector with Decoded.Unpack().
 type Result = core.Result
 
 // Machine describes a simulated platform.
@@ -73,7 +76,7 @@ func Run(cfg Config, payloadBits []byte) (*Result, error) {
 type Transfer struct {
 	// Received is the payload as decoded by the receiver (same length as
 	// the input; residual channel errors may flip bits unless ECC fully
-	// corrected them).
+	// corrected them). It shares storage with Result.Decoded.
 	Received []byte
 	// Result is the underlying channel measurement.
 	Result *Result
@@ -96,7 +99,7 @@ func Send(cfg Config, data []byte) (*Transfer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Transfer{Received: payload.ToBytes(res.Decoded), Result: res}, nil
+	return &Transfer{Received: res.Decoded.Bytes(), Result: res}, nil
 }
 
 // Skylake returns the paper's evaluation platform (Intel Xeon E3-1270 v5).

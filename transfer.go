@@ -86,7 +86,7 @@ func SendReliable(cfg Config, data []byte, opt ReliableOptions) (*ReliableResult
 		}
 		res.ChannelBits += run.ChannelBits
 		res.Cycles += run.Cycles
-		got := payload.ToBytes(run.Decoded)
+		got := run.Decoded.Bytes()
 
 		pending = reassemble(res.Received, data, got, pending, opt.BlockBytes)
 		for _, id := range pending {
