@@ -551,36 +551,46 @@ func (p *RRIP) OnInsertPrefetch(s, w int) {
 }
 
 // Victim implements Policy: find an age-3 line scanning from the rotating
-// pointer, incrementing all ages until one exists. The scan wraps with a
-// compare-and-reset rather than a modulo; the visit order is identical.
+// pointer, incrementing all ages until one exists. The byte layout scans
+// and wraps with a compare-and-reset rather than a modulo; the packed
+// layout computes the same answer in closed form.
 //
 //detlint:hotpath
 func (p *RRIP) Victim(s int) int {
 	if p.agePk != nil {
-		// Packed layout: the set's ages live in one register for the whole
-		// scan, and the aging round is a single add — every age is below
-		// maxAge when it runs, so no 2-bit field can carry into its
-		// neighbour. Scan order and rotation match the byte layout exactly.
+		// Packed layout: a field is at maxAge when both its bits are set.
+		// If none is, a scan loop would age every line until the oldest
+		// reached maxAge: (3 - oldest) rounds of one incMask add each, and
+		// no field can carry because every age is below maxAge. One add of
+		// the summed rounds leaves the same word. The victim is the first max-age way
+		// at or after the rotating pointer, wrapping to way 0.
 		word := p.agePk[s]
-		for {
-			w := int(p.ptr[s])
-			for i := 0; i < p.ways; i++ {
-				if word>>(2*uint(w))&3 == maxAge {
-					next := w + 1
-					if next == p.ways {
-						next = 0
-					}
-					p.ptr[s] = uint16(next)
-					return w
-				}
-				w++
-				if w == p.ways {
-					w = 0
-				}
+		inc := p.incMask
+		old := word & (word >> 1) & inc
+		if old == 0 {
+			switch {
+			case word>>1&inc != 0: // oldest age 2
+				word += inc
+			case word&inc != 0: // oldest age 1
+				word += 2 * inc
+			default:
+				word += 3 * inc
 			}
-			word += p.incMask
 			p.agePk[s] = word
+			old = word & (word >> 1) & inc
 		}
+		w := int(p.ptr[s])
+		if ahead := old >> (2 * uint(w)); ahead != 0 {
+			w += bits.TrailingZeros64(ahead) / 2
+		} else {
+			w = bits.TrailingZeros64(old) / 2
+		}
+		next := w + 1
+		if next == p.ways {
+			next = 0
+		}
+		p.ptr[s] = uint16(next)
+		return w
 	}
 	base := s * p.ways
 	for {

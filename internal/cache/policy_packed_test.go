@@ -105,3 +105,65 @@ func TestRRIPHitToZeroPackedMatches(t *testing.T) {
 		}
 	}
 }
+
+// victimLoopRef is the packed Victim's former round-by-round scan, kept as
+// the reference for the closed form: it returns the victim way, the set's
+// age word afterwards and the next scan pointer.
+func victimLoopRef(word uint64, ptr, ways int, incMask uint64) (victim int, after uint64, next int) {
+	for {
+		w := ptr
+		for i := 0; i < ways; i++ {
+			if word>>(2*uint(w))&3 == maxAge {
+				next := w + 1
+				if next == ways {
+					next = 0
+				}
+				return w, word, next
+			}
+			w++
+			if w == ways {
+				w = 0
+			}
+		}
+		word += incMask
+	}
+}
+
+// checkVictimClosedForm loads word and ptr into set 0 of an attached
+// packed RRIP and compares Victim with the reference loop.
+func checkVictimClosedForm(t *testing.T, p *RRIP, word uint64, ptr int) {
+	t.Helper()
+	p.agePk[0], p.ptr[0] = word, uint16(ptr)
+	wantW, wantWord, wantNext := victimLoopRef(word, ptr, p.ways, p.incMask)
+	if got := p.Victim(0); got != wantW || p.agePk[0] != wantWord || int(p.ptr[0]) != wantNext {
+		t.Fatalf("ways=%d word=%#x ptr=%d: victim %d word %#x next %d, reference %d %#x %d",
+			p.ways, word, ptr, got, p.agePk[0], p.ptr[0], wantW, wantWord, wantNext)
+	}
+}
+
+// TestRRIPVictimClosedFormMatchesLoop checks the packed Victim against the
+// aging loop it replaced: exhaustively over every 8-way age word and scan
+// pointer, then on random words for the wider packed associativities.
+func TestRRIPVictimClosedFormMatchesLoop(t *testing.T) {
+	p := NewRRIP(SRRIP, 1)
+	p.Attach(1, 8)
+	for word := uint64(0); word < 1<<16; word++ {
+		for ptr := 0; ptr < 8; ptr++ {
+			checkVictimClosedForm(t, p, word, ptr)
+		}
+	}
+	x := rng.New(5)
+	for _, ways := range []int{1, 2, 3, 12, 16, 31, 32} {
+		p := NewRRIP(SRRIP, 1)
+		p.Attach(1, ways)
+		used := allAges(ways, maxAge)
+		for i := 0; i < 200_000; i++ {
+			word := x.Uint64() & used
+			if i%4 == 0 {
+				// Ages 0-2 only, so the aging branch runs.
+				word &^= word & (word >> 1) & p.incMask
+			}
+			checkVictimClosedForm(t, p, word, x.Intn(ways))
+		}
+	}
+}

@@ -251,6 +251,11 @@ func (c *Config) validate() error {
 	if c.CamouflageAccesses < 0 {
 		return fmt.Errorf("core: negative camouflage accesses")
 	}
+	if c.DRAM != nil {
+		if err := c.DRAM.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
 	if c.Quota != nil && c.PartitionWays > 0 {
 		return fmt.Errorf("core: Quota and PartitionWays are mutually exclusive")
 	}

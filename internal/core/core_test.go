@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"streamline/internal/dram"
 	"streamline/internal/ecc"
 	"streamline/internal/noise"
 	"streamline/internal/params"
@@ -44,6 +45,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"sync lead>per": func(c *Config) { c.SyncLead = c.SyncPeriod + 1 },
 		"bad machine":   func(c *Config) { c.Machine = params.SkylakeE3(); c.Machine.FreqMHz = 0 },
 		"llc policy":    func(c *Config) { c.LLCPolicy = "bogus" },
+		"dram banks":    func(c *Config) { d := dram.DefaultConfig(); d.Banks = 12; c.DRAM = &d },
+		"dram row":      func(c *Config) { d := dram.DefaultConfig(); d.RowBytes = 6000; c.DRAM = &d },
 	} {
 		cfg := testConfig()
 		mutate(&cfg)

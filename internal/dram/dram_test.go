@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"streamline/internal/mem"
+	"streamline/internal/rng"
 )
 
 func TestNewPanicsOnBadBanks(t *testing.T) {
@@ -15,6 +16,56 @@ func TestNewPanicsOnBadBanks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Banks = 3
 	New(cfg, 1)
+}
+
+func TestValidateGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		banks, rowBytes int
+		ok              bool
+	}{
+		{16, 8192, true},
+		{1, 1, true},
+		{3, 8192, false},
+		{0, 8192, false},
+		{16, 0, false},
+		{16, -8192, false},
+		{16, 6144, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Banks, cfg.RowBytes = tc.banks, tc.rowBytes
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("Banks %d RowBytes %d: Validate() = %v, want ok=%v", tc.banks, tc.rowBytes, err, tc.ok)
+		}
+		func() {
+			defer func() {
+				if panicked := recover() != nil; panicked == tc.ok {
+					t.Errorf("Banks %d RowBytes %d: New panicked=%v, want %v", tc.banks, tc.rowBytes, panicked, !tc.ok)
+				}
+			}()
+			New(cfg, 1)
+		}()
+	}
+}
+
+// TestRowOfMatchesDivision checks the precomputed shift against the
+// division it replaced, for every power-of-two row span.
+func TestRowOfMatchesDivision(t *testing.T) {
+	x := rng.New(3)
+	for sh := 0; sh < 31; sh++ {
+		cfg := DefaultConfig()
+		cfg.RowBytes = 1 << sh
+		m := New(cfg, 1)
+		addrs := []uint64{0, 1, uint64(cfg.RowBytes) - 1, uint64(cfg.RowBytes), uint64(cfg.RowBytes) + 1,
+			mem.MaxAddrSpace - 1, mem.MaxAddrSpace, 1<<63 - 1}
+		for i := 0; i < 10000; i++ {
+			addrs = append(addrs, x.Uint64()&(1<<63-1))
+		}
+		for _, a := range addrs {
+			if got, want := m.rowOf(mem.Addr(a)), int64(a/uint64(cfg.RowBytes)); got != want {
+				t.Fatalf("RowBytes %d: rowOf(%#x) = %d, want %d", cfg.RowBytes, a, got, want)
+			}
+		}
+	}
 }
 
 func TestMeanLatencyNearPaper(t *testing.T) {

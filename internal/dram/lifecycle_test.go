@@ -63,6 +63,6 @@ func TestModelCopyFrom(t *testing.T) {
 
 func TestModelFieldAudit(t *testing.T) {
 	statetest.Fields(t, Model{},
-		"cfg", "x", "bankMask", "rowOpen", "bankFree", "bankLastUse", "chanFree",
+		"cfg", "x", "bankMask", "rowShift", "rowOpen", "bankFree", "bankLastUse", "chanFree",
 		"Accesses", "RowHits", "RowMisses", "Conflicts", "FastTails")
 }

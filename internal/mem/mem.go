@@ -69,8 +69,11 @@ func (g Geometry) LineInPage(a Addr) int {
 	return int((uint64(a) & uint64(g.PageBytes-1)) >> uint(bits.TrailingZeros64(uint64(g.LineBytes))))
 }
 
-// LinesPerPage returns the number of cache lines per page.
-func (g Geometry) LinesPerPage() int { return g.PageBytes / g.LineBytes }
+// LinesPerPage returns the number of cache lines per page. Like LineOf it
+// relies on power-of-two sizes: the prefetchers ask on every observation.
+func (g Geometry) LinesPerPage() int {
+	return g.PageBytes >> uint(bits.TrailingZeros64(uint64(g.LineBytes)))
+}
 
 // Region is a contiguous span of the simulated address space, line-aligned.
 type Region struct {

@@ -44,6 +44,22 @@ func TestLineDecomposition(t *testing.T) {
 	}
 }
 
+// TestLinesPerPageMatchesDivision checks the shift against the division it
+// replaced over every geometry NewGeometry accepts up to 1 GiB pages.
+func TestLinesPerPageMatchesDivision(t *testing.T) {
+	for ls := 0; ls <= 30; ls++ {
+		for ps := ls; ps <= 30; ps++ {
+			g, err := NewGeometry(1<<ls, 1<<ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := g.LinesPerPage(), g.PageBytes/g.LineBytes; got != want {
+				t.Fatalf("line %d page %d: LinesPerPage = %d, want %d", g.LineBytes, g.PageBytes, got, want)
+			}
+		}
+	}
+}
+
 func TestLineAddrRoundTrip(t *testing.T) {
 	g := geom(t)
 	f := func(a uint64) bool {

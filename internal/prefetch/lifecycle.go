@@ -69,7 +69,7 @@ func (p *Streamer) CopyStateFrom(src Prefetcher) {
 	}
 	copy(p.pages, s.pages)
 	copy(p.meta, s.meta)
-	p.last = s.last
+	p.last, p.prev = s.last, s.prev
 	p.clock = s.clock
 }
 

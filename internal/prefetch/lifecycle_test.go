@@ -113,7 +113,7 @@ func TestPrefetchFieldAudits(t *testing.T) {
 	statetest.Fields(t, None{})
 	statetest.Fields(t, NextLine{}, "g", "last", "lastSet")
 	statetest.Fields(t, Streamer{},
-		"g", "pages", "meta", "last", "clock", "Window", "Degree", "ConfThreshold")
+		"g", "pages", "meta", "last", "prev", "clock", "Window", "Degree", "ConfThreshold")
 	statetest.Fields(t, streamMeta{}, "lastLip", "stride", "conf", "lru")
 	statetest.Fields(t, Stride{},
 		"g", "lastAddr", "lastSet", "delta", "conf", "Degree", "ConfThreshold")

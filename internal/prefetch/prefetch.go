@@ -114,9 +114,12 @@ type Streamer struct {
 	// last is the slot of the most recently observed page. Streaming
 	// workloads revisit one page dozens of times before moving on, so the
 	// hint usually answers the lookup with a single comparison instead of
-	// a scan of all tracked pages. Purely a lookup accelerator: a stale
+	// a scan of all tracked pages. prev is the slot last held before it,
+	// so a stream alternating between two pages (the channel's sender and
+	// receiver) also skips the scan. Purely lookup accelerators: a stale
 	// hint falls through to the scan, which gives the identical answer.
 	last  int
+	prev  int
 	clock uint32
 	// Window is the maximum |stride| (in lines) the streamer can learn.
 	// Intel's streamer keys on dense runs; 2 reproduces Table 1's x<=2
@@ -155,6 +158,7 @@ func (p *Streamer) Reset() {
 		p.meta[i] = streamMeta{}
 	}
 	p.last = 0
+	p.prev = 0
 	p.clock = 0
 }
 
@@ -173,7 +177,7 @@ func (p *Streamer) observe(addr mem.Addr, page uint64, lip int8, dst []mem.Addr)
 		i = p.victim()
 		p.pages[i] = page
 		p.meta[i] = streamMeta{lastLip: lip, lru: p.clock}
-		p.last = i
+		p.prev, p.last = p.last, i
 		return dst
 	}
 	e := &p.meta[i]
@@ -218,16 +222,21 @@ func (p *Streamer) observe(addr mem.Addr, page uint64, lip int8, dst []mem.Addr)
 	return dst
 }
 
-// lookup returns the slot tracking page, or -1. The last-observed-slot
-// hint is tried first; on a hint miss the scan touches only the 128-byte
-// page array, not the training metadata.
+// lookup returns the slot tracking page, or -1. The last and previous
+// observed slots are tried first; on a miss of both the scan touches only
+// the 128-byte page array, not the training metadata. A page occupies at
+// most one slot, so a hint hit is the slot the scan would find.
 func (p *Streamer) lookup(page uint64) int {
 	if p.pages[p.last] == page {
 		return p.last
 	}
+	if p.pages[p.prev] == page {
+		p.prev, p.last = p.last, p.prev
+		return p.last
+	}
 	for i, pg := range p.pages {
 		if pg == page {
-			p.last = i
+			p.prev, p.last = p.last, i
 			return i
 		}
 	}

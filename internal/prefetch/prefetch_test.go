@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"streamline/internal/mem"
+	"streamline/internal/rng"
+	"streamline/internal/statetest"
 )
 
 func g(t *testing.T) mem.Geometry {
@@ -296,4 +298,81 @@ func BenchmarkIntelLikeObserve(b *testing.B) {
 		cl := (14 + 3*(i/2)) % 64
 		buf = p.Observe(mem.Addr(pg*4096+cl*64), false, buf[:0])
 	}
+}
+
+// scanLookup is the hint-free lookup: the first slot tracking page, or -1.
+func scanLookup(p *Streamer, page uint64) int {
+	for i, pg := range p.pages {
+		if pg == page {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestStreamerHintsMatchScan drives two streamers with interleaved page
+// streams. Before every observation the reference has both hints pointed
+// at a slot that cannot match, so it always takes the scan; the hinted
+// streamer must propose the same lines and keep the same table, and it
+// must answer some lookups from prev.
+func TestStreamerHintsMatchScan(t *testing.T) {
+	geom := g(t)
+	for _, npages := range []int{2, 3, 5, 16, 17, 40} {
+		hinted, ref := NewStreamer(geom), NewStreamer(geom)
+		x := rng.New(uint64(npages))
+		lip := make([]int, npages)
+		var hb, rb []mem.Addr
+		prevHits, cur := 0, 0
+		for i := 0; i < 50_000; i++ {
+			switch x.Intn(8) {
+			case 0:
+				cur = x.Intn(npages) // jump to any page
+			case 1, 2, 3, 4:
+				cur = (cur + 1) % npages // rotate through the pages
+			case 5, 6:
+				cur = (cur + npages - 1) % npages // back to the previous page
+			}
+			lip[cur] = (lip[cur] + 1 + x.Intn(2)) % geom.LinesPerPage()
+			a := mem.Addr(cur*geom.PageBytes + lip[cur]*geom.LineBytes)
+			page := geom.PageOf(a)
+			if hinted.pages[hinted.last] != page && hinted.pages[hinted.prev] == page {
+				prevHits++
+			}
+			if j := scanLookup(ref, page); j >= 0 {
+				ref.last = (j + 1) % len(ref.pages)
+				ref.prev = ref.last
+			}
+			hb = hinted.Observe(a, false, hb[:0])
+			rb = ref.Observe(a, false, rb[:0])
+			statetest.Equal(t, "proposals", hb, rb)
+			statetest.Equal(t, "pages", hinted.pages, ref.pages)
+			statetest.Equal(t, "meta", hinted.meta, ref.meta)
+			if t.Failed() {
+				t.Fatalf("pages=%d: divergence at op %d", npages, i)
+			}
+		}
+		if prevHits == 0 {
+			t.Errorf("pages=%d: no lookup was answered by the prev hint", npages)
+		}
+	}
+}
+
+// TestStreamerHintLifecycle checks that Reset clears both hints and that
+// CopyStateFrom carries them, so a restored streamer is field-for-field
+// the one it was copied from.
+func TestStreamerHintLifecycle(t *testing.T) {
+	geom := g(t)
+	src := NewStreamer(geom)
+	var buf []mem.Addr
+	for _, pg := range []int{0, 1, 2, 1, 2, 1} {
+		buf = src.Observe(mem.Addr(pg*geom.PageBytes), false, buf[:0])
+	}
+	if src.last == 0 || src.prev == 0 {
+		t.Fatalf("hints not advanced: last %d prev %d", src.last, src.prev)
+	}
+	dst := NewStreamer(geom)
+	dst.CopyStateFrom(src)
+	statetest.Equal(t, "copied streamer", *dst, *src)
+	src.Reset()
+	statetest.Equal(t, "reset streamer", *src, *NewStreamer(geom))
 }

@@ -13,7 +13,10 @@
 // wall-clock time or global state.
 package rng
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // SplitMix64 is Steele et al.'s splitmix64 generator. The zero value is a
 // valid generator seeded with 0.
@@ -93,18 +96,8 @@ func (x *Xoshiro) Intn(n int) int {
 	}
 	// Lemire's multiply-shift rejection-free reduction is fine here: the
 	// bias for n << 2^64 is far below anything a simulation can observe.
-	hi, _ := mul64(x.Uint64(), uint64(n))
+	hi, _ := bits.Mul64(x.Uint64(), uint64(n))
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	return a1*b1 + t>>32 + w1>>32, a * b
 }
 
 // Float64 returns a uniform value in [0, 1).

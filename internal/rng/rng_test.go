@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -290,5 +292,39 @@ func BenchmarkXorBits(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 	for i := 0; i < b.N; i++ {
 		k.XorBits(buf, buf)
+	}
+}
+
+// mul64Ref is the portable four-multiply 128-bit product Intn used before it
+// called bits.Mul64, kept as the reference Intn's reduction must match.
+func mul64Ref(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask + a0*b1
+	return a1*b1 + t>>32 + w1>>32, a * b
+}
+
+func TestIntnMatchesMul64Ref(t *testing.T) {
+	edges := []uint64{0, 1, 2, 3, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63,
+		1<<64 - 2, 1<<64 - 1, 0x9e3779b97f4a7c15, 0xffffffff00000001}
+	for _, a := range edges {
+		for _, b := range edges {
+			hi, lo := bits.Mul64(a, b)
+			rhi, rlo := mul64Ref(a, b)
+			if hi != rhi || lo != rlo {
+				t.Fatalf("%#x * %#x: bits.Mul64 = (%#x, %#x), reference (%#x, %#x)", a, b, hi, lo, rhi, rlo)
+			}
+		}
+	}
+	x, ref := New(21), New(21)
+	ns := []int{1, 2, 3, 7, 32, 1000, 1<<20 + 3, 1<<31 - 1, 1 << 40, math.MaxInt}
+	for i := 0; i < 1_000_000; i++ {
+		n := ns[i%len(ns)]
+		hi, _ := mul64Ref(ref.Uint64(), uint64(n))
+		if got := x.Intn(n); got != int(hi) {
+			t.Fatalf("draw %d: Intn(%d) = %d, reference %d", i, n, got, hi)
+		}
 	}
 }
