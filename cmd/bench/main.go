@@ -595,10 +595,10 @@ func suite(scale float64) []bench {
 	})
 
 	// A long chained run served from the durable store: the shape of a
-	// warm payload ladder (fig9 under checkpoints). The memo and the
-	// checkpoint tree are dropped before every op, so each op takes the
-	// store path — the run's key hash, a memory-tier read, and one decode —
-	// and never builds the transmitted stream.
+	// warm payload ladder (fig9 under checkpoints). The checkpoint tree is
+	// dropped before every op, so each op takes the store path — the run's
+	// key hash, a memory-tier read, and one decode — and never builds the
+	// transmitted stream.
 	chainBits := scaled(400_000, scale)
 	var chainHitErr float64
 	suite = append(suite, bench{

@@ -37,7 +37,7 @@ func main() {
 		daemonURL  = flag.String("daemon", "", "base URL of a running streamlined daemon to target over HTTP")
 		selfDaemon = flag.Bool("selfdaemon", false, "serve -store through an in-process daemon on loopback and target it over HTTP")
 		populate   = flag.Bool("populate", false, "write the working set into -store before the run")
-		memBytes   = flag.Int64("mem-bytes", 0, "store memory-tier budget in bytes (0 = 256 MiB default, negative = disabled)")
+		memBytes   = flag.Int64("mem-bytes", 0, "store memory-tier budget in bytes (0 = 512 MiB default, negative = disabled)")
 		keys       = flag.Int("keys", 1024, "working-set size in distinct keys")
 		valueBytes = flag.Int("value-bytes", 4096, "payload bytes per key")
 		requests   = flag.Int("requests", 10000, "total requests across all workers")

@@ -44,7 +44,7 @@ func main() {
 		listen   = flag.String("listen", ":8080", "address to serve HTTP on")
 		storeDir = flag.String("store", "", "result-store directory (required)")
 		maxBytes = flag.Int64("store-max-bytes", 0, "store size budget in bytes (0 = 2 GiB default, negative = unbounded)")
-		memBytes = flag.Int64("store-mem-bytes", 0, "in-memory tier budget in bytes (0 = 256 MiB default, negative = disabled)")
+		memBytes = flag.Int64("store-mem-bytes", 0, "in-memory tier budget in bytes (0 = 512 MiB default, negative = disabled)")
 		queueCap = flag.Int("queue", 64, "job queue capacity; submits beyond it get 503")
 		jobs     = flag.Int("jobs", 1, "jobs run concurrently (each job still fans its runs across its own worker pool)")
 	)

@@ -87,30 +87,27 @@ func main() {
 	prog := expcli.NewProgress(os.Stderr, run.Quiet)
 	opts := run.Opts(prog)
 
-	// With -store, every run is checked against the on-disk result store
-	// before a simulator is checked out; warm repeats of a sweep complete
-	// in seconds. Progress lines mark served runs [hit] (suppressed, like
-	// all progress, by -quiet).
-	var store *resultstore.Store
-	if *storeDir != "" {
-		st, err := resultstore.Open(*storeDir, resultstore.Options{
-			Log: func(format string, args ...any) { fmt.Fprintf(os.Stderr, "sweep: store: "+format+"\n", args...) },
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-		store = st
+	// Every run is checked against the result store before a simulator is
+	// checked out: with -store it is the on-disk store, so warm repeats of
+	// a sweep complete in seconds; without, a memory-only store shares
+	// results between this process's runs. Progress lines mark served runs
+	// [hit] (suppressed, like all progress, by -quiet).
+	store, err := resultstore.Open(*storeDir, resultstore.Options{
+		Log: func(format string, args ...any) { fmt.Fprintf(os.Stderr, "sweep: store: "+format+"\n", args...) },
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
 	}
 	// One engine for the whole process: every id shares its reuse layers
-	// (a Table 2-5 point can be served by the fig9 ladder's memo) and store.
+	// and store (a Table 2-5 point can be served by the fig9 ladder's run).
 	opts.Engine = core.NewEngine(core.EngineOptions{Store: store})
 
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
-	err := run.Each(os.Stdout, prog, ids, func(id string) (*experiments.Table, error) {
+	err = run.Each(os.Stdout, prog, ids, func(id string) (*experiments.Table, error) {
 		return experiments.Run(id, opts)
 	})
 	if err != nil {
@@ -120,7 +117,7 @@ func main() {
 	if *exp == "all" {
 		prog.Total("all experiments")
 	}
-	if store != nil && !run.Quiet {
+	if *storeDir != "" && !run.Quiet {
 		s := store.Stats()
 		fmt.Fprintf(os.Stderr, "[store: %d hits, %d misses, %d entries, %.1f MB]\n",
 			s.Hits, s.Misses, s.Entries, float64(s.Bytes)/1e6)

@@ -167,10 +167,11 @@ func (c *Cache) find(set, base int, l mem.Line) int {
 	return -1
 }
 
-// HintHit and OnHintHit are the batch kernel's hit short-circuit, split in
-// two so the check inlines into the batch loop (a failed check is pure
-// overhead for an access that goes on to the scalar path, so it must cost
-// one masked compare, not a function call).
+// HintHit and OnHintHit are a hit short-circuit for a caller that expects
+// the line at its set's hinted way (the hierarchy's trailing L1 touch after
+// an L2 or LLC fill), split in two so the check inlines into the caller (a
+// failed check is pure overhead for an access that goes on to Access, so it
+// must cost one masked compare, not a function call).
 //
 // HintHit reports whether l is the line its set's last-hit-way hint points
 // at — the case Access serves without scanning — with no side effects.

@@ -97,8 +97,8 @@ func (e *Engine) Run(cfg Config, payloadBits []byte) (*Result, error) {
 
 // RunRandom returns exactly Run(cfg, payload.Random(seed, n)), but names
 // the payload by its generator inputs rather than its bits: the store key
-// is built from (seed, n), so a run served by the chain memo or the result
-// store never materializes the payload at all (see storeKey).
+// is built from (seed, n), so a run served by the result store never
+// materializes the payload at all (see storeKey).
 func (e *Engine) RunRandom(cfg Config, seed uint64, n int) (*Result, error) {
 	return e.runPayload(cfg, payloadSrc{gen: true, seed: seed, n: n})
 }
@@ -139,31 +139,16 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 
 	// Serve-before-build: the store key depends only on config and payload
 	// (store.go), never on the transmitted stream, so every run consults
-	// the chain result memo and the durable store before spending anything
-	// on the payload bits, ECC, preamble, or modulation. Under warm serving
-	// traffic the whole call is one key hash plus a memory read. The memo
-	// (chain runs only) shares the store's content address: Chain is
-	// excluded from the key, so chained and unchained runs of one config ×
-	// payload meet in both.
-	chained := e.chainEligible(&cfg)
+	// the result store before spending anything on the payload bits, ECC,
+	// preamble, or modulation, or checking out a simulator. Under warm
+	// serving traffic the whole call is one key hash plus a memory read.
+	// Chain is excluded from the key, so chained and unchained runs of one
+	// config × payload meet in one entry.
 	st := e.opt.Store
 	var key resultstore.Key
-	if chained || st != nil {
-		key = storeKey(&cfg, &src)
-	}
-	if chained {
-		if res := e.memoLookup(key); res != nil {
-			return res, nil
-		}
-	}
 	if st != nil {
-		// A bit-identical run completed by any earlier process is served
-		// as a store read, before any simulator is checked out. A hit also
-		// primes the chain memo for this run's siblings.
+		key = storeKey(&cfg, &src)
 		if served := e.storeLookup(key); served != nil {
-			if chained {
-				e.memoStore(key, served)
-			}
 			return served, nil
 		}
 	}
@@ -188,7 +173,7 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	// Chain runs (Config.Chain): a prefix-sharing sibling may have
 	// published a checkpoint to fork from (see checkpoint.go).
 	var chain *chainRun
-	if chained {
+	if e.chainEligible(&cfg) {
 		chain = e.newChainRun(&cfg, tx)
 	}
 	var lease *simLease
@@ -396,11 +381,6 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	if secs > 0 {
 		res.BitRateKBps = float64(res.PayloadBits) / 8192.0 / secs
 		res.ChannelKBps = float64(res.ChannelBits) / 8192.0 / secs
-	}
-	if chained {
-		// A Result is a pure function of its key: park a copy so
-		// bit-identical chain siblings skip simulation.
-		e.memoStore(key, res)
 	}
 	if st != nil {
 		e.storePut(key, res)

@@ -382,29 +382,3 @@ func (c *chainRun) restoreFork(node *chainCheckpoint, s *sched.Scheduler,
 	}
 	return nil
 }
-
-func cloneSlice[T any](s []T) []T {
-	if s == nil {
-		return nil
-	}
-	return append(make([]T, 0, len(s)), s...)
-}
-
-// cloneResult deep-copies a Result so the memo and its callers can never
-// alias each other's slices. Nil-ness is preserved field by field: a served
-// copy must DeepEqual a freshly computed Result exactly.
-func cloneResult(r *Result) *Result {
-	c := *r
-	c.Decoded = r.Decoded.Clone()
-	c.GapSamples = cloneSlice(r.GapSamples)
-	c.LevelTrace = cloneSlice(r.LevelTrace)
-	c.CoreServed = cloneSlice(r.CoreServed)
-	c.Counters = cloneSlice(r.Counters)
-	return &c
-}
-
-// resultBytes estimates a Result's retained size for the memo budget.
-func resultBytes(r *Result) int {
-	return len(r.Decoded.Bytes()) + len(r.LevelTrace) +
-		16*len(r.GapSamples) + 32*len(r.CoreServed) + 256
-}

@@ -25,8 +25,8 @@ func chainTestConfig() Config {
 
 // TestCheckpointForkEqualsFreshRun pins the tentpole contract of the
 // checkpoint tree: a run forked from a published mid-run checkpoint — at
-// any legal boundary, in any execution order, through the result memo or
-// not — returns a Result byte-identical to an uninterrupted run.
+// any legal boundary, in any execution order, repeated or not — returns a
+// Result byte-identical to an uninterrupted run.
 func TestCheckpointForkEqualsFreshRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-repetition channel runs")
@@ -104,11 +104,12 @@ func TestCheckpointForkEqualsFreshRun(t *testing.T) {
 					t.Errorf("ascending order left no node at boundary %d", n-1)
 				}
 			}
-			// Memo: a repeated member must be served the identical Result.
+			// Repeat: with no result store a repeated member simulates
+			// again, forking from the node its own run published.
 			before = e.Counters()
-			check("memo", lengths[1], run(lengths[1]))
-			if hits := e.Counters().MemoHits - before.MemoHits; hits != 1 {
-				t.Errorf("repeated member took %d memo hits, want 1", hits)
+			check("repeat", lengths[1], run(lengths[1]))
+			if c := e.Counters(); c.Sims-before.Sims != 1 || c.Forks-before.Forks != 1 {
+				t.Errorf("repeated member: %d sims, %d forks, want 1 and 1", c.Sims-before.Sims, c.Forks-before.Forks)
 			}
 
 			// Descending: the longest member runs first and publishes every

@@ -12,9 +12,9 @@
 // TestReuseEquivalence pin this). Configurations the lifecycle cannot
 // reproduce — a caller-supplied LLC policy, random-fill defenses — bypass
 // reuse entirely and behave exactly as before. The same Engine holds the
-// checkpoint tree and chain result memo (checkpoint.go), the durable store
-// handle (store.go), and the counters that report all of it; nothing is
-// process-wide, so two engines in one process share no state.
+// checkpoint tree (checkpoint.go), the result store handle (store.go) —
+// its one result cache — and the counters that report all of it; nothing
+// is process-wide, so two engines in one process share no state.
 
 package core
 
@@ -29,25 +29,25 @@ import (
 )
 
 // EngineOptions configures an Engine. The zero value enables every reuse
-// layer and no durable store. Results are bit-identical under any setting:
+// layer and no result store. Results are bit-identical under any setting:
 // the switches exist for A/B verification (the golden suite builds one
 // engine per axis) and as escape hatches.
 type EngineOptions struct {
-	// Store is the durable result store Run reads through and writes back
-	// to; nil disables durable serving.
+	// Store is the result store Run reads through and writes back to, on
+	// disk or memory-only (resultstore.Open("")); nil simulates every run.
 	Store *resultstore.Store
 	// NoReuse disables simulator pooling and warmup-snapshot reuse: every
 	// run builds its hierarchy from scratch.
 	NoReuse bool
-	// NoCheckpoints disables the mid-run checkpoint tree and the chain
-	// result memo: Config.Chain is ignored.
+	// NoCheckpoints disables the mid-run checkpoint tree: Config.Chain is
+	// ignored.
 	NoCheckpoints bool
 }
 
 // Engine runs channels through the reuse layers it owns: the simulator
-// pool, the warm snapshots, the checkpoint tree, the chain result memo, and
-// the durable store. It is safe for concurrent use; long-lived processes
-// build one and pass it to every caller.
+// pool, the warm snapshots, the checkpoint tree, and the result store. It
+// is safe for concurrent use; long-lived processes build one and pass it to
+// every caller.
 type Engine struct {
 	opt EngineOptions
 	// pool holds idle hierarchies by run fingerprint, at most a worker's
@@ -62,15 +62,13 @@ type Engine struct {
 	}
 
 	chain struct {
-		mu        sync.Mutex
-		nodes     map[chainNodeKey]*chainCheckpoint
-		memo      map[resultstore.Key]*Result
-		memoBytes int
+		mu    sync.Mutex
+		nodes map[chainNodeKey]*chainCheckpoint
 	}
 
 	// ctr backs Counters; it never influences simulation.
 	ctr struct {
-		sims, storeHits, storeMisses, nodes, forks, memoHits atomic.Uint64
+		sims, storeHits, storeMisses, nodes, forks atomic.Uint64
 	}
 }
 
@@ -84,7 +82,7 @@ func NewEngine(o EngineOptions) *Engine {
 	return e
 }
 
-// Store returns the engine's durable result store, or nil. Higher layers
+// Store returns the engine's result store, or nil. Higher layers
 // (internal/experiments) use the same handle to memoize results whose runs
 // do not flow through Run, and to report hit/miss counts.
 func (e *Engine) Store() *resultstore.Store { return e.opt.Store }
@@ -92,12 +90,11 @@ func (e *Engine) Store() *resultstore.Store { return e.opt.Store }
 // Counters is a monotonic snapshot of an Engine's activity.
 type Counters struct {
 	// Sims counts runs that acquired a simulator (cold or forked);
-	// StoreHits runs served entirely from the durable store; StoreMisses
+	// StoreHits runs served entirely from the result store; StoreMisses
 	// store lookups that missed and fell through to simulation.
 	Sims, StoreHits, StoreMisses uint64
-	// Nodes counts checkpoints published, Forks runs resumed from one,
-	// MemoHits runs served entirely from the chain result memo.
-	Nodes, Forks, MemoHits uint64
+	// Nodes counts checkpoints published, Forks runs resumed from one.
+	Nodes, Forks uint64
 }
 
 // Counters returns the engine's activity so far.
@@ -108,20 +105,16 @@ func (e *Engine) Counters() Counters {
 		StoreMisses: e.ctr.storeMisses.Load(),
 		Nodes:       e.ctr.nodes.Load(),
 		Forks:       e.ctr.forks.Load(),
-		MemoHits:    e.ctr.memoHits.Load(),
 	}
 }
 
-// DropCheckpoints empties the checkpoint tree and the chain result memo,
-// releasing the hierarchy clones and decoded payloads they retain (up to
-// ~200 MB after a large chained sweep). Benchmarks call it to make every
-// iteration equally cold.
+// DropCheckpoints empties the checkpoint tree, releasing the hierarchy
+// clones and decoded prefixes it retains. Benchmarks call it to make every
+// iteration equally cold; it leaves the result store alone.
 func (e *Engine) DropCheckpoints() {
 	e.chain.mu.Lock()
 	defer e.chain.mu.Unlock()
 	e.chain.nodes = make(map[chainNodeKey]*chainCheckpoint)
-	e.chain.memo = make(map[resultstore.Key]*Result)
-	e.chain.memoBytes = 0
 }
 
 // maxSnapshots bounds the warm-state memo: each entry retains a full
@@ -134,10 +127,6 @@ const maxSnapshots = 16
 // dominates deep nodes). A ladder contributes one node per length short of
 // its longest, per rep, so the default experiments stay well under this.
 const maxChainNodes = 24
-
-// maxMemoBytes bounds the chain result memo (estimated retained bytes; the
-// decoded payload dominates).
-const maxMemoBytes = 192 << 20
 
 type chainNodeKey struct {
 	chain    uint64
@@ -192,37 +181,6 @@ func (e *Engine) storeChainNode(chain uint64, node *chainCheckpoint) {
 	}
 	e.chain.nodes[k] = node
 	e.ctr.nodes.Add(1)
-}
-
-// memoLookup serves a deep copy of a previously computed chain Result, or
-// nil. The key is the run's store content address (storeKey), which covers
-// every simulation-steering Config field and the full payload, so a hit is
-// only possible for a bit-identical run.
-func (e *Engine) memoLookup(key resultstore.Key) *Result {
-	e.chain.mu.Lock()
-	r := e.chain.memo[key]
-	e.chain.mu.Unlock()
-	if r == nil {
-		return nil
-	}
-	e.ctr.memoHits.Add(1)
-	return cloneResult(r)
-}
-
-// memoStore parks a deep copy of a completed chain Result under key,
-// subject to the byte budget.
-func (e *Engine) memoStore(key resultstore.Key, r *Result) {
-	e.chain.mu.Lock()
-	defer e.chain.mu.Unlock()
-	if _, ok := e.chain.memo[key]; ok {
-		return
-	}
-	n := resultBytes(r)
-	if e.chain.memoBytes+n > maxMemoBytes {
-		return
-	}
-	e.chain.memoBytes += n
-	e.chain.memo[key] = cloneResult(r)
 }
 
 // warmSnapshot is the memoized post-warmup state for one (fingerprint,

@@ -186,7 +186,7 @@ func planTable2(o Opts) (*Plan, error) {
 	sizes := o.payloadSizes()
 	var points []Point
 	// The stats points are exactly fig9's ladder — same chain, same seeds —
-	// so in a multi-experiment run they are served from the result memo. The
+	// so in a multi-experiment run they are served from the result store. The
 	// burst points draw a different payload stream and form their own chain.
 	var statChain, burstChain []int
 	for _, n := range sizes {
@@ -269,7 +269,7 @@ func planTable3(o Opts) (*Plan, error) {
 		if !c.ecc {
 			// The ECC-off point is DefaultConfig at the steady payload: it
 			// joins the shared ladder, forking from fig9's checkpoints (and
-			// the matching anchors of tables 4/5 dedup through the memo).
+			// the matching anchors of tables 4/5 dedup through the store).
 			run = o.chainedRun(chainDefault, o.payloadSizes(), 0xbead,
 				func(int, uint64) core.Config {
 					return core.DefaultConfig()
@@ -313,7 +313,7 @@ func planTable4(o Opts) (*Plan, error) {
 		}, n)
 		if mb<<20 == core.DefaultConfig().ArraySize {
 			// 64MB is the default: this point is the shared ladder's steady
-			// anchor (identical to table3's ECC-off point — a memo hit).
+			// anchor (identical to table3's ECC-off point — a store hit).
 			run = o.chainedRun(chainDefault, o.payloadSizes(), 0xbead,
 				func(int, uint64) core.Config {
 					return core.DefaultConfig()
@@ -361,7 +361,7 @@ func planTable5(o Opts) (*Plan, error) {
 		}, n)
 		if p == core.DefaultConfig().SyncPeriod {
 			// The default period is the shared ladder's steady anchor
-			// (identical to table3's ECC-off point — a memo hit).
+			// (identical to table3's ECC-off point — a store hit).
 			run = o.chainedRun(chainDefault, o.payloadSizes(), 0xbead,
 				func(int, uint64) core.Config {
 					return core.DefaultConfig()

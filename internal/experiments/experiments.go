@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"streamline/internal/core"
+	"streamline/internal/resultstore"
 	"streamline/internal/rng"
 	"streamline/internal/runner"
 	"streamline/internal/stats"
@@ -54,15 +55,18 @@ type Opts struct {
 	Workers int
 	// Engine runs every channel simulation, and its store (Engine.Store)
 	// also backs the point-level Out cache. nil gives each Run or RunBatch
-	// call a fresh engine with no store. Results are bit-identical either
-	// way; sharing one engine across calls shares its reuse layers.
+	// call a fresh engine on a memory-only store. Results are bit-identical
+	// either way; sharing one engine across calls shares its reuse layers.
 	Engine *core.Engine
 }
 
-// withEngine returns o with a fresh storeless engine when none is set.
+// withEngine returns o with a fresh engine on a memory-only store when
+// none is set, so points the experiment repeats are simulated once.
 func (o Opts) withEngine() Opts {
 	if o.Engine == nil {
-		o.Engine = core.NewEngine(core.EngineOptions{})
+		// Cannot fail: default options always enable the memory tier.
+		st, _ := resultstore.Open("", resultstore.Options{})
+		o.Engine = core.NewEngine(core.EngineOptions{Store: st})
 	}
 	return o
 }
@@ -301,8 +305,8 @@ func planFor(id string, o Opts) (*Plan, error) {
 // that declare chains add per-repetition dependencies along each chain;
 // specs are point-major within each plan, so chain dependencies always
 // point to earlier indices and the serial schedule is plain spec order. Chains never cross plan boundaries —
-// cross-experiment sharing stays content-addressed through the memo and
-// checkpoint stores, which are order-independent.
+// cross-experiment sharing stays content-addressed through the result store
+// and the checkpoint tree, which are order-independent.
 func executePlans(ids []string, plans []*Plan, o Opts) ([]*Table, error) {
 	var specs []runner.Spec
 	firsts := make([][]int, len(plans))
@@ -420,7 +424,7 @@ func channelMetrics(res *core.Result) []float64 {
 
 // Chain tags shared across experiments. Runs carrying the same tag and
 // repetition index use one seed and one payload stream (common random
-// numbers), so members whose configs match dedup through the result memo
+// numbers), so members whose configs match dedup through the result store
 // and shorter members fork from checkpoints longer members published —
 // content-addressed, regardless of which experiment ran first (see
 // internal/core reuse.go / checkpoint.go).

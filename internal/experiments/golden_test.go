@@ -60,10 +60,10 @@ func TestGoldenConformance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("compute-bound golden regeneration exceeds the package timeout under -race; CI runs it in a dedicated race-free job")
 	}
-	// The reference: one serial engine shared across ids, as a sweep
-	// process shares one. These subtests run (and -update writes) before
-	// any axis below starts.
-	ref := core.NewEngine(core.EngineOptions{})
+	// The reference: one serial engine on a memory-only store, shared
+	// across ids as a sweep process shares one. These subtests run (and
+	// -update writes) before any axis below starts.
+	ref := core.NewEngine(core.EngineOptions{Store: memOnlyStore(t)})
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			got := goldenOutput(t, id, 1, ref)
@@ -87,12 +87,13 @@ func TestGoldenConformance(t *testing.T) {
 	}{
 		// Parallel determinism: result order and seeding are independent
 		// of scheduling.
-		{"workers-8", core.EngineOptions{}},
+		{"workers-8", core.EngineOptions{Store: memOnlyStore(t)}},
 		// Simulator pooling and warmup-snapshot reuse are invisible: a
 		// from-scratch build per run reproduces the same bytes.
-		{"reuse-off", core.EngineOptions{NoReuse: true}},
-		// The mid-run checkpoint tree and chain memo are invisible: with
-		// checkpoints off every chained run simulates from scratch.
+		{"reuse-off", core.EngineOptions{Store: memOnlyStore(t), NoReuse: true}},
+		// The mid-run checkpoint tree and the in-RAM result cache are
+		// invisible: with checkpoints off and no store every chained run
+		// simulates from scratch.
 		{"checkpoint-off", core.EngineOptions{NoCheckpoints: true}},
 	}
 	for _, ax := range axes {
@@ -105,6 +106,17 @@ func TestGoldenConformance(t *testing.T) {
 		t.Parallel()
 		storeAxis(t)
 	})
+}
+
+// memOnlyStore opens a store with no directory: the engine's in-RAM result
+// cache, as a sweep without -store runs.
+func memOnlyStore(t *testing.T) *resultstore.Store {
+	t.Helper()
+	st, err := resultstore.Open("", resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // goldenPass runs every id on e with 8 workers against its golden file.

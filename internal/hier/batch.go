@@ -1,10 +1,6 @@
 package hier
 
-import (
-	"math/bits"
-
-	"streamline/internal/mem"
-)
+import "streamline/internal/mem"
 
 // This file is the batched access-stream kernel: AccessBatch executes a
 // caller-provided chunk of demand loads in one straight-line loop instead
@@ -13,21 +9,9 @@ import (
 // DRAM timing, statistics) is identical to issuing the same addresses
 // through Access one at a time, which the cross-machine property test in
 // batch_test.go and the golden conformance suite pin. What the batch
-// removes is interface-crossing overhead: the per-access prologue (core
-// bounds check, fast-path dispatch, field loads, line decomposition
-// set-up) runs once per chunk, and L1 hit runs are served by the inlined
-// cache.HintHit comparison without re-entering the scalar path.
-//
-// The hit short circuit is only taken where it is provably equivalent to
-// the scalar path: on the fast configuration (single trust domain, no TLB,
-// no random fill) an access whose line sits in the L1's hinted way
-// performs exactly {hit count, replacement touch, L1 latency} and nothing
-// else — no prefetcher observation (those fire only on L1 misses), no TLB
-// lookup (not modelled on this path), no domain selection (one domain).
-// Any run-breaking event — a hint miss, an L1 miss, a configuration with
-// TLB/partitions/random fill — falls back to the scalar accessFast or
-// accessGeneral path for that access, so prefetch triggers, page-boundary
-// effects and mitigation features keep their exact scalar behaviour.
+// removes is interface-crossing overhead: the core bounds check, the
+// fast-path dispatch and the cost-model set-up run once per chunk, and the
+// loop calls accessFast or accessGeneral directly.
 
 // BatchClock describes how the local clock advances across the accesses of
 // one batch, mirroring the cost conventions of the scalar call sites:
@@ -77,8 +61,8 @@ type BatchResult struct {
 //		}
 //	}
 //
-// but with the per-access prologue hoisted out of the loop and L1 hit runs
-// short-circuited. It allocates nothing.
+// but with the per-access prologue hoisted out of the loop. It allocates
+// nothing.
 //
 //detlint:hotpath
 func (h *Hierarchy) AccessBatch(core int, addrs []mem.Addr, now uint64, clk BatchClock) BatchResult {
@@ -90,10 +74,8 @@ func (h *Hierarchy) AccessBatch(core int, addrs []mem.Addr, now uint64, clk Batc
 	var res BatchResult
 	t := now
 	if !h.fast {
-		// General configurations (partitioned LLC, TLB, random fill) keep
-		// the scalar per-access path: their feature hooks are exercised on
-		// every access, so there is no run the loop can prove safe to
-		// short-circuit.
+		// General configurations (partitioned LLC, TLB, random fill) take
+		// the scalar path that runs their feature hooks on every access.
 		for _, a := range addrs {
 			r := h.accessGeneral(core, a, t)
 			if h.mon != nil {
@@ -110,31 +92,7 @@ func (h *Hierarchy) AccessBatch(core int, addrs []mem.Addr, now uint64, clk Batc
 		}
 		return res
 	}
-	l1 := h.l1[core]
-	spc := &h.ServedPerCore[core]
-	shift := uint(bits.TrailingZeros64(uint64(h.geom.LineBytes)))
-	l1Lat := uint64(h.mach.Lat.L1Hit)
-	l1Cost := l1Lat/div + clk.Extra
 	for _, a := range addrs {
-		if l := mem.Line(uint64(a) >> shift); l1.HintHit(l) {
-			// Identical to accessFast's L1-hit path: no machine state
-			// beyond the cache-side hit bookkeeping is touched by an L1
-			// hinted-way hit.
-			l1.OnHintHit(l)
-			h.Served[L1]++
-			spc[L1]++
-			if h.mon != nil {
-				//detlint:allow hotpathalloc -- counter monitoring is opt-in instrumentation, nil unless a detector is attached
-				h.mon.observe(core, L1, t)
-			}
-			res.Served[L1]++
-			res.Cost += l1Cost
-			res.LatencySum += l1Lat
-			if !clk.Hold {
-				t += l1Cost
-			}
-			continue
-		}
 		r := h.accessFast(core, a, t)
 		if h.mon != nil {
 			//detlint:allow hotpathalloc -- counter monitoring is opt-in instrumentation, nil unless a detector is attached

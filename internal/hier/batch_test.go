@@ -90,7 +90,7 @@ func compareHier(t *testing.T, got, want *Hierarchy, ctx string) {
 
 // traceChunk fills dst with the next chunk of a trace that deliberately
 // mixes the regimes the batch kernel treats differently: repeated-line L1
-// hit runs (the short-circuit), sequential line walks that train the
+// hit runs (served by accessFast's L1 lookup), sequential line walks that train the
 // next-line and stream prefetchers, strided page-crossing walks that train
 // the stride prefetcher across 4 KB boundaries, and uniform-random lines
 // that miss every level.
