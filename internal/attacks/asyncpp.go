@@ -53,26 +53,10 @@ type AsyncPrimeProbe struct {
 	sCore, rCore int
 }
 
-// NewAsyncPrimeProbe builds the channel on the Skylake machine.
-func NewAsyncPrimeProbe(seed uint64) (*AsyncPrimeProbe, error) {
-	return NewAsyncPrimeProbeWith(BuildOpts{Seed: seed})
-}
-
-// NewAsyncPrimeProbeWith builds the channel with full control over the
-// hierarchy (defenses, ablations) via BuildOpts. Window is ignored: the
-// protocol is asynchronous.
-func NewAsyncPrimeProbeWith(o BuildOpts) (*AsyncPrimeProbe, error) {
-	seed := o.Seed
-	m := o.Machine
-	if m == nil {
-		m = params.SkylakeE3()
-	}
-	hopt := o.Hier
-	hopt.Seed = seed
-	h, err := hier.New(m, hopt)
-	if err != nil {
-		return nil, err
-	}
+// newAsyncPrimeProbe builds the channel on h (see Build). The protocol is
+// asynchronous, so s.Window and s.AlignJitter do not apply.
+func newAsyncPrimeProbe(s Spec, h *hier.Hierarchy) (*AsyncPrimeProbe, error) {
+	m := h.Machine()
 	alloc := mem.NewAllocator(m.PageSize)
 	sets := m.LLC.Sets()
 	setStride := sets * m.LLC.LineBytes
@@ -92,7 +76,7 @@ func NewAsyncPrimeProbeWith(o BuildOpts) (*AsyncPrimeProbe, error) {
 	a := &AsyncPrimeProbe{
 		m:            m,
 		h:            h,
-		x:            rng.New(seed ^ 0xa5ca),
+		x:            rng.New(s.Seed ^ 0xa5ca),
 		sync:         sc,
 		sets:         sets,
 		setStride:    setStride,
@@ -108,15 +92,11 @@ func NewAsyncPrimeProbeWith(o BuildOpts) (*AsyncPrimeProbe, error) {
 	return a, nil
 }
 
-// Hier exposes the hierarchy the attack runs on, for external
-// instrumentation (e.g. attaching a hier.Monitor).
-func (a *AsyncPrimeProbe) Hier() *hier.Hierarchy { return a.h }
-
 // Name implements Attack.
 func (a *AsyncPrimeProbe) Name() string { return "async-prime+probe" }
 
 // Model implements Attack.
-func (a *AsyncPrimeProbe) Model() string { return "cross-core" }
+func (a *AsyncPrimeProbe) Model() string { return Model(a.Name()) }
 
 // senderCandidates is how many alternative conflict lines the sender keeps
 // per set.

@@ -3,8 +3,19 @@ package attacks
 import (
 	"testing"
 
+	"streamline/internal/params"
 	"streamline/internal/payload"
 )
+
+// build is Build for tests that expect the spec to construct.
+func build(t testing.TB, s Spec) Attack {
+	t.Helper()
+	a, err := Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
 
 // rateBand checks that an attack lands within tol (fractional) of the rate
 // the paper's Table 6 reports for it.
@@ -17,10 +28,7 @@ func rateBand(t *testing.T, name string, got, want, tol float64) {
 }
 
 func TestFlushReloadRateAndError(t *testing.T) {
-	a, err := NewFlushReload(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "flush+reload", Seed: 1})
 	res, err := a.Run(payload.Random(2, 50000))
 	if err != nil {
 		t.Fatal(err)
@@ -35,14 +43,8 @@ func TestFlushReloadRateAndError(t *testing.T) {
 }
 
 func TestFlushReloadDegradesAtSmallWindows(t *testing.T) {
-	healthy, err := NewFlushReload(2000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny, err := NewFlushReload(400, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	healthy := build(t, Spec{Kind: "flush+reload", Window: 2000, Seed: 1})
+	tiny := build(t, Spec{Kind: "flush+reload", Window: 400, Seed: 1})
 	bits := payload.Random(2, 20000)
 	hres, err := healthy.Run(bits)
 	if err != nil {
@@ -61,16 +63,13 @@ func TestFlushReloadDegradesAtSmallWindows(t *testing.T) {
 }
 
 func TestFlushReloadRejectsZeroWindowInternally(t *testing.T) {
-	if _, err := newEpochEnv(nil, 0, 1); err == nil {
+	if _, err := newEpochEnv(Spec{Seed: 1}, nil, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }
 
 func TestFlushFlushRateAndError(t *testing.T) {
-	a, err := NewFlushFlush(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "flush+flush", Seed: 1})
 	res, err := a.Run(payload.Random(2, 50000))
 	if err != nil {
 		t.Fatal(err)
@@ -85,14 +84,8 @@ func TestFlushFlushRateAndError(t *testing.T) {
 
 func TestFlushFlushNoisierThanFlushReload(t *testing.T) {
 	bits := payload.Random(2, 50000)
-	fr, err := NewFlushReload(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff, err := NewFlushFlush(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := build(t, Spec{Kind: "flush+reload", Seed: 1})
+	ff := build(t, Spec{Kind: "flush+flush", Seed: 1})
 	frRes, err := fr.Run(bits)
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +103,7 @@ func TestFlushFlushNoisierThanFlushReload(t *testing.T) {
 }
 
 func TestPrimeProbeLLC(t *testing.T) {
-	a, err := NewPrimeProbeLLC(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "prime+probe(llc)", Seed: 1})
 	res, err := a.Run(payload.Random(2, 20000))
 	if err != nil {
 		t.Fatal(err)
@@ -128,10 +118,7 @@ func TestPrimeProbeLLC(t *testing.T) {
 }
 
 func TestPrimeProbeL1(t *testing.T) {
-	a, err := NewPrimeProbeL1(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "prime+probe(l1)", Seed: 1})
 	res, err := a.Run(payload.Random(2, 20000))
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +133,7 @@ func TestPrimeProbeL1(t *testing.T) {
 }
 
 func TestTakeAway(t *testing.T) {
-	a, err := NewTakeAway(0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "take-a-way", Seed: 1})
 	res, err := a.Run(payload.Random(2, 80000))
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +148,7 @@ func TestTakeAway(t *testing.T) {
 }
 
 func TestTakeAwayPartialLastEpoch(t *testing.T) {
-	a, err := NewTakeAway(80, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "take-a-way", Seed: 1})
 	// 100 bits: one full epoch of 80 plus a partial epoch of 20.
 	res, err := a.Run(payload.Random(2, 100))
 	if err != nil {
@@ -179,10 +160,7 @@ func TestTakeAwayPartialLastEpoch(t *testing.T) {
 }
 
 func TestThrashReloadCorrectButGlacial(t *testing.T) {
-	a, err := NewThrashReload(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "thrash+reload", Seed: 1})
 	res, err := a.Run(payload.Random(2, 60))
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +180,7 @@ func TestThrashReloadCorrectButGlacial(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	bits := payload.Random(5, 20000)
 	run := func() *Result {
-		a, err := NewFlushFlush(0, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := a.Run(bits)
+		res, err := build(t, Spec{Kind: "flush+flush", Seed: 99}).Run(bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,17 +198,8 @@ func TestDeterministicRuns(t *testing.T) {
 func TestTableSixOrdering(t *testing.T) {
 	bits := payload.Random(2, 20000)
 	rates := map[string]float64{}
-	for _, f := range []func() (Attack, error){
-		func() (Attack, error) { return NewFlushReload(0, 1) },
-		func() (Attack, error) { return NewFlushFlush(0, 1) },
-		func() (Attack, error) { return NewPrimeProbeLLC(0, 1) },
-		func() (Attack, error) { return NewPrimeProbeL1(0, 1) },
-		func() (Attack, error) { return NewTakeAway(0, 0, 1) },
-	} {
-		a, err := f()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, kind := range []string{"flush+reload", "flush+flush", "prime+probe(llc)", "prime+probe(l1)", "take-a-way"} {
+		a := build(t, Spec{Kind: kind, Seed: 1})
 		res, err := a.Run(bits)
 		if err != nil {
 			t.Fatal(err)
@@ -251,10 +216,7 @@ func TestTableSixOrdering(t *testing.T) {
 }
 
 func BenchmarkFlushReloadBit(b *testing.B) {
-	a, err := NewFlushReload(0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := build(b, Spec{Kind: "flush+reload", Seed: 1})
 	bits := payload.Random(1, b.N+1)
 	b.ResetTimer()
 	if _, err := a.Run(bits); err != nil {
@@ -263,10 +225,7 @@ func BenchmarkFlushReloadBit(b *testing.B) {
 }
 
 func TestAsyncPrimeProbe(t *testing.T) {
-	a, err := NewAsyncPrimeProbe(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "async-prime+probe", Seed: 1})
 	res, err := a.Run(payload.Random(2, 60000))
 	if err != nil {
 		t.Fatal(err)
@@ -285,10 +244,7 @@ func TestAsyncPrimeProbe(t *testing.T) {
 }
 
 func TestAsyncPrimeProbeEmptyPayload(t *testing.T) {
-	a, err := NewAsyncPrimeProbe(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, Spec{Kind: "async-prime+probe", Seed: 1})
 	if _, err := a.Run(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
@@ -297,11 +253,7 @@ func TestAsyncPrimeProbeEmptyPayload(t *testing.T) {
 func TestAsyncPrimeProbeDeterministic(t *testing.T) {
 	bits := payload.Random(3, 20000)
 	run := func() *Result {
-		a, err := NewAsyncPrimeProbe(5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := a.Run(bits)
+		res, err := build(t, Spec{Kind: "async-prime+probe", Seed: 5}).Run(bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,5 +262,59 @@ func TestAsyncPrimeProbeDeterministic(t *testing.T) {
 	x, y := run(), run()
 	if x.Errors != y.Errors || x.Cycles != y.Cycles {
 		t.Fatal("same-seed runs differ")
+	}
+}
+
+// TestBuildRefusesFlushWithoutHierarchy pins that the flush-based kinds
+// fail on a platform without an unprivileged flush, and that they fail
+// before a hierarchy is built: the refusal allocates next to nothing,
+// where building the ARM hierarchy takes megabytes.
+func TestBuildRefusesFlushWithoutHierarchy(t *testing.T) {
+	arm := params.ARMCortexA72()
+	for _, kind := range []string{"flush+reload", "flush+flush"} {
+		s := Spec{Kind: kind, Machine: arm, Seed: 1}
+		if _, err := Build(s); err == nil {
+			t.Fatalf("%s built on %s", kind, arm.Name)
+		}
+		if n := testing.AllocsPerRun(5, func() { _, _ = Build(s) }); n > 10 {
+			t.Errorf("%s on %s: refusal made %.0f allocations; a hierarchy was built", kind, arm.Name, n)
+		}
+	}
+	if _, err := Build(Spec{Kind: "prime+probe(llc)", Machine: arm, Seed: 1}); err != nil {
+		t.Errorf("prime+probe(llc) needs no flush, yet: %v", err)
+	}
+}
+
+// TestBuildSpecs covers Build's vocabulary: every kind's Name is its Kind
+// and its Model is Model(kind), an unknown kind and a defended take-a-way
+// are refused, and a counter window yields counter windows.
+func TestBuildSpecs(t *testing.T) {
+	for _, kind := range []string{"take-a-way", "flush+flush", "prime+probe(l1)",
+		"flush+reload", "prime+probe(llc)", "thrash+reload", "async-prime+probe"} {
+		a := build(t, Spec{Kind: kind, Seed: 1})
+		if a.Name() != kind || a.Model() != Model(kind) {
+			t.Errorf("Build(%q) is %q (%s)", kind, a.Name(), a.Model())
+		}
+	}
+	if _, err := Build(Spec{Kind: "rowhammer"}); err == nil {
+		t.Error("unknown kind built")
+	}
+	if _, err := Build(Spec{Kind: "take-a-way", RandomFillProb: 0.25}); err == nil {
+		t.Error("take-a-way accepted a hierarchy defense it cannot run on")
+	}
+	bits := payload.Random(2, 2000)
+	plain, err := build(t, Spec{Kind: "flush+reload", Seed: 1}).Run(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched, err := build(t, Spec{Kind: "flush+reload", Seed: 1, CounterWindow: 100_000}).Run(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Counters != nil || len(watched.Counters) == 0 {
+		t.Fatalf("counter windows: %d unwatched, %d watched", len(plain.Counters), len(watched.Counters))
+	}
+	if watched.Cycles != plain.Cycles || watched.Errors != plain.Errors {
+		t.Error("the counter monitor perturbed the run")
 	}
 }

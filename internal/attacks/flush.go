@@ -3,7 +3,6 @@ package attacks
 import (
 	"streamline/internal/hier"
 	"streamline/internal/mem"
-	"streamline/internal/params"
 )
 
 // FlushReload is the classic cross-core Flush+Reload channel (Yarom &
@@ -22,29 +21,10 @@ type FlushReload struct {
 // window.
 const FlushReloadWindow = 1600
 
-// NewFlushReload builds the attack on the default Skylake machine; window
-// 0 selects the default.
-func NewFlushReload(window uint64, seed uint64) (*FlushReload, error) {
-	return NewFlushReloadOn(nil, window, seed)
-}
-
-// NewFlushReloadOn builds the attack on machine m (nil = Skylake). It
-// fails on platforms without unprivileged flushes (Section 2.3.2).
-func NewFlushReloadOn(m *params.Machine, window uint64, seed uint64) (*FlushReload, error) {
-	return NewFlushReloadWith(BuildOpts{Machine: m, Window: window, Seed: seed})
-}
-
-// NewFlushReloadWith builds the attack with full control over the
-// hierarchy (defenses, ablations) via BuildOpts.
-func NewFlushReloadWith(o BuildOpts) (*FlushReload, error) {
-	if o.Window == 0 {
-		o.Window = FlushReloadWindow
-	}
-	env, err := newEpochEnvOpts(o)
+// newFlushReload builds the attack on h (see Build).
+func newFlushReload(s Spec, h *hier.Hierarchy) (*FlushReload, error) {
+	env, err := newEpochEnv(s, h, FlushReloadWindow)
 	if err != nil {
-		return nil, err
-	}
-	if err := env.requireFlush("flush+reload"); err != nil {
 		return nil, err
 	}
 	var alloc mem.Allocator
@@ -52,21 +32,11 @@ func NewFlushReloadWith(o BuildOpts) (*FlushReload, error) {
 	return &FlushReload{env: env, addr: reg.Base, sCore: 0, rCore: 1}, nil
 }
 
-// Hier exposes the hierarchy the attack runs on, for external
-// instrumentation (e.g. attaching a hier.Monitor).
-func (a *FlushReload) Hier() *hier.Hierarchy { return a.env.h }
-
-// SetAlignJitter overrides the per-epoch synchronization jitter (cycles).
-// The default (150) matches the hand-tuned implementation behind Table 6's
-// 298 KB/s; the paper's Figure 11 curve comes from an unoptimized tutorial
-// implementation whose looser synchronization is modelled with ~450.
-func (a *FlushReload) SetAlignJitter(sd float64) { a.env.alignSD = sd }
-
 // Name implements Attack.
 func (a *FlushReload) Name() string { return "flush+reload" }
 
 // Model implements Attack.
-func (a *FlushReload) Model() string { return "cross-core" }
+func (a *FlushReload) Model() string { return Model(a.Name()) }
 
 // Run implements Attack.
 func (a *FlushReload) Run(bits []byte) (*Result, error) {
@@ -130,29 +100,10 @@ type FlushFlush struct {
 // FlushFlushWindow is the default bit period in cycles (≈496 KB/s).
 const FlushFlushWindow = 960
 
-// NewFlushFlush builds the attack on the default Skylake machine; window 0
-// selects the default.
-func NewFlushFlush(window uint64, seed uint64) (*FlushFlush, error) {
-	return NewFlushFlushOn(nil, window, seed)
-}
-
-// NewFlushFlushOn builds the attack on machine m (nil = Skylake). It fails
-// on platforms without unprivileged flushes (Section 2.3.2).
-func NewFlushFlushOn(m *params.Machine, window uint64, seed uint64) (*FlushFlush, error) {
-	return NewFlushFlushWith(BuildOpts{Machine: m, Window: window, Seed: seed})
-}
-
-// NewFlushFlushWith builds the attack with full control over the hierarchy
-// (defenses, ablations) via BuildOpts.
-func NewFlushFlushWith(o BuildOpts) (*FlushFlush, error) {
-	if o.Window == 0 {
-		o.Window = FlushFlushWindow
-	}
-	env, err := newEpochEnvOpts(o)
+// newFlushFlush builds the attack on h (see Build).
+func newFlushFlush(s Spec, h *hier.Hierarchy) (*FlushFlush, error) {
+	env, err := newEpochEnv(s, h, FlushFlushWindow)
 	if err != nil {
-		return nil, err
-	}
-	if err := env.requireFlush("flush+flush"); err != nil {
 		return nil, err
 	}
 	var alloc mem.Allocator
@@ -160,15 +111,11 @@ func NewFlushFlushWith(o BuildOpts) (*FlushFlush, error) {
 	return &FlushFlush{env: env, addr: reg.Base, sCore: 0, rCore: 1, flushJitterSD: 2.0}, nil
 }
 
-// Hier exposes the hierarchy the attack runs on, for external
-// instrumentation (e.g. attaching a hier.Monitor).
-func (a *FlushFlush) Hier() *hier.Hierarchy { return a.env.h }
-
 // Name implements Attack.
 func (a *FlushFlush) Name() string { return "flush+flush" }
 
 // Model implements Attack.
-func (a *FlushFlush) Model() string { return "cross-core" }
+func (a *FlushFlush) Model() string { return Model(a.Name()) }
 
 // Run implements Attack.
 func (a *FlushFlush) Run(bits []byte) (*Result, error) {

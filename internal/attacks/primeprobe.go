@@ -3,7 +3,6 @@ package attacks
 import (
 	"streamline/internal/hier"
 	"streamline/internal/mem"
-	"streamline/internal/params"
 )
 
 // PrimeProbe is the set-conflict channel (Percival '05 on the L1; Liu et
@@ -30,78 +29,46 @@ const (
 	PrimeProbeL1Window  = 1190
 )
 
-// NewPrimeProbeLLC builds the cross-core LLC variant on the default
-// Skylake machine; window 0 selects the default.
-func NewPrimeProbeLLC(window uint64, seed uint64) (*PrimeProbe, error) {
-	return NewPrimeProbeLLCOn(nil, window, seed)
-}
-
-// NewPrimeProbeLLCOn builds the cross-core LLC variant on machine m
-// (nil = Skylake). Prime+Probe needs no flushes or shared memory, so it
-// runs on any platform.
-func NewPrimeProbeLLCOn(m *params.Machine, window uint64, seed uint64) (*PrimeProbe, error) {
-	return NewPrimeProbeLLCWith(BuildOpts{Machine: m, Window: window, Seed: seed})
-}
-
-// NewPrimeProbeLLCWith builds the cross-core LLC variant with full control
-// over the hierarchy (defenses, ablations) via BuildOpts.
-func NewPrimeProbeLLCWith(o BuildOpts) (*PrimeProbe, error) {
-	if o.Window == 0 {
-		o.Window = PrimeProbeLLCWindow
+// newPrimeProbe builds the cross-core LLC variant (llc) or the same-core
+// (SMT) L1 variant in Percival's style on h (see Build).
+func newPrimeProbe(s Spec, h *hier.Hierarchy, llc bool) (*PrimeProbe, error) {
+	defWindow := uint64(PrimeProbeL1Window)
+	if llc {
+		defWindow = PrimeProbeLLCWindow
 	}
-	env, err := newEpochEnvOpts(o)
+	env, err := newEpochEnv(s, h, defWindow)
 	if err != nil {
 		return nil, err
 	}
-	a := &PrimeProbe{env: env, llc: true, sCore: 0, rCore: 1}
 	m := env.m
-	a.ways = m.LLC.Ways
-	// Receiver lines: `ways` addresses mapping to the same LLC set
-	// (stride = sets * lineBytes); the sender's target is one more tag in
-	// the same set.
-	stride := mem.Addr(m.LLC.Sets() * m.LLC.LineBytes)
+	g, rCore := m.L1, 0
+	if llc {
+		g, rCore = m.LLC, 1
+	}
+	a := &PrimeProbe{env: env, llc: llc, sCore: 0, rCore: rCore, ways: g.Ways}
+	// Receiver lines: `ways` addresses mapping to the same set (stride =
+	// sets * lineBytes; 4 KB on the L1's 32K/8w/64B); the sender's target
+	// is one more tag in the same set.
+	stride := mem.Addr(g.Sets() * g.LineBytes)
 	base := mem.Addr(m.PageSize) // skip the null page
 	for w := 0; w < a.ways; w++ {
 		a.prime = append(a.prime, base+mem.Addr(w)*stride)
 	}
 	a.target = base + mem.Addr(a.ways)*stride
-	// A clean probe is `ways` LLC hits; one conflict-induced miss adds
-	// ~(miss - hit) cycles.
-	missLat := m.Lat.LLCHit + m.Lat.DRAMBase
-	a.probeThreshold = a.ways*m.Lat.LLCHit + (missLat-m.Lat.LLCHit)/2
-	a.probeJitterSD = 6
-	return a, nil
-}
-
-// Hier exposes the hierarchy the attack runs on, for external
-// instrumentation (e.g. attaching a hier.Monitor).
-func (a *PrimeProbe) Hier() *hier.Hierarchy { return a.env.h }
-
-// NewPrimeProbeL1 builds the same-core (SMT) L1 variant in Percival's
-// style; window 0 selects the default.
-func NewPrimeProbeL1(window uint64, seed uint64) (*PrimeProbe, error) {
-	if window == 0 {
-		window = PrimeProbeL1Window
+	if llc {
+		// A clean probe is `ways` LLC hits; one conflict-induced miss adds
+		// ~(miss - hit) cycles.
+		missLat := m.Lat.LLCHit + m.Lat.DRAMBase
+		a.probeThreshold = a.ways*m.Lat.LLCHit + (missLat-m.Lat.LLCHit)/2
+		a.probeJitterSD = 6
+	} else {
+		// A clean probe is `ways` L1 hits; a conflict turns one into an L2
+		// (or worse) access. The decision margin is only a few cycles, so
+		// the measurement jitter must be correspondingly small (Percival
+		// times with a tight loop on the same core).
+		a.probeThreshold = a.ways*m.Lat.L1Hit + (m.Lat.L2Hit-m.Lat.L1Hit)/2
+		a.probeJitterSD = 1.0
 	}
-	env, err := newEpochEnv(nil, window, seed)
-	if err != nil {
-		return nil, err
-	}
-	a := &PrimeProbe{env: env, llc: false, sCore: 0, rCore: 0}
-	m := env.m
-	a.ways = m.L1.Ways
-	stride := mem.Addr(m.L1.Sets() * m.L1.LineBytes) // 4 KB on 32K/8w/64B
-	base := mem.Addr(m.PageSize)
-	for w := 0; w < a.ways; w++ {
-		a.prime = append(a.prime, base+mem.Addr(w)*stride)
-	}
-	a.target = base + mem.Addr(a.ways)*stride
-	// A clean probe is `ways` L1 hits; a conflict turns one into an L2
-	// (or worse) access. The decision margin is only a few cycles, so the
-	// measurement jitter must be correspondingly small (Percival times
-	// with a tight loop on the same core).
-	a.probeThreshold = a.ways*m.Lat.L1Hit + (m.Lat.L2Hit-m.Lat.L1Hit)/2
-	a.probeJitterSD = 1.0
 	return a, nil
 }
 
@@ -114,12 +81,7 @@ func (a *PrimeProbe) Name() string {
 }
 
 // Model implements Attack.
-func (a *PrimeProbe) Model() string {
-	if a.llc {
-		return "cross-core"
-	}
-	return "same-core"
-}
+func (a *PrimeProbe) Model() string { return Model(a.Name()) }
 
 // Run implements Attack.
 func (a *PrimeProbe) Run(bits []byte) (*Result, error) {

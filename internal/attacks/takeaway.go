@@ -29,17 +29,15 @@ type TakeAway struct {
 // protocol.
 const TakeAwayWindow = 64800
 
-// NewTakeAway builds the attack with the given number of parallel channels
-// (0 selects the paper's 80) and window (0 selects the default).
-func NewTakeAway(channels int, window uint64, seed uint64) (*TakeAway, error) {
-	if channels == 0 {
-		channels = 80
-	}
+// newTakeAway builds the attack with the paper's 80 parallel channels and
+// the given window (0 selects the default); m supplies the clock only.
+func newTakeAway(m *params.Machine, window uint64, seed uint64) *TakeAway {
+	const channels = 80
 	if window == 0 {
 		window = TakeAwayWindow
 	}
 	a := &TakeAway{
-		m:        params.SkylakeE3(), // used for the clock only
+		m:        m,
 		pred:     waypred.New(waypred.DefaultConfig(), seed),
 		x:        rng.New(seed ^ 0x7a4e),
 		window:   window,
@@ -50,14 +48,14 @@ func NewTakeAway(channels int, window uint64, seed uint64) (*TakeAway, error) {
 		send := a.pred.FindCollision(recv, 0x8000000)
 		a.pairs = append(a.pairs, [2]mem.Addr{recv, send})
 	}
-	return a, nil
+	return a
 }
 
 // Name implements Attack.
 func (a *TakeAway) Name() string { return "take-a-way" }
 
 // Model implements Attack.
-func (a *TakeAway) Model() string { return "same-core" }
+func (a *TakeAway) Model() string { return Model(a.Name()) }
 
 // Run implements Attack: bits are striped across the parallel channels,
 // one epoch transmitting `channels` bits.

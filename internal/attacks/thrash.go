@@ -27,10 +27,10 @@ type ThrashReload struct {
 	Laps int
 }
 
-// NewThrashReload builds the attack. There is no meaningful window
-// parameter: the bit period is dominated by the thrash itself.
-func NewThrashReload(seed uint64) (*ThrashReload, error) {
-	env, err := newEpochEnv(nil, 1, seed)
+// newThrashReload builds the attack on h (see Build). It ignores
+// s.Window: the bit period is dominated by the thrash itself.
+func newThrashReload(s Spec, h *hier.Hierarchy) (*ThrashReload, error) {
+	env, err := newEpochEnv(s, h, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func NewThrashReload(seed uint64) (*ThrashReload, error) {
 func (a *ThrashReload) Name() string { return "thrash+reload" }
 
 // Model implements Attack.
-func (a *ThrashReload) Model() string { return "cross-core" }
+func (a *ThrashReload) Model() string { return Model(a.Name()) }
 
 // Run implements Attack. Warning: each bit simulates an LLC-sized buffer
 // walk, so keep payloads small (hundreds of bits).

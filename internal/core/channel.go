@@ -24,7 +24,8 @@ type GapSample struct {
 	Gap  int64
 }
 
-// Result reports one channel run.
+// Result reports one channel run. RunAttack and RunXYProbe report their
+// runs in it too, filling the fields their doc comments name.
 type Result struct {
 	// PayloadBits is the number of data bits the caller asked to send.
 	PayloadBits int
@@ -144,15 +145,14 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	// serving traffic the whole call is one key hash plus a memory read.
 	// Chain is excluded from the key, so chained and unchained runs of one
 	// config × payload meet in one entry.
-	st := e.opt.Store
-	var key resultstore.Key
-	if st != nil {
-		key = storeKey(&cfg, &src)
-		if served := e.storeLookup(key); served != nil {
-			return served, nil
-		}
-	}
+	return e.serve(func() resultstore.Key { return storeKey(&cfg, &src) },
+		func() (*Result, error) { return e.simulate(cfg, src) })
+}
 
+// simulate runs one validated channel on a simulator from the reuse
+// layers: a fork of a chain checkpoint, a pooled or snapshot-warmed
+// hierarchy, or a fresh one.
+func (e *Engine) simulate(cfg Config, src payloadSrc) (*Result, error) {
 	// Build the transmitted bit stream (it needs no simulator): the payload
 	// itself, optional ECC, an optional transient-burning preamble, then
 	// optional PRNG modulation.
@@ -381,9 +381,6 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 	if secs > 0 {
 		res.BitRateKBps = float64(res.PayloadBits) / 8192.0 / secs
 		res.ChannelKBps = float64(res.ChannelBits) / 8192.0 / secs
-	}
-	if st != nil {
-		e.storePut(key, res)
 	}
 	return res, nil
 }

@@ -215,9 +215,7 @@ func DefaultConfig() Config {
 
 // validate fills defaults and checks consistency.
 func (c *Config) validate() error {
-	if c.Machine == nil {
-		c.Machine = defaultMachine
-	}
+	c.Machine = machineOf(c.Machine)
 	if err := c.Machine.Validate(); err != nil {
 		return err
 	}

@@ -82,14 +82,15 @@ func NewEngine(o EngineOptions) *Engine {
 	return e
 }
 
-// Store returns the engine's result store, or nil. Higher layers
-// (internal/experiments) use the same handle to memoize results whose runs
-// do not flow through Run, and to report hit/miss counts.
+// Store returns the engine's result store, or nil. Every run the engine
+// serves (Run, RunRandom, RunAttack, RunXYProbe) reads through and writes
+// back to it; callers use the handle to report hit/miss counts.
 func (e *Engine) Store() *resultstore.Store { return e.opt.Store }
 
 // Counters is a monotonic snapshot of an Engine's activity.
 type Counters struct {
-	// Sims counts runs that acquired a simulator (cold or forked);
+	// Sims counts runs that acquired a simulator (cold or forked; an
+	// attack or XY probe builds its own);
 	// StoreHits runs served entirely from the result store; StoreMisses
 	// store lookups that missed and fell through to simulation.
 	Sims, StoreHits, StoreMisses uint64

@@ -119,21 +119,25 @@ func (e *enc) configTerms(cfg *Config) {
 	e.i(cfg.CamouflageAccesses)
 	e.i(cfg.PartitionWays)
 	e.f64(cfg.RandomFillProb)
-	e.bool(cfg.Quota != nil)
-	if q := cfg.Quota; q != nil {
-		e.i(len(q.DomainWays))
-		for _, w := range q.DomainWays {
-			e.i(w)
-		}
-		e.i(q.MinWays)
-		e.i(q.RebalancePeriod)
-		e.bool(q.CopyOnAccess)
-	}
+	e.quota(cfg.Quota)
 	e.u64(cfg.CounterWindow)
 	e.i(cfg.GapClamp)
 	e.bool(cfg.NaivePattern)
 	e.str(cfg.LLCPolicy)
 	// Chain: excluded by design; see package comment.
+}
+
+// quota appends an optional quota defense: its presence, then every field.
+// Channel and attack keys share it.
+func (e *enc) quota(q *hier.QuotaConfig) {
+	e.bool(q != nil)
+	if q == nil {
+		return
+	}
+	e.ints(q.DomainWays)
+	e.i(q.MinWays)
+	e.i(q.RebalancePeriod)
+	e.bool(q.CopyOnAccess)
 }
 
 // dram appends an optional DRAM timing override: its presence, then every
@@ -199,6 +203,26 @@ func (e *enc) payloadKeyBits(p []byte) {
 		e.b = append(e.b, payloadFormRaw)
 		e.bytes(p)
 	}
+}
+
+// serve is the one read-through/write-back path of every stored run
+// (Run, RunRandom, RunAttack, RunXYProbe): with a store it returns the
+// Result stored under key(), or runs sim and writes its Result back; with
+// none it just runs sim. sim counts itself in Counters.Sims once it holds a
+// simulator.
+func (e *Engine) serve(key func() resultstore.Key, sim func() (*Result, error)) (*Result, error) {
+	if e.opt.Store == nil {
+		return sim()
+	}
+	k := key()
+	if served := e.storeLookup(k); served != nil {
+		return served, nil
+	}
+	res, err := sim()
+	if err == nil {
+		e.storePut(k, res)
+	}
+	return res, err
 }
 
 // storeLookup serves the Result stored under key, or nil on a miss. An
@@ -379,6 +403,12 @@ func (e *enc) bool(v bool) {
 func (e *enc) str(s string) {
 	e.i(len(s))
 	e.b = append(e.b, s...)
+}
+func (e *enc) ints(v []int) {
+	e.i(len(v))
+	for _, x := range v {
+		e.i(x)
+	}
 }
 func (e *enc) bytes(p []byte) {
 	e.i(len(p))

@@ -18,16 +18,12 @@ func planAsyncPP(o Opts) (*Plan, error) {
 		// Synchronous LLC Prime+Probe.
 		{
 			Label: "prime+probe synchronous",
-			Run: o.attackRun("asyncpp prime+probe(llc) sync", func(s uint64) (attacks.Attack, error) {
-				return attacks.NewPrimeProbeLLC(0, s)
-			}, bits/4),
+			Run:   o.attackRun(attacks.Spec{Kind: "prime+probe(llc)"}, bits/4),
 		},
 		// Asynchronous Prime+Probe.
 		{
 			Label: "prime+probe asynchronous",
-			Run: o.attackRun("asyncpp async-prime+probe", func(s uint64) (attacks.Attack, error) {
-				return attacks.NewAsyncPrimeProbe(s)
-			}, bits),
+			Run:   o.attackRun(attacks.Spec{Kind: "async-prime+probe"}, bits),
 		},
 		// Streamline for scale.
 		{

@@ -6,7 +6,6 @@ import (
 	"streamline/internal/attacks"
 	"streamline/internal/core"
 	"streamline/internal/noise"
-	"streamline/internal/payload"
 )
 
 // planFig10 regenerates Figure 10: Streamline's error rate while each
@@ -69,28 +68,19 @@ func planFig10(o Opts) (*Plan, error) {
 	}, nil
 }
 
-// attackRun returns a pure per-run function measuring one synchronous
-// baseline attack: mk constructs the attack from the derived seed, and the
-// payload derives from the same seed. Metrics are (rate, err%); Data is
-// the attack's (name, model) pair for Assemble. desc names the point for
-// the Out-level result cache (storedout.go) — attacks never reach
-// Engine.Run, so this is their only store path; the bit count is appended
-// here so callers cannot forget it.
-func (o Opts) attackRun(desc string, mk func(seed uint64) (attacks.Attack, error), bits int) func(int, uint64) (Out, error) {
-	return o.storedRun(fmt.Sprintf("%s bits=%d", desc, bits), func(rep int, seed uint64) (Out, error) {
-		a, err := mk(seed)
+// attackRun returns a pure per-run function measuring one baseline
+// attack: spec under the derived seed, transmitting a payload from the
+// same seed, served by Engine.RunAttack. Metrics are (rate, err%).
+func (o Opts) attackRun(spec attacks.Spec, bits int) func(int, uint64) (Out, error) {
+	return func(_ int, seed uint64) (Out, error) {
+		s := spec
+		s.Seed = seed
+		res, err := o.Engine.RunAttack(s, seed, bits)
 		if err != nil {
 			return Out{}, err
 		}
-		res, err := a.Run(payload.Random(seed, bits))
-		if err != nil {
-			return Out{}, err
-		}
-		return Out{
-			Metrics: []float64{res.BitRateKBps, res.Errors.Rate() * 100},
-			Data:    [2]string{a.Name(), a.Model()},
-		}, nil
-	})
+		return Out{Metrics: []float64{res.BitRateKBps, res.Errors.Rate() * 100}}, nil
+	}
 }
 
 // planFig11 regenerates Figure 11: Flush+Reload's bit-error-rate as its
@@ -106,17 +96,9 @@ func planFig11(o Opts) (*Plan, error) {
 	for _, w := range windows {
 		points = append(points, Point{
 			Label: fmt.Sprintf("window=%d", w),
-			Run: o.attackRun(fmt.Sprintf("fig11 flush+reload window=%d jitter=600", w), func(seed uint64) (attacks.Attack, error) {
-				a, err := attacks.NewFlushReload(w, seed)
-				if err != nil {
-					return nil, err
-				}
-				// Figure 11 measures the unoptimized tutorial
-				// implementation (see the paper's caveat); its
-				// synchronization is looser.
-				a.SetAlignJitter(600)
-				return a, nil
-			}, bits),
+			// Figure 11 measures the unoptimized tutorial implementation
+			// (see the paper's caveat); its synchronization is looser.
+			Run: o.attackRun(attacks.Spec{Kind: "flush+reload", Window: w, AlignJitter: 600}, bits),
 		})
 	}
 	points = append(points, Point{
@@ -163,30 +145,19 @@ func planTable6(o Opts) (*Plan, error) {
 	if o.Quick {
 		trBits = 20
 	}
-	mk := []struct {
-		name string
-		mk   func(seed uint64) (attacks.Attack, error)
-	}{
-		{"take-a-way", func(s uint64) (attacks.Attack, error) { return attacks.NewTakeAway(0, 0, s) }},
-		{"flush+flush", func(s uint64) (attacks.Attack, error) { return attacks.NewFlushFlush(0, s) }},
-		{"prime+probe(l1)", func(s uint64) (attacks.Attack, error) { return attacks.NewPrimeProbeL1(0, s) }},
-		{"flush+reload", func(s uint64) (attacks.Attack, error) { return attacks.NewFlushReload(0, s) }},
-		{"prime+probe(llc)", func(s uint64) (attacks.Attack, error) { return attacks.NewPrimeProbeLLC(0, s) }},
-	}
+	kinds := []string{"take-a-way", "flush+flush", "prime+probe(l1)", "flush+reload", "prime+probe(llc)"}
 	var points []Point
-	for i, f := range mk {
+	for i, k := range kinds {
 		points = append(points, Point{
 			Label: fmt.Sprintf("baseline %d", i),
-			Run:   o.attackRun("table6 "+f.name, f.mk, bits),
+			Run:   o.attackRun(attacks.Spec{Kind: k}, bits),
 		})
 	}
 	// Thrash+Reload: tiny payload, each bit thrashes the LLC.
 	points = append(points, Point{
 		Label: "thrash+reload",
 		Reps:  1,
-		Run: o.attackRun("table6 thrash+reload", func(s uint64) (attacks.Attack, error) {
-			return attacks.NewThrashReload(s)
-		}, trBits),
+		Run:   o.attackRun(attacks.Spec{Kind: "thrash+reload"}, trBits),
 	})
 	points = append(points, Point{
 		Label: "streamline",
@@ -205,17 +176,15 @@ func planTable6(o Opts) (*Plan, error) {
 					"paper: take-a-way 588 KB/s, flush+flush 496, prime+probe(l1) 400, flush+reload 298, prime+probe(llc) 75, streamline 1801",
 				},
 			}
-			for i := range mk {
-				nm := res[i][0].Data.([2]string)
-				t.Rows = append(t.Rows, []string{nm[0], nm[1],
+			for i, k := range kinds {
+				t.Rows = append(t.Rows, []string{k, attacks.Model(k),
 					kbps(summarize(res[i], 0)), pct(summarize(res[i], 1))})
 			}
-			tr := res[len(mk)][0]
-			trName := tr.Data.([2]string)
-			t.Rows = append(t.Rows, []string{trName[0], trName[1],
+			tr := res[len(kinds)][0]
+			t.Rows = append(t.Rows, []string{"thrash+reload", attacks.Model("thrash+reload"),
 				fmt.Sprintf("%.0f bits/s", tr.Metrics[0]*8192),
 				fmt.Sprintf("%.2f%%", tr.Metrics[1])})
-			sl := res[len(mk)+1]
+			sl := res[len(kinds)+1]
 			t.Rows = append(t.Rows, []string{"streamline (this work)", "cross-core",
 				kbps(summarize(sl, cmRate)), pct(summarize(sl, cmErr))})
 			return t, nil

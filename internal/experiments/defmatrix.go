@@ -7,7 +7,7 @@ import (
 	"streamline/internal/core"
 	"streamline/internal/defense"
 	"streamline/internal/hier"
-	"streamline/internal/payload"
+	"streamline/internal/params"
 	"streamline/internal/stats"
 )
 
@@ -35,45 +35,20 @@ func planDefMatrix(o Opts) (*Plan, error) {
 		slBits = 2000000
 	}
 	defs := defenseSpecs()
-	type atkSpec struct {
-		name string
-		mk   func(d defenseSpec, bits int) func(int, uint64) (Out, error)
-	}
-	atks := []atkSpec{
-		{"streamline", func(d defenseSpec, _ int) func(int, uint64) (Out, error) {
-			return defmatrixStreamlineRun(o.Engine, d, slBits)
-		}},
-		{"flush+reload", defmatrixAttackRun(func(o attacks.BuildOpts) (attacks.Attack, error) {
-			return attacks.NewFlushReloadWith(o)
-		})},
-		{"flush+flush", defmatrixAttackRun(func(o attacks.BuildOpts) (attacks.Attack, error) {
-			return attacks.NewFlushFlushWith(o)
-		})},
-		{"prime+probe(llc)", defmatrixAttackRun(func(o attacks.BuildOpts) (attacks.Attack, error) {
-			return attacks.NewPrimeProbeLLCWith(o)
-		})},
-		{"async-prime+probe", defmatrixAttackRun(func(o attacks.BuildOpts) (attacks.Attack, error) {
-			return attacks.NewAsyncPrimeProbeWith(o)
-		})},
-	}
+	atks := []string{"streamline", "flush+reload", "flush+flush", "prime+probe(llc)", "async-prime+probe"}
 	var points []Point
 	for _, a := range atks {
 		for _, d := range defs {
-			// Baseline attacks never reach Engine.Run, so the Out cache is
-			// their only store path; streamline's row is also wrapped to
-			// skip the (cheap but nonzero) stealth recomputation on warm
-			// passes. Descriptors carry the bit count each cell actually
-			// ran — labels alone alias across -quick/-full scales.
-			bits := atkBits
-			if a.name == "streamline" {
-				bits = slBits
+			var run func(int, uint64) (Out, error)
+			if a == "streamline" {
+				run = defmatrixStreamlineRun(o.Engine, d, slBits)
+			} else {
+				run = defmatrixAttackRun(o.Engine, a, d, atkBits)
 			}
 			points = append(points, Point{
-				Label: fmt.Sprintf("%s vs %s", a.name, d.name),
+				Label: fmt.Sprintf("%s vs %s", a, d.name),
 				Reps:  1,
-				Run: o.storedRun(
-					fmt.Sprintf("defmatrix %s vs %s bits=%d window=%d", a.name, d.name, bits, defMonitorWindow),
-					a.mk(d, atkBits)),
+				Run:   run,
 			})
 		}
 	}
@@ -97,7 +72,7 @@ func planDefMatrix(o Opts) (*Plan, error) {
 				for _, d := range defs {
 					m := res[i][0].Metrics
 					t.Rows = append(t.Rows, []string{
-						a.name, d.name,
+						a, d.name,
 						fmt.Sprintf("%.0f KB/s", m[dmRate]),
 						fmt.Sprintf("%.0f KB/s", m[dmCap]),
 						fmt.Sprintf("%.1f%%", m[dmErr]),
@@ -131,33 +106,45 @@ func defQuota() *hier.QuotaConfig {
 	return &hier.QuotaConfig{MinWays: 2, RebalancePeriod: 4096, CopyOnAccess: true}
 }
 
-// defenseSpec is one column of the matrix, in both dialects: hierarchy
-// options for the baseline attacks and a config mutation for Streamline.
+// defenseSpec is one column of the matrix: the defense's values, which
+// apply to Streamline's Config and to an attack's Spec alike.
 type defenseSpec struct {
-	name string
-	hier func() hier.Options
-	core func(cfg *core.Config)
+	name          string
+	randomFill    float64
+	quota         bool
+	partitionWays int
 }
 
 func defenseSpecs() []defenseSpec {
 	return []defenseSpec{
-		{"none",
-			func() hier.Options { return hier.Options{} },
-			func(*core.Config) {}},
-		{"noise",
-			func() hier.Options { return hier.Options{RandomFillProb: 0.25} },
-			func(cfg *core.Config) { cfg.RandomFillProb = 0.25 }},
-		{"quota",
-			func() hier.Options { return hier.Options{Quota: defQuota()} },
-			func(cfg *core.Config) { cfg.Quota = defQuota() }},
-		{"partition",
-			// The attacks pin sender/receiver to cores 0/1; those two land
-			// in separate 8-way partitions (the idle cores share the
-			// sender's).
-			func() hier.Options {
-				return hier.Options{PartitionWays: 8, CoreDomains: []int{0, 1, 0, 0}}
-			},
-			func(cfg *core.Config) { cfg.PartitionWays = 8 }},
+		{name: "none"},
+		{name: "noise", randomFill: 0.25},
+		{name: "quota", quota: true},
+		{name: "partition", partitionWays: 8},
+	}
+}
+
+// channel applies the defense to a Streamline run, whose sender and
+// receiver cores land in separate trust domains under partitioning.
+func (d defenseSpec) channel(cfg *core.Config) {
+	cfg.RandomFillProb = d.randomFill
+	if d.quota {
+		cfg.Quota = defQuota()
+	}
+	cfg.PartitionWays = d.partitionWays
+}
+
+// attack applies the defense to a baseline attack.
+func (d defenseSpec) attack(s *attacks.Spec) {
+	s.RandomFillProb = d.randomFill
+	if d.quota {
+		s.Quota = defQuota()
+	}
+	if d.partitionWays > 0 {
+		// The attacks pin sender/receiver to cores 0/1; those two land in
+		// separate partitions (the idle cores share the sender's).
+		s.PartitionWays = d.partitionWays
+		s.CoreDomains = []int{0, 1, 0, 0}
 	}
 }
 
@@ -168,7 +155,7 @@ func defmatrixStreamlineRun(e *core.Engine, d defenseSpec, bits int) func(int, u
 		cfg := core.DefaultConfig()
 		cfg.Seed = seed
 		cfg.CounterWindow = defMonitorWindow
-		d.core(&cfg)
+		d.channel(&cfg)
 		res, err := e.RunRandom(cfg, seed^0xdef, bits)
 		if err != nil {
 			return Out{}, err
@@ -185,34 +172,25 @@ func defmatrixStreamlineRun(e *core.Engine, d defenseSpec, bits int) func(int, u
 	}
 }
 
-// defmatrixAttackRun measures one baseline attack under one defense: the
-// attack is built on a defended hierarchy via BuildOpts, a monitor watches
-// the run, and the stealth score is computed over the attacker's two cores.
-func defmatrixAttackRun(mk func(attacks.BuildOpts) (attacks.Attack, error)) func(defenseSpec, int) func(int, uint64) (Out, error) {
-	return func(d defenseSpec, bits int) func(int, uint64) (Out, error) {
-		return func(rep int, seed uint64) (Out, error) {
-			a, err := mk(attacks.BuildOpts{Seed: seed, Hier: d.hier()})
-			if err != nil {
-				return Out{}, err
-			}
-			type monitored interface{ Hier() *hier.Hierarchy }
-			h := a.(monitored).Hier()
-			mon := hier.NewMonitor(h.Machine().Cores, defMonitorWindow)
-			h.AttachMonitor(mon)
-			res, err := a.Run(payload.Random(seed, bits))
-			if err != nil {
-				return Out{}, err
-			}
-			h.DetachMonitor()
-			stealth := defense.StealthScore(mon.Windows(), defMonitorWindow,
-				[]int{0, 1}, defense.DefaultClassifiers(h.Machine().Cores), nil)
-			errRate := res.Errors.Rate()
-			return Out{Metrics: []float64{
-				res.BitRateKBps,
-				res.BitRateKBps * stats.BSCCapacity(errRate),
-				errRate * 100,
-				stealth,
-			}}, nil
+// defmatrixAttackRun measures one baseline attack under one defense, with
+// the counter monitor on; the stealth score is computed over the
+// attacker's two cores.
+func defmatrixAttackRun(e *core.Engine, kind string, d defenseSpec, bits int) func(int, uint64) (Out, error) {
+	return func(rep int, seed uint64) (Out, error) {
+		s := attacks.Spec{Kind: kind, Seed: seed, CounterWindow: defMonitorWindow}
+		d.attack(&s)
+		res, err := e.RunAttack(s, seed, bits)
+		if err != nil {
+			return Out{}, err
 		}
+		stealth := defense.StealthScore(res.Counters, defMonitorWindow,
+			[]int{0, 1}, defense.DefaultClassifiers(params.SkylakeE3().Cores), nil)
+		errRate := res.Errors.Rate()
+		return Out{Metrics: []float64{
+			res.BitRateKBps,
+			res.BitRateKBps * stats.BSCCapacity(errRate),
+			errRate * 100,
+			stealth,
+		}}, nil
 	}
 }

@@ -53,10 +53,11 @@ type Opts struct {
 	// Workers sets the worker-pool size: 0 selects GOMAXPROCS, 1 runs
 	// serially. Results are bit-identical at any value.
 	Workers int
-	// Engine runs every channel simulation, and its store (Engine.Store)
-	// also backs the point-level Out cache. nil gives each Run or RunBatch
-	// call a fresh engine on a memory-only store. Results are bit-identical
-	// either way; sharing one engine across calls shares its reuse layers.
+	// Engine runs every simulation: channels, baseline attacks and XY
+	// probes, each served from its store when it ran before. nil gives
+	// each Run or RunBatch call a fresh engine on a memory-only store.
+	// Results are bit-identical either way; sharing one engine across
+	// calls shares its reuse layers.
 	Engine *core.Engine
 }
 
@@ -340,8 +341,7 @@ func executePlans(ids []string, plans []*Plan, o Opts) ([]*Table, error) {
 	ropt := runner.Options{Root: o.Seed, Workers: o.Workers, Hook: hook}
 	if st := o.Engine.Store(); st != nil {
 		// The progress hook labels each run [hit]/[miss] from these
-		// cumulative counters; the handle covers both Engine.Run serving
-		// and the point-level Out cache (storedout.go).
+		// cumulative counters.
 		ropt.StoreCounters = func() (uint64, uint64) {
 			s := st.Stats()
 			return s.Hits, s.Misses

@@ -161,6 +161,8 @@ func storeAxis(t *testing.T) {
 	if s.Misses != cold.Misses {
 		t.Errorf("store-on warm pass missed the store %d times", s.Misses-cold.Misses)
 	}
+	// Sims counts every run the engine serves: channels, attacks and XY
+	// probes alike, so zero means no point of any experiment simulated.
 	if n := warm.Counters().Sims; n != 0 {
 		t.Errorf("store-on warm pass simulated %d runs, want 0", n)
 	}
@@ -183,8 +185,8 @@ func storeAxis(t *testing.T) {
 }
 
 // corruptAxisID is the experiment the corrupt-entry fallback step runs on:
-// table1 exercises the Out-level cache (its points never reach core.Run)
-// and is among the cheapest sweeps to recompute.
+// table1's points are XY probes (core.Engine.RunXYProbe), and it is among
+// the cheapest sweeps to recompute.
 const corruptAxisID = "table1"
 
 // corruptStoreEntries flips the final byte of every entry under dir.

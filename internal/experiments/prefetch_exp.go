@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"streamline/internal/hier"
-	"streamline/internal/mem"
-	"streamline/internal/params"
-	"streamline/internal/pattern"
 )
 
 // planTable1 regenerates the paper's Table 1: the LLC miss-rate of N=1000
@@ -26,15 +23,14 @@ func planTable1(o Opts) (*Plan, error) {
 			points = append(points, Point{
 				Label: fmt.Sprintf("x=%d y=%d", x, y),
 				Reps:  reps,
-				// missRateXY drives the hierarchy directly (no Engine.Run),
-				// so the Out cache is its only store path.
-				Run: o.storedRun(fmt.Sprintf("table1 x=%d y=%d n=%d", x, y, n), func(rep int, seed uint64) (Out, error) {
-					mr, err := missRateXY(seed, x, y, n)
+				Run: func(_ int, seed uint64) (Out, error) {
+					res, err := o.Engine.RunXYProbe(seed, x, y, n)
 					if err != nil {
 						return Out{}, err
 					}
+					mr := float64(res.ReceiverLevels[hier.DRAM]) / float64(n)
 					return Out{Metrics: []float64{mr * 100}}, nil
-				}),
+				},
 			})
 		}
 	}
@@ -60,28 +56,4 @@ func planTable1(o Opts) (*Plan, error) {
 			return t, nil
 		},
 	}, nil
-}
-
-// missRateXY measures the fraction of n demand accesses served by DRAM for
-// the XY pattern on a fresh hierarchy.
-func missRateXY(seed uint64, x, y, n int) (float64, error) {
-	m := params.SkylakeE3()
-	h, err := hier.New(m, hier.Options{Seed: seed})
-	if err != nil {
-		return 0, err
-	}
-	alloc := mem.NewAllocator(m.PageSize)
-	// Enough pages that the pattern never wraps within n accesses.
-	reg := alloc.Alloc(16 << 20)
-	pat := pattern.NewXY(h.Geometry(), x, y, 0)
-	now := uint64(0)
-	misses := 0
-	for i := 0; i < n; i++ {
-		r := h.Access(0, reg.AddrAt(pat.Offset(uint64(i), reg.Size)), now)
-		if r.Level == hier.DRAM {
-			misses++
-		}
-		now += uint64(r.Latency) + 60
-	}
-	return float64(misses) / float64(n), nil
 }

@@ -6,7 +6,6 @@ import (
 	"streamline/internal/attacks"
 	"streamline/internal/core"
 	"streamline/internal/params"
-	"streamline/internal/payload"
 )
 
 // ARMStreamlineConfig returns Streamline tuned for the ARM Cortex-A72
@@ -37,68 +36,40 @@ func planUniversality(o Opts) (*Plan, error) {
 	}
 	const baselineBits = 40000
 
-	// Flush-based baselines: measured on x86; the run also probes the ARM
-	// constructor, whose refusal (no unprivileged flush) rides back on
-	// Out.Data.
-	type mkAttack func(m *params.Machine, seed uint64) (attacks.Attack, error)
-	baselines := []struct {
-		name string
-		mk   mkAttack
-	}{
-		{"flush+reload", func(m *params.Machine, s uint64) (attacks.Attack, error) {
-			return attacks.NewFlushReloadOn(m, 0, s)
-		}},
-		{"flush+flush", func(m *params.Machine, s uint64) (attacks.Attack, error) {
-			return attacks.NewFlushFlushOn(m, 0, s)
-		}},
-	}
+	// Flush-based baselines: measured on x86. Each run also asks Build
+	// for the attack on ARM, which refuses before building anything (no
+	// unprivileged flush), so the verdict costs nothing on a served pass.
+	baselines := []string{"flush+reload", "flush+flush"}
 	var points []Point
-	for _, b := range baselines {
+	for _, kind := range baselines {
 		points = append(points, Point{
-			Label: b.name,
+			Label: kind,
 			Reps:  1,
-			Run: o.storedRun(fmt.Sprintf("universality %s +armprobe bits=%d", b.name, baselineBits), func(rep int, seed uint64) (Out, error) {
-				a, err := b.mk(nil, seed)
-				if err != nil {
-					return Out{}, err
-				}
-				res, err := a.Run(payload.Random(seed, baselineBits))
+			Run: func(_ int, seed uint64) (Out, error) {
+				res, err := o.Engine.RunAttack(attacks.Spec{Kind: kind, Seed: seed}, seed, baselineBits)
 				if err != nil {
 					return Out{}, err
 				}
 				armVerdict := "unexpectedly available"
-				if _, err := b.mk(params.ARMCortexA72(), seed); err != nil {
+				if _, err := attacks.Build(attacks.Spec{Kind: kind, Machine: params.ARMCortexA72(), Seed: seed}); err != nil {
 					armVerdict = "unavailable (no unprivileged flush)"
 				}
 				return Out{
 					Metrics: []float64{res.BitRateKBps, res.Errors.Rate() * 100},
 					Data:    armVerdict,
 				}, nil
-			}),
+			},
 		})
 	}
 
 	// Prime+Probe works everywhere (no flushes, no shared memory) but
 	// stays slow; include it for contrast. One point per platform.
-	ppMachines := []func() *params.Machine{
-		func() *params.Machine { return nil },
-		params.ARMCortexA72,
-	}
-	for i, mkM := range ppMachines {
+	ppMachines := []*params.Machine{nil, params.ARMCortexA72()}
+	for i, m := range ppMachines {
 		points = append(points, Point{
 			Label: fmt.Sprintf("prime+probe platform %d", i),
 			Reps:  1,
-			Run: o.storedRun(fmt.Sprintf("universality prime+probe(llc) platform=%d bits=%d", i, baselineBits), func(rep int, seed uint64) (Out, error) {
-				a, err := attacks.NewPrimeProbeLLCOn(mkM(), 0, seed)
-				if err != nil {
-					return Out{}, err
-				}
-				res, err := a.Run(payload.Random(seed, baselineBits))
-				if err != nil {
-					return Out{}, err
-				}
-				return Out{Metrics: []float64{res.BitRateKBps, res.Errors.Rate() * 100}}, nil
-			}),
+			Run:   o.attackRun(attacks.Spec{Kind: "prime+probe(llc)", Machine: m}, baselineBits),
 		})
 	}
 
@@ -128,9 +99,9 @@ func planUniversality(o Opts) (*Plan, error) {
 			point := func(out Out) string {
 				return fmt.Sprintf("%.0f KB/s @ %.2f%%", out.Metrics[0], out.Metrics[1])
 			}
-			for i, b := range baselines {
+			for i, kind := range baselines {
 				out := res[i][0]
-				t.Rows = append(t.Rows, []string{b.name, point(out), out.Data.(string)})
+				t.Rows = append(t.Rows, []string{kind, point(out), out.Data.(string)})
 			}
 			pp := len(baselines)
 			t.Rows = append(t.Rows, []string{"prime+probe(llc)",

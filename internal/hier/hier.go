@@ -193,6 +193,9 @@ func New(m *params.Machine, opt Options) (*Hierarchy, error) {
 			return nil, fmt.Errorf("hier: partition of %d ways exceeds LLC associativity %d",
 				opt.PartitionWays, m.LLC.Ways)
 		}
+		if opt.CoreDomains != nil && len(opt.CoreDomains) != m.Cores {
+			return nil, fmt.Errorf("hier: %d core domains for %d cores", len(opt.CoreDomains), m.Cores)
+		}
 		for c := range domains {
 			if opt.CoreDomains != nil {
 				domains[c] = opt.CoreDomains[c]

@@ -272,6 +272,9 @@ func TestPartitioningValidation(t *testing.T) {
 		CoreDomains: []int{0, -1, 0, 0}}); err == nil {
 		t.Error("negative domain accepted")
 	}
+	if _, err := New(m, Options{PartitionWays: 8, CoreDomains: []int{0, 1}}); err == nil {
+		t.Error("2 core domains for 4 cores accepted")
+	}
 }
 
 func TestPartitionedInclusion(t *testing.T) {

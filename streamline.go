@@ -28,6 +28,7 @@ package streamline
 
 import (
 	"fmt"
+	"slices"
 
 	"streamline/internal/attacks"
 	"streamline/internal/core"
@@ -139,28 +140,16 @@ func BaselineNames() []string {
 // removing the shared-memory requirement at ~6x the rate of the
 // synchronous LLC Prime+Probe.
 func AsyncPrimeProbe(seed uint64) (Attack, error) {
-	return attacks.NewAsyncPrimeProbe(seed)
+	return attacks.Build(attacks.Spec{Kind: "async-prime+probe", Seed: seed})
 }
 
 // Baseline constructs one of the paper's comparison attacks by name (see
 // BaselineNames) with its default, paper-matching bit period.
 func Baseline(name string, seed uint64) (Attack, error) {
-	switch name {
-	case "flush+reload":
-		return attacks.NewFlushReload(0, seed)
-	case "flush+flush":
-		return attacks.NewFlushFlush(0, seed)
-	case "prime+probe(llc)":
-		return attacks.NewPrimeProbeLLC(0, seed)
-	case "prime+probe(l1)":
-		return attacks.NewPrimeProbeL1(0, seed)
-	case "take-a-way":
-		return attacks.NewTakeAway(0, 0, seed)
-	case "thrash+reload":
-		return attacks.NewThrashReload(seed)
-	default:
+	if !slices.Contains(BaselineNames(), name) {
 		return nil, fmt.Errorf("streamline: unknown baseline %q", name)
 	}
+	return attacks.Build(attacks.Spec{Kind: name, Seed: seed})
 }
 
 // BitsFromBytes unpacks bytes into the 0/1 bit vector Run consumes
