@@ -222,8 +222,9 @@ func main() {
 		profFile.Close()
 	}
 	if *memprof != "" {
-		// Post-GC heap: what the benchmarks retain (pooled simulators, warm
-		// snapshots), not the transient garbage they churned.
+		// Post-GC heap: what the benchmarks retain (warm snapshots,
+		// checkpoints, the store's memory tier), not the transient garbage
+		// they churned.
 		runtime.GC()
 		f, err := os.Create(*memprof)
 		if err != nil {
@@ -692,9 +693,9 @@ func suite(scale float64) []bench {
 
 	// Many-repetition sweep of one configuration: the shape of every
 	// experiment table (N seeds per parameter point) and the workload the
-	// simulator pool and warmup-snapshot memo accelerate — each op re-runs
-	// the same machine `reps` times with derived seeds. Serial workers keep
-	// the measurement scheduling-independent.
+	// warm snapshot accelerates — each op re-runs the same machine `reps`
+	// times with derived seeds, each on a clone of the snapshot. Serial
+	// workers keep the measurement scheduling-independent.
 	sweepReps := scaled(24, scale)
 	const sweepBits = 20_000
 	var sweepErrRate float64

@@ -131,7 +131,7 @@ func main() {
 	}
 
 	// One engine, no result store: a channel run always simulates, and
-	// -runs repetitions share pooled simulators and warm snapshots.
+	// -runs repetitions share warm snapshots.
 	engine := core.NewEngine(core.EngineOptions{})
 	if *runs > 1 {
 		if *dump != "" || *verbose {

@@ -1,8 +1,8 @@
 // Fixture: lifecycle violations the analyzer must catch.
 package fixture
 
-// counter has the full Reset/Clone/CopyFrom method set, so every field
-// must be covered by all three methods.
+// counter declares Clone, Reset and CopyFrom, so every field must be
+// covered by all three methods.
 type counter struct {
 	hits  uint64
 	warm  []uint32
@@ -84,3 +84,30 @@ type badskip struct {
 func (b *badskip) Reset(seed int64)      {}                              // want `fixture\.badskip\.cfg is not covered by Reset`
 func (b *badskip) Clone() *badskip       { return &badskip{cfg: b.cfg} } // want `fixture\.badskip\.cfg is a reference field aliased`
 func (b *badskip) CopyFrom(src *badskip) {}                              // want `fixture\.badskip\.cfg is not covered by CopyFrom`
+
+// cloneOnly declares nothing but Clone: Clone alone must cover every field.
+type cloneOnly struct {
+	n    int
+	hist []uint16
+	last uint64
+}
+
+func (c *cloneOnly) Clone() *cloneOnly { // want `fixture\.cloneOnly\.last is not covered by Clone`
+	return &cloneOnly{n: c.n, hist: append([]uint16(nil), c.hist...)}
+}
+
+// reseedable declares Reset and Clone but no CopyFrom: both methods it has
+// are checked, and its Reset forgets a field.
+type reseedable struct {
+	state uint64
+	steps int
+}
+
+func (r *reseedable) Reset(seed uint64) { // want `fixture\.reseedable\.steps is not covered by Reset`
+	r.state = seed
+}
+
+func (r *reseedable) Clone() *reseedable {
+	c := *r
+	return &c
+}

@@ -87,8 +87,8 @@ type Cache struct {
 	setOcc   []uint16  // per-set valid-line count; ==ways means the fill scan can be skipped
 	occupied int       // running count of valid lines
 	kind     polKind   //detlint:lifecycle-skip devirtualization tag derived from pol's concrete type, fixed at construction
-	rrip     *RRIP     //detlint:lifecycle-skip devirtualization alias of pol (non-nil iff kind == polRRIP); reset/copied through pol
-	plru     *TreePLRU //detlint:lifecycle-skip devirtualization alias of pol (non-nil iff kind == polPLRU); reset/copied through pol
+	rrip     *RRIP     //detlint:lifecycle-skip devirtualization alias of pol (non-nil iff kind == polRRIP); Clone re-derives it from the cloned pol
+	plru     *TreePLRU //detlint:lifecycle-skip devirtualization alias of pol (non-nil iff kind == polPLRU); Clone re-derives it from the cloned pol
 	pol      Policy
 	// quota, when non-nil, tracks per-domain way ownership and budgets
 	// (CacheBar-style; see quota.go). All quota bookkeeping hangs off this

@@ -1,19 +1,17 @@
 // State lifecycle for caches and replacement policies (see DESIGN.md "State
-// lifecycle"): Reset reinitializes a component in place to exactly the state
-// a fresh construction with the same seed would produce, without allocating;
-// Clone produces a deep, independently evolving copy; CopyFrom overwrites a
-// same-shape component's state in place (the allocation-free restore the
-// warmup-snapshot cache uses). The field sets these methods cover are pinned
-// by the statetest audits in lifecycle_test.go.
+// lifecycle"): Clone produces a deep, independently evolving copy of a cache
+// and its policy, and a policy's Reset reinitializes it in place to the state
+// a fresh construction with the same seed would produce (warm replay reseeds
+// the LLC policy of a cloned snapshot this way). The lifecycle analyzer
+// checks that both cover every field.
 
 package cache
 
 import "fmt"
 
 // Lifecycle is implemented by replacement policies that support in-place
-// reinitialization and deep copying. All stock policies implement it; a
-// custom ablation policy that does not simply opts its cache out of the
-// simulator pool (hier.Reset/Clone report an error).
+// reseeding and deep copying. All stock policies implement it; a custom
+// ablation policy that does not makes its cache's Clone fail.
 type Lifecycle interface {
 	// Reset reinitializes the policy in place to the state a fresh
 	// construction with seed (followed by the same Attach) would produce.
@@ -21,17 +19,6 @@ type Lifecycle interface {
 	Reset(seed uint64)
 	// Clone returns a deep copy evolving independently of the receiver.
 	Clone() Policy
-	// CopyStateFrom overwrites the policy's mutable state with src's. It
-	// panics if src is a different policy type or shape — callers pair
-	// components by config fingerprint, so a mismatch is a programming
-	// error.
-	CopyStateFrom(src Policy)
-}
-
-// lifecycleMismatch panics with a uniform diagnostic for CopyStateFrom
-// shape/type violations.
-func lifecycleMismatch(dst Policy, src Policy) {
-	panic(fmt.Sprintf("cache: CopyStateFrom between mismatched policies %s <- %s", dst.Name(), src.Name()))
 }
 
 // ---------------------------------------------------------------- LRU
@@ -55,16 +42,6 @@ func (p *LRU) Clone() Policy {
 	}
 }
 
-// CopyStateFrom implements Lifecycle.
-func (p *LRU) CopyStateFrom(src Policy) {
-	s, ok := src.(*LRU)
-	if !ok || p.ways != s.ways || len(p.stamp) != len(s.stamp) {
-		lifecycleMismatch(p, src)
-	}
-	copy(p.stamp, s.stamp)
-	copy(p.clock, s.clock)
-}
-
 // ---------------------------------------------------------------- Random
 
 // Reset implements Lifecycle.
@@ -72,15 +49,6 @@ func (p *Random) Reset(seed uint64) { p.x.Reseed(seed) }
 
 // Clone implements Lifecycle.
 func (p *Random) Clone() Policy { return &Random{ways: p.ways, x: p.x.Clone()} }
-
-// CopyStateFrom implements Lifecycle.
-func (p *Random) CopyStateFrom(src Policy) {
-	s, ok := src.(*Random)
-	if !ok || p.ways != s.ways {
-		lifecycleMismatch(p, src)
-	}
-	p.x.CopyStateFrom(s.x)
-}
 
 // ---------------------------------------------------------------- NRU
 
@@ -103,16 +71,6 @@ func (p *NRU) Clone() Policy {
 	}
 }
 
-// CopyStateFrom implements Lifecycle.
-func (p *NRU) CopyStateFrom(src Policy) {
-	s, ok := src.(*NRU)
-	if !ok || p.ways != s.ways || len(p.ref) != len(s.ref) {
-		lifecycleMismatch(p, src)
-	}
-	copy(p.ref, s.ref)
-	copy(p.ptr, s.ptr)
-}
-
 // ---------------------------------------------------------------- TreePLRU
 
 // Reset implements Lifecycle: a fresh Attach leaves every tree word zero.
@@ -132,15 +90,6 @@ func (p *TreePLRU) Clone() Policy {
 	c := *p
 	c.bits = append([]uint32(nil), p.bits...)
 	return &c
-}
-
-// CopyStateFrom implements Lifecycle.
-func (p *TreePLRU) CopyStateFrom(src Policy) {
-	s, ok := src.(*TreePLRU)
-	if !ok || p.ways != s.ways || len(p.bits) != len(s.bits) {
-		lifecycleMismatch(p, src)
-	}
-	copy(p.bits, s.bits)
 }
 
 // ---------------------------------------------------------------- RRIP
@@ -182,73 +131,15 @@ func (p *RRIP) Clone() Policy {
 	return &c
 }
 
-// CopyStateFrom implements Lifecycle.
-func (p *RRIP) CopyStateFrom(src Policy) {
-	s, ok := src.(*RRIP)
-	if !ok || p.mode != s.mode || p.ways != s.ways || p.sets != s.sets ||
-		p.hitToZero != s.hitToZero || p.PrefetchDistant != s.PrefetchDistant ||
-		p.DistantFrac32 != s.DistantFrac32 {
-		lifecycleMismatch(p, src)
-	}
-	copy(p.agePk, s.agePk)
-	copy(p.age, s.age)
-	copy(p.ptr, s.ptr)
-	p.x.CopyStateFrom(s.x)
-	p.psel = s.psel
-}
-
 // ---------------------------------------------------------------- Cache
 
-// lifecycle returns the attached policy's Lifecycle, or an error naming the
-// policy when it does not support the state lifecycle.
-func (c *Cache) lifecycle() (Lifecycle, error) {
+// Clone returns a deep copy of the cache (tags, hints, occupancy, stats,
+// quota bookkeeping and policy state) that evolves independently of the
+// receiver. It fails when the attached policy lacks the lifecycle.
+func (c *Cache) Clone() (*Cache, error) {
 	lc, ok := c.pol.(Lifecycle)
 	if !ok {
 		return nil, fmt.Errorf("cache: policy %s does not implement the state lifecycle", c.pol.Name())
-	}
-	return lc, nil
-}
-
-// Reset reinitializes the cache in place to the state a fresh New with the
-// same geometry and a freshly seeded policy would produce: every way empty,
-// hints and occupancy cleared, statistics zeroed, and the policy reset with
-// seed. It allocates nothing. When the attached policy lacks the lifecycle
-// it returns an error without touching any state.
-func (c *Cache) Reset(seed uint64) error {
-	lc, err := c.lifecycle()
-	if err != nil {
-		return err
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	for i := range c.mru {
-		c.mru[i] = 0
-	}
-	for i := range c.setOcc {
-		c.setOcc[i] = 0
-	}
-	c.occupied = 0
-	if q := c.quota; q != nil {
-		for i := range q.owner {
-			q.owner[i] = 0
-		}
-		for i := range q.occ {
-			q.occ[i] = 0
-		}
-		copy(q.budget, q.initial)
-	}
-	c.Stats = Stats{}
-	lc.Reset(seed)
-	return nil
-}
-
-// Clone returns a deep copy of the cache (tags, hints, occupancy, stats,
-// and policy state) that evolves independently of the receiver.
-func (c *Cache) Clone() (*Cache, error) {
-	lc, err := c.lifecycle()
-	if err != nil {
-		return nil, err
 	}
 	n := &Cache{
 		sets:     c.sets,
@@ -267,44 +158,18 @@ func (c *Cache) Clone() (*Cache, error) {
 	case *TreePLRU:
 		n.kind, n.plru = polPLRU, p
 	}
-	if q := c.quota; q != nil {
-		n.quota = &quotaState{
-			domains: q.domains,
-			owner:   append([]uint8(nil), q.owner...),
-			occ:     append([]uint16(nil), q.occ...),
-			budget:  append([]uint16(nil), q.budget...),
-			initial: append([]uint16(nil), q.initial...),
-		}
+	if c.quota != nil {
+		n.quota = c.quota.clone()
 	}
 	return n, nil
 }
 
-// CopyFrom overwrites the cache's state with src's, in place and without
-// allocating. The two caches must have identical geometry and policy
-// type/shape (callers pair them by config fingerprint); a mismatch panics.
-func (c *Cache) CopyFrom(src *Cache) {
-	if c.sets != src.sets || c.ways != src.ways {
-		panic(fmt.Sprintf("cache: CopyFrom between mismatched geometries %dx%d <- %dx%d",
-			c.sets, c.ways, src.sets, src.ways))
+// clone returns an independent deep copy of the quota bookkeeping.
+func (q *quotaState) clone() *quotaState {
+	return &quotaState{
+		domains: q.domains,
+		owner:   append([]uint8(nil), q.owner...),
+		occ:     append([]uint16(nil), q.occ...),
+		budget:  append([]uint16(nil), q.budget...),
 	}
-	lc, err := c.lifecycle()
-	if err != nil {
-		panic(err)
-	}
-	if (c.quota == nil) != (src.quota == nil) ||
-		(c.quota != nil && c.quota.domains != src.quota.domains) {
-		panic("cache: CopyFrom between mismatched quota configurations")
-	}
-	copy(c.tags, src.tags)
-	copy(c.mru, src.mru)
-	copy(c.setOcc, src.setOcc)
-	c.occupied = src.occupied
-	if q := c.quota; q != nil {
-		copy(q.owner, src.quota.owner)
-		copy(q.occ, src.quota.occ)
-		copy(q.budget, src.quota.budget)
-		copy(q.initial, src.quota.initial)
-	}
-	c.Stats = src.Stats
-	lc.CopyStateFrom(src.pol)
 }

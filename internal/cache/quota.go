@@ -34,7 +34,6 @@ type quotaState struct {
 	owner   []uint8  // [sets*ways] domain that filled each way; meaningful only where tags is valid
 	occ     []uint16 // [sets*domains] per-set valid-line count per domain
 	budget  []uint16 // [domains] current per-set way budget
-	initial []uint16 // budgets installed by EnableQuota, restored by Reset
 }
 
 // maxQuotaDomains bounds the domain count so owners fit the uint8 store.
@@ -71,11 +70,9 @@ func (c *Cache) EnableQuota(budgets []int) error {
 		owner:   make([]uint8, c.sets*c.ways),
 		occ:     make([]uint16, c.sets*len(budgets)),
 		budget:  make([]uint16, len(budgets)),
-		initial: make([]uint16, len(budgets)),
 	}
 	for d, b := range budgets {
 		q.budget[d] = uint16(b)
-		q.initial[d] = uint16(b)
 	}
 	c.quota = q
 	return nil

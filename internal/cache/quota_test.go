@@ -240,14 +240,6 @@ func newDirtyQuota(t *testing.T, seed uint64) *Cache {
 	return c
 }
 
-func TestQuotaResetEqualsNew(t *testing.T) {
-	dirty := newDirtyQuota(t, 7)
-	if err := dirty.Reset(99); err != nil {
-		t.Fatal(err)
-	}
-	requireSameQuota(t, dirty, newQuotaCache(t, 64, 8, []int{3, 3, 2}, 99), 555, 20000)
-}
-
 func TestQuotaCloneEquivalenceAndIndependence(t *testing.T) {
 	src := newDirtyQuota(t, 7)
 	c1, err := src.Clone()
@@ -260,26 +252,4 @@ func TestQuotaCloneEquivalenceAndIndependence(t *testing.T) {
 	}
 	driveQuota(c1, rng.New(321), 20000) // perturb one clone
 	requireSameQuota(t, src, c2, 555, 20000)
-}
-
-func TestQuotaCopyFrom(t *testing.T) {
-	src := newDirtyQuota(t, 7)
-	dst := newQuotaCache(t, 64, 8, []int{3, 3, 2}, 42)
-	driveQuota(dst, rng.New(77), 5000)
-	dst.CopyFrom(src)
-	requireSameQuota(t, dst, src, 555, 20000)
-}
-
-func TestQuotaCopyFromRefusesMismatch(t *testing.T) {
-	src := newQuotaCache(t, 64, 8, []int{3, 3, 2}, 7)
-	dst, err := New(64, 8, NewSkylakeLLC(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CopyFrom accepted a quota/non-quota pair")
-		}
-	}()
-	dst.CopyFrom(src)
 }

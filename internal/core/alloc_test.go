@@ -60,14 +60,12 @@ func TestStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPooledLifecycleZeroAllocs pins the simulator pool's steady state as
-// allocation-free: once a worker holds a hierarchy of the right shape,
-// resetting it (or restoring it from a warm snapshot and replaying the log
-// for a new seed) and pushing traffic through it must not touch the heap —
-// the whole point of leasing instead of rebuilding.
-func TestPooledLifecycleZeroAllocs(t *testing.T) {
+// TestReplayWarmupZeroAllocs pins the warm-snapshot path as allocation-free
+// past its one Clone: replaying the warmup log for a new seed onto the
+// cloned snapshot and pushing traffic through it must not touch the heap.
+func TestReplayWarmupZeroAllocs(t *testing.T) {
 	m := DefaultConfig().Machine
-	h, err := hier.New(m, hier.Options{Seed: 1})
+	snap, err := hier.New(m, hier.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,41 +73,26 @@ func TestPooledLifecycleZeroAllocs(t *testing.T) {
 	for i := range buf {
 		buf[i] = mem.Addr(4096 + i*64)
 	}
-	seed := uint64(2)
-	resetAndRun := func() {
-		if err := h.Reset(seed); err != nil {
-			t.Fatal(err)
-		}
-		seed++
-		h.AccessBatch(0, buf, 0, hier.BatchClock{Hold: true})
-	}
-	resetAndRun() // settle batch-kernel internals
-	if avg := testing.AllocsPerRun(50, resetAndRun); avg != 0 {
-		t.Fatalf("reset-and-run costs %.2f allocations, want 0", avg)
-	}
-
-	// The snapshot-restore path: CopyFrom + ReplayWarmup, as a warmed pool
-	// checkout performs per repetition.
-	snapH, err := hier.New(m, hier.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapH.StartRecording()
-	snapH.AccessBatch(0, buf, 0, hier.BatchClock{Hold: true})
-	log := snapH.StopRecording()
+	snap.StartRecording()
+	snap.AccessBatch(0, buf, 0, hier.BatchClock{Hold: true})
+	log := snap.StopRecording()
 	if log.Aborted() {
 		t.Fatal("recording aborted on the default shape")
 	}
-	restoreAndRun := func() {
-		h.CopyFrom(snapH)
+	h, err := snap.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(4)
+	replayAndRun := func() {
 		if err := h.ReplayWarmup(seed, log); err != nil {
 			t.Fatal(err)
 		}
 		seed++
 		h.AccessBatch(0, buf, 0, hier.BatchClock{Hold: true})
 	}
-	restoreAndRun()
-	if avg := testing.AllocsPerRun(50, restoreAndRun); avg != 0 {
-		t.Fatalf("restore-and-run costs %.2f allocations, want 0", avg)
+	replayAndRun() // settle batch-kernel internals
+	if avg := testing.AllocsPerRun(50, replayAndRun); avg != 0 {
+		t.Fatalf("replay-and-run costs %.2f allocations, want 0", avg)
 	}
 }

@@ -150,8 +150,8 @@ func (e *Engine) runPayload(cfg Config, src payloadSrc) (*Result, error) {
 }
 
 // simulate runs one validated channel on a simulator from the reuse
-// layers: a fork of a chain checkpoint, a pooled or snapshot-warmed
-// hierarchy, or a fresh one.
+// layers: a clone of a chain checkpoint, a clone of the warm snapshot, or a
+// fresh hierarchy.
 func (e *Engine) simulate(cfg Config, src payloadSrc) (*Result, error) {
 	// Build the transmitted bit stream (it needs no simulator): the payload
 	// itself, optional ECC, an optional transient-burning preamble, then
@@ -180,9 +180,11 @@ func (e *Engine) simulate(cfg Config, src payloadSrc) (*Result, error) {
 	var fork *chainCheckpoint
 	if chain != nil {
 		if fork = chain.bestFork(); fork != nil {
-			if lease = e.leaseForFork(&cfg, fork); lease == nil {
+			// A failed materialize falls back to a cold start.
+			if h, err := fork.ckpt.Materialize(); err != nil {
 				fork = nil
 			} else {
+				lease = &simLease{h: h, warmed: true}
 				e.ctr.forks.Add(1)
 			}
 		}
@@ -195,10 +197,6 @@ func (e *Engine) simulate(cfg Config, src payloadSrc) (*Result, error) {
 		}
 	}
 	e.ctr.sims.Add(1)
-	// The hierarchy goes back to the idle pool when the run finishes (after
-	// the Result has deep-copied everything it reports); every checkout
-	// resets or overwrites the state before reuse, so error paths may
-	// release a half-run simulator safely.
 	defer e.releaseSim(lease)
 	h := lease.h
 	alloc := mem.NewAllocator(cfg.Machine.PageSize)
@@ -317,9 +315,6 @@ func (e *Engine) simulate(cfg Config, src payloadSrc) (*Result, error) {
 	}
 	var counters []hier.CounterWindow
 	if mon != nil {
-		// Detach before the hierarchy returns to the pool: a later run must
-		// not keep appending to this run's windows.
-		h.DetachMonitor()
 		counters = mon.Windows()
 	}
 
@@ -330,9 +325,9 @@ func (e *Engine) simulate(cfg Config, src payloadSrc) (*Result, error) {
 		SyncWaits:      snd.SyncWaits,
 		SyncTimeouts:   snd.SyncTimeouts,
 		ReceiverLevels: rcv.Levels,
-		// Deep copy: h outlives this run in the simulator pool, and its
-		// counters are zeroed on reuse.
-		CoreServed: append([][4]uint64(nil), h.ServedPerCore...),
+		// h is dropped when the run ends (snapshots and checkpoints hold
+		// clones), so the Result can keep its counters.
+		CoreServed: h.ServedPerCore,
 		LevelTrace: rcv.levelTrace,
 		MaxGap:     snd.maxGap,
 		GapSamples: snd.gaps,

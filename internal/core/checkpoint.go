@@ -15,9 +15,10 @@
 // Unlike the warmup memo (reuse.go), nothing is replayed: a fork is a deep
 // same-seed restore, so evictions, flushes, and noise during the prefix are
 // all legal. The legality rules are config-gated instead: chainEligible
-// rejects configurations whose state lives outside the lifecycle (a
-// caller-supplied LLC policy, random fill, quotas) or outside the captured
-// agent set (counter monitors, caller-supplied patterns). Misses and
+// rejects the configurations the warm snapshot also turns away (a named
+// LLC policy, random fill, quotas) and those whose state lives outside the
+// captured agent set (counter monitors). A fork runs on a Clone of the
+// checkpointed hierarchy (hier.Checkpoint.Materialize). Misses and
 // hash-mismatched forks degrade to cold runs — the invariant "fork ≡ fresh
 // run, bit for bit" is pinned by TestCheckpointForkEqualsFreshRun and the
 // golden suite's checkpoint-off axis.
@@ -203,9 +204,9 @@ type chainRun struct {
 
 // chainEligible reports whether cfg can participate in the engine's
 // checkpoint tree (NoCheckpoints unset): every piece of run state must
-// live inside what the lifecycle plus the agent captures cover. Named LLC
-// policies, random fill, and quotas are outside the lifecycle (same rule
-// as pooling); counter monitors are dropped by Clone.
+// live inside what Clone plus the agent captures cover. Named LLC
+// policies, random fill, and quotas are kept out (the warm snapshot's
+// gate); counter monitors are dropped by Clone.
 func (e *Engine) chainEligible(cfg *Config) bool {
 	return cfg.Chain != nil && len(cfg.Chain.Lengths) > 0 && !e.opt.NoCheckpoints &&
 		cfg.LLCPolicy == "" && cfg.RandomFillProb == 0 && cfg.Quota == nil &&
@@ -241,8 +242,8 @@ func chainFingerprint(cfg *Config) uint64 {
 }
 
 // fnvBytes is FNV-1a over a byte slice: the transmitted-bit prefix identity
-// verified before forking, and the in-memory run identities (chain and pool
-// keys) over the canonical config encoding. (Whole payloads are identified
+// verified before forking, and the in-memory run identities (chain
+// fingerprint and warm-snapshot key) over the canonical config encoding. (Whole payloads are identified
 // by the store key, which covers them packed 8 bits per hashed byte.)
 func fnvBytes(p []byte) uint64 {
 	const prime = 0x100000001b3

@@ -1,20 +1,17 @@
 // The Engine and its reuse layers (see DESIGN.md "State lifecycle").
 // Building a Hierarchy allocates megabytes of tag/metadata arrays, and the
 // default 1 MB warmup walks 16K lines through it before a single payload
-// bit moves; repeated runs — sweeps, the bench harness, the experiment
-// tables — used to pay both on every repetition. An Engine leases each
-// run's simulator from its pool keyed by configuration fingerprint
-// (in-place Reset instead of rebuild) and memoizes the post-warmup state
-// per (fingerprint, warmup-spec): the first run with a given spec records
-// its warmup into a hier.WarmLog and parks a clone; later runs copy the
-// clone and replay the log under their own seed, which is bit-for-bit
-// identical to warming up from scratch (the golden conformance suite and
-// TestReuseEquivalence pin this). Configurations the lifecycle cannot
-// reproduce — a caller-supplied LLC policy, random-fill defenses — bypass
-// reuse entirely and behave exactly as before. The same Engine holds the
-// checkpoint tree (checkpoint.go), the result store handle (store.go) —
-// its one result cache — and the counters that report all of it; nothing
-// is process-wide, so two engines in one process share no state.
+// bit moves. An Engine memoizes the post-warmup state per (fingerprint,
+// warmup-spec): the first run with a given spec builds its hierarchy with
+// hier.New, records its warmup into a hier.WarmLog and parks a clone; later
+// runs clone the snapshot and replay the log under their own seed, which is
+// bit-for-bit identical to warming up from scratch (the golden conformance
+// suite and TestReuseEquivalence pin this). Configurations the replay
+// cannot reproduce — a named LLC policy, random-fill defenses, quotas —
+// always build a fresh hierarchy. The same Engine holds the checkpoint tree
+// (checkpoint.go), the result store handle (store.go) — its one result
+// cache — and the counters that report all of it; nothing is process-wide,
+// so two engines in one process share no state.
 
 package core
 
@@ -25,7 +22,6 @@ import (
 	"streamline/internal/hier"
 	"streamline/internal/params"
 	"streamline/internal/resultstore"
-	"streamline/internal/runner"
 )
 
 // EngineOptions configures an Engine. The zero value enables every reuse
@@ -36,23 +32,21 @@ type EngineOptions struct {
 	// Store is the result store Run reads through and writes back to, on
 	// disk or memory-only (resultstore.Open("")); nil simulates every run.
 	Store *resultstore.Store
-	// NoReuse disables simulator pooling and warmup-snapshot reuse: every
-	// run builds its hierarchy from scratch.
+	// NoReuse disables the warm snapshot: every run that does not fork
+	// from a checkpoint builds its hierarchy with hier.New and simulates
+	// its own warmup walk.
 	NoReuse bool
 	// NoCheckpoints disables the mid-run checkpoint tree: Config.Chain is
 	// ignored.
 	NoCheckpoints bool
 }
 
-// Engine runs channels through the reuse layers it owns: the simulator
-// pool, the warm snapshots, the checkpoint tree, and the result store. It
+// Engine runs channels through the reuse layers it owns: the warm
+// snapshots, the checkpoint tree, and the result store. It
 // is safe for concurrent use; long-lived processes build one and pass it to
 // every caller.
 type Engine struct {
 	opt EngineOptions
-	// pool holds idle hierarchies by run fingerprint, at most a worker's
-	// worth per configuration.
-	pool *runner.Pool[*hier.Hierarchy]
 
 	warm struct {
 		mu       sync.Mutex
@@ -74,7 +68,7 @@ type Engine struct {
 
 // NewEngine returns an Engine with empty reuse layers.
 func NewEngine(o EngineOptions) *Engine {
-	e := &Engine{opt: o, pool: runner.NewPool[*hier.Hierarchy](8)}
+	e := &Engine{opt: o}
 	e.warm.snaps = make(map[uint64]*warmSnapshot)
 	e.warm.building = make(map[uint64]bool)
 	e.warm.noSnap = make(map[uint64]bool)
@@ -192,24 +186,21 @@ type warmSnapshot struct {
 	log *hier.WarmLog
 }
 
-// simLease is one Run's checkout from the reuse machinery.
+// simLease is one Run's simulator and how it was obtained.
 type simLease struct {
-	h        *hier.Hierarchy
-	key      uint64 // pool key (run fingerprint)
-	poolable bool   // return h to the pool when the run finishes
-	warmed   bool   // h already carries the post-warmup state
-	record   bool   // this run must record its warmup to seed the memo
-	snapKey  uint64
+	h       *hier.Hierarchy
+	warmed  bool // h already carries the post-warmup state
+	record  bool // this run must record its warmup to seed the memo
+	snapKey uint64
 }
 
-// runFingerprint is the pool key: it hashes everything that determines a
-// hierarchy's shape and behaviour except the seed, so two runs with equal
-// fingerprints can share pooled simulator state (Reset supplies the seed).
-// These are the Config fields buildHierOptions reads, less the two that
-// make a config unpoolable (LLCPolicy, Quota): the TLB model is a pure
-// function of HugePages, and the trust domains of PartitionWays and
-// ReceiverCore. TestStoreKeySensitivity asserts exactly these fields move
-// it.
+// runFingerprint hashes everything that determines a hierarchy's shape and
+// behaviour except the seed, so two runs with equal fingerprints share a
+// warm snapshot (ReplayWarmup supplies the seed). These are the Config
+// fields buildHierOptions reads, less LLCPolicy and Quota (configurations
+// with either never take the snapshot): the TLB model is a pure function
+// of HugePages, and the trust domains of PartitionWays and ReceiverCore.
+// TestStoreKeySensitivity asserts exactly these fields move it.
 func runFingerprint(cfg *Config) uint64 {
 	e := newEnc(160)
 	e.u64(cfg.Machine.Fingerprint())
@@ -247,99 +238,44 @@ func snapKey(runFp uint64, warmBytes, senderCore int) uint64 {
 	return params.FNVUint(h, uint64(senderCore))
 }
 
-// acquireSim leases a hierarchy for one Run: from the warm-state memo when a
-// snapshot exists (warmup already applied), from the idle pool when one of
-// the right shape is free (reset in place), or freshly built. Configurations
-// outside the lifecycle get a plain hier.New and are never pooled.
+// acquireSim returns an un-forked run's hierarchy: a clone of the warm
+// snapshot with the warmup replayed for cfg.Seed when one exists, else a
+// fresh hier.New, which records its warmup for later runs when it wins the
+// claim. Configurations the replay cannot reproduce — a named LLC policy,
+// random fill, quotas — and reuse-off engines always build fresh.
 func (e *Engine) acquireSim(cfg *Config) (*simLease, error) {
-	hopt := buildHierOptions(cfg)
-	poolable := !e.opt.NoReuse && cfg.LLCPolicy == "" && cfg.RandomFillProb == 0 &&
-		cfg.Quota == nil
-	if !poolable {
-		h, err := hier.New(cfg.Machine, hopt)
-		if err != nil {
-			return nil, err
-		}
-		return &simLease{h: h}, nil
+	warm := 0
+	if !e.opt.NoReuse && cfg.LLCPolicy == "" && cfg.RandomFillProb == 0 && cfg.Quota == nil {
+		warm = effectiveWarmup(cfg)
 	}
-	key := runFingerprint(cfg)
-	warm := effectiveWarmup(cfg)
+	var sk uint64
 	if warm > 0 {
-		sk := snapKey(key, warm, cfg.SenderCore)
-		if lease := e.leaseFromSnapshot(cfg, key, sk); lease != nil {
+		sk = snapKey(runFingerprint(cfg), warm, cfg.SenderCore)
+		if lease := e.leaseFromSnapshot(cfg.Seed, sk); lease != nil {
 			return lease, nil
 		}
-		lease, err := e.leaseCold(cfg, hopt, key)
-		if err != nil {
-			return nil, err
-		}
-		lease.snapKey = sk
-		lease.record = e.claimSnapshotBuild(sk)
-		return lease, nil
 	}
-	return e.leaseCold(cfg, hopt, key)
+	h, err := hier.New(cfg.Machine, buildHierOptions(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return &simLease{h: h, snapKey: sk, record: warm > 0 && e.claimSnapshotBuild(sk)}, nil
 }
 
-// leaseFromSnapshot materializes a warmed hierarchy for cfg.Seed from the
-// memoized snapshot under sk, or returns nil when none is usable.
-func (e *Engine) leaseFromSnapshot(cfg *Config, key, sk uint64) *simLease {
+// leaseFromSnapshot clones the memoized snapshot under sk and replays its
+// warmup for seed, or returns nil when none is usable.
+func (e *Engine) leaseFromSnapshot(seed, sk uint64) *simLease {
 	e.warm.mu.Lock()
 	snap := e.warm.snaps[sk]
 	e.warm.mu.Unlock()
 	if snap == nil {
 		return nil
 	}
-	var h *hier.Hierarchy
-	if pooled, ok := e.pool.Get(key); ok {
-		pooled.CopyFrom(snap.h)
-		h = pooled
-	} else {
-		c, err := snap.h.Clone()
-		if err != nil {
-			return nil
-		}
-		h = c
-	}
-	if err := h.ReplayWarmup(cfg.Seed, snap.log); err != nil {
+	h, err := snap.h.Clone()
+	if err != nil || h.ReplayWarmup(seed, snap.log) != nil {
 		return nil
 	}
-	return &simLease{h: h, key: key, poolable: true, warmed: true}
-}
-
-// leaseCold returns an un-warmed hierarchy for cfg.Seed: a pooled one reset
-// in place when available, else a fresh build.
-func (e *Engine) leaseCold(cfg *Config, hopt hier.Options, key uint64) (*simLease, error) {
-	if pooled, ok := e.pool.Get(key); ok {
-		if err := pooled.Reset(cfg.Seed); err == nil {
-			return &simLease{h: pooled, key: key, poolable: true}, nil
-		}
-	}
-	h, err := hier.New(cfg.Machine, hopt)
-	if err != nil {
-		return nil, err
-	}
-	return &simLease{h: h, key: key, poolable: true}, nil
-}
-
-// leaseForFork materializes a hierarchy carrying a mid-run checkpoint's
-// state: into a pooled same-shape hierarchy when one is idle (and pooling
-// is on), else as a fresh clone. Returns nil on failure, in which case the
-// caller falls back to a cold start.
-func (e *Engine) leaseForFork(cfg *Config, node *chainCheckpoint) *simLease {
-	key := runFingerprint(cfg)
-	if !e.opt.NoReuse {
-		if pooled, ok := e.pool.Get(key); ok {
-			// Same run fingerprint (the chain fingerprint embeds it) means
-			// the same shape, so the in-place restore cannot panic.
-			node.ckpt.RestoreInto(pooled)
-			return &simLease{h: pooled, key: key, poolable: true, warmed: true}
-		}
-	}
-	h, err := node.ckpt.Materialize()
-	if err != nil {
-		return nil
-	}
-	return &simLease{h: h, key: key, poolable: !e.opt.NoReuse, warmed: true}
+	return &simLease{h: h, warmed: true}
 }
 
 // claimSnapshotBuild reports whether the caller should record its warmup for
@@ -380,17 +316,13 @@ func (e *Engine) storeSnapshot(sk uint64, h *hier.Hierarchy, log *hier.WarmLog) 
 	e.warm.snaps[sk] = &warmSnapshot{h: c, log: log}
 }
 
-// releaseSim returns the lease's hierarchy to the idle pool. The state goes
-// back dirty: every checkout path resets or overwrites it before use.
+// releaseSim ends a run's lease: a builder that bailed out between warmup
+// and completion (an error path) drops its snapshot claim so a later run
+// can try.
 func (e *Engine) releaseSim(lease *simLease) {
 	if lease.record {
-		// The builder bailed out before storing (an error path between
-		// warmup and completion): release the claim so a later run can try.
 		e.warm.mu.Lock()
 		delete(e.warm.building, lease.snapKey)
 		e.warm.mu.Unlock()
-	}
-	if lease.poolable {
-		e.pool.Put(lease.key, lease.h)
 	}
 }

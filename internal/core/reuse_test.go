@@ -8,11 +8,10 @@ import (
 	"streamline/internal/payload"
 )
 
-// TestReuseEquivalence pins the tentpole contract of the simulator pool and
-// warmup-snapshot memo: with reuse on, every repetition — the cold run that
-// records the warmup, the pooled run that resets in place, and the
-// snapshot-replay run under a fresh seed — returns a Result byte-identical
-// to a from-scratch build with reuse off.
+// TestReuseEquivalence pins the warm snapshot's contract: with reuse on,
+// every repetition — the cold run that records the warmup, and the
+// snapshot-replay runs under the recorder's seed and a fresh one — returns
+// a Result byte-identical to a from-scratch build with reuse off.
 func TestReuseEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-repetition channel runs")
@@ -50,7 +49,7 @@ func TestReuseEquivalence(t *testing.T) {
 			refA := runWith(scratch, 1)
 			refB := runWith(scratch, 99)   // second seed, still from scratch
 			gotCold := runWith(reuse, 1)   // builds, records the warmup
-			gotSnap := runWith(reuse, 1)   // pool + snapshot replay, same seed
+			gotSnap := runWith(reuse, 1)   // snapshot replay, same seed
 			gotSeed := runWith(reuse, 99)  // snapshot replayed under a new seed
 			gotAgain := runWith(reuse, 99) // repetition after repetition
 			for i, pair := range []struct {

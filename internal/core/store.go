@@ -80,7 +80,7 @@ func (e *enc) keyTerms(cfg *Config, src *payloadSrc) {
 // configTerms appends the canonical encoding of every Config field that
 // steers the simulation. It is the one Config field list behind all three
 // run identities: the store key, the chain fingerprint (checkpoint.go) and,
-// through its dram helper, the pool key (reuse.go).
+// through its dram helper, the warm-snapshot key (reuse.go).
 func (e *enc) configTerms(cfg *Config) {
 	e.str(storeKeySchema)
 	e.u64(cfg.Machine.Fingerprint())

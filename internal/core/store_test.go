@@ -76,8 +76,9 @@ func TestResultCodecRoundTrip(t *testing.T) {
 }
 
 // TestResultCodecFieldAudit pins the Result field list the codec was written
-// against: a new field fails here until encodeResult/decodeResult carry it
-// and storeKeySchema is bumped.
+// against, and that of the counter windows it encodes: a new field fails
+// here until encodeResult/decodeResult carry it and storeKeySchema is
+// bumped.
 func TestResultCodecFieldAudit(t *testing.T) {
 	statetest.Fields(t, Result{},
 		"PayloadBits", "ChannelBits", "Cycles", "BitRateKBps", "ChannelKBps",
@@ -85,6 +86,7 @@ func TestResultCodecFieldAudit(t *testing.T) {
 		"SyncWaits", "SyncTimeouts", "Decoded", "ReceiverLevels", "CoreServed",
 		"BurstSingleFrac01", "BurstSingleFrac10", "MaxBurst01", "LevelTrace",
 		"Counters")
+	statetest.Fields(t, hier.CounterWindow{}, "PerCore")
 }
 
 // encoded is encodeResult for a Result known to be encodable.
@@ -215,14 +217,14 @@ func chainFP(cfg Config) uint64 {
 // Config field to show up in one of those lists before the suite passes
 // again. Each keyed field also
 // declares whether it shapes the hierarchy: exactly those fields move the
-// pool key (runFingerprint).
+// run fingerprint (runFingerprint).
 func TestStoreKeySensitivity(t *testing.T) {
 	base := keyedConfig()
 	baseKey := cfgKey(base)
-	baseChain, basePool := chainFP(base), runFingerprint(&base)
+	baseChain, baseRun := chainFP(base), runFingerprint(&base)
 
 	change := map[string]struct {
-		pool   bool // shapes the hierarchy, so it must move the pool key
+		shapes bool // shapes the hierarchy, so it must move the run fingerprint
 		mutate func(*Config)
 	}{
 		"Machine":            {true, func(c *Config) { m := params.SkylakeE3(); m.FreqMHz++; c.Machine = m }},
@@ -287,8 +289,8 @@ func TestStoreKeySensitivity(t *testing.T) {
 		if chainFP(cfg) == baseChain {
 			t.Errorf("mutating Config.%s did not change the chain fingerprint", name)
 		}
-		if moved := runFingerprint(&cfg) != basePool; moved != m.pool {
-			t.Errorf("mutating Config.%s moved the pool key: %v, want %v", name, moved, m.pool)
+		if moved := runFingerprint(&cfg) != baseRun; moved != m.shapes {
+			t.Errorf("mutating Config.%s moved the run fingerprint: %v, want %v", name, moved, m.shapes)
 		}
 	}
 	for name, mutate := range excluded {
@@ -312,7 +314,7 @@ func TestStoreKeySensitivity(t *testing.T) {
 	moved := part
 	moved.ReceiverCore = 3
 	if runFingerprint(&part) == runFingerprint(&moved) {
-		t.Error("partitioned, ReceiverCore did not change the pool key")
+		t.Error("partitioned, ReceiverCore did not change the run fingerprint")
 	}
 
 	// Payload identity is part of the key.
@@ -327,8 +329,8 @@ func TestStoreKeySensitivity(t *testing.T) {
 // TestStoreKeySubConfigSensitivity extends the audit into the pointed-to
 // sub-configs: every field of dram.Config, hier.QuotaConfig, and
 // noise.Config must move the store key and the chain fingerprint, every
-// DRAM field must move the pool key too, and the statetest audits fail the
-// moment any of those structs gains a field the encoder misses.
+// DRAM field must move the run fingerprint too, and the statetest audits
+// fail the moment any of those structs gains a field the encoder misses.
 func TestStoreKeySubConfigSensitivity(t *testing.T) {
 	statetest.Fields(t, dram.Config{}, "Banks", "RowBytes", "RowHit", "RowMiss",
 		"RowConflict", "JitterSD", "BankBusy", "ChannelBusy", "RowCloseCycles",
@@ -340,7 +342,7 @@ func TestStoreKeySubConfigSensitivity(t *testing.T) {
 
 	base := keyedConfig()
 	baseKey := cfgKey(base)
-	baseChain, basePool := chainFP(base), runFingerprint(&base)
+	baseChain, baseRun := chainFP(base), runFingerprint(&base)
 	muts := map[string]func(*Config){
 		"DRAM.Banks":            func(c *Config) { c.DRAM.Banks++ },
 		"DRAM.RowBytes":         func(c *Config) { c.DRAM.RowBytes *= 2 },
@@ -375,9 +377,9 @@ func TestStoreKeySubConfigSensitivity(t *testing.T) {
 		if chainFP(cfg) == baseChain {
 			t.Errorf("mutating %s did not change the chain fingerprint", name)
 		}
-		pool := strings.HasPrefix(name, "DRAM.")
-		if moved := runFingerprint(&cfg) != basePool; moved != pool {
-			t.Errorf("mutating %s moved the pool key: %v, want %v", name, moved, pool)
+		shapes := strings.HasPrefix(name, "DRAM.")
+		if moved := runFingerprint(&cfg) != baseRun; moved != shapes {
+			t.Errorf("mutating %s moved the run fingerprint: %v, want %v", name, moved, shapes)
 		}
 	}
 }

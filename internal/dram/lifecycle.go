@@ -1,8 +1,8 @@
-// State lifecycle for the DRAM model (see DESIGN.md "State lifecycle").
+// State lifecycle for the DRAM model (see DESIGN.md "State lifecycle"):
+// Reset reseeds a cloned warm snapshot's model during warm replay, and Clone
+// deep-copies it.
 
 package dram
-
-import "fmt"
 
 // Reset reinitializes the model in place to exactly the state New(m.cfg,
 // seed) would produce: rows closed, banks and channel idle, statistics
@@ -36,26 +36,3 @@ func (m *Model) Clone() *Model {
 	c.bankLastUse = append([]uint64(nil), m.bankLastUse...)
 	return &c
 }
-
-// CopyFrom overwrites the model's state with src's, in place and without
-// allocating. The two models must share a config (callers pair them by
-// fingerprint); a bank-count mismatch panics.
-func (m *Model) CopyFrom(src *Model) {
-	if m.cfg != src.cfg {
-		panic(fmt.Sprintf("dram: CopyFrom between mismatched configs %+v <- %+v", m.cfg, src.cfg))
-	}
-	m.x.CopyStateFrom(src.x)
-	copy(m.rowOpen, src.rowOpen)
-	copy(m.bankFree, src.bankFree)
-	copy(m.bankLastUse, src.bankLastUse)
-	m.chanFree = src.chanFree
-	m.Accesses = src.Accesses
-	m.RowHits = src.RowHits
-	m.RowMisses = src.RowMisses
-	m.Conflicts = src.Conflicts
-	m.FastTails = src.FastTails
-}
-
-// Config exposes the model's configuration (used for fingerprinting and the
-// CopyFrom pairing check).
-func (m *Model) Config() Config { return m.cfg }

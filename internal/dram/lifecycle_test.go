@@ -51,18 +51,3 @@ func TestModelCloneEquivalenceAndIndependence(t *testing.T) {
 	driveModel(c1, rng.New(321), 50000) // perturb one clone
 	requireSameModel(t, src, c2, 555, 50000)
 }
-
-func TestModelCopyFrom(t *testing.T) {
-	src := New(DefaultConfig(), 7)
-	driveModel(src, rng.New(123), 50000)
-	dst := New(DefaultConfig(), 42)
-	driveModel(dst, rng.New(77), 10000)
-	dst.CopyFrom(src)
-	requireSameModel(t, dst, src.Clone(), 555, 50000)
-}
-
-func TestModelFieldAudit(t *testing.T) {
-	statetest.Fields(t, Model{},
-		"cfg", "x", "bankMask", "rowShift", "rowOpen", "bankFree", "bankLastUse", "chanFree",
-		"Accesses", "RowHits", "RowMisses", "Conflicts", "FastTails")
-}

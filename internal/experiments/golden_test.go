@@ -88,8 +88,8 @@ func TestGoldenConformance(t *testing.T) {
 		// Parallel determinism: result order and seeding are independent
 		// of scheduling.
 		{"workers-8", core.EngineOptions{Store: memOnlyStore(t)}},
-		// Simulator pooling and warmup-snapshot reuse are invisible: a
-		// from-scratch build per run reproduces the same bytes.
+		// The warm snapshot is invisible: a from-scratch build and warmup
+		// per run reproduces the same bytes.
 		{"reuse-off", core.EngineOptions{Store: memOnlyStore(t), NoReuse: true}},
 		// The mid-run checkpoint tree and the in-RAM result cache are
 		// invisible: with checkpoints off and no store every chained run

@@ -2,8 +2,8 @@
 // A Checkpoint generalizes the warmup-only snapshot of warmlog.go: instead
 // of replaying logged events under a new seed, it freezes the complete
 // hierarchy state — cache tags, policy metadata, prefetcher training, DRAM
-// timing, directory — via the universal Clone/CopyFrom lifecycle, so a
-// later run with the *same* seed can resume from the frozen point exactly.
+// timing, directory — as a Clone, so a later run with the *same* seed can
+// resume from the frozen point exactly on a clone of that clone.
 // Because nothing is replayed, the WarmLog legality rules (no evictions, no
 // flushes, no random fill during recording) do not apply here; the only
 // things a checkpoint cannot carry are external attachments that the
@@ -15,8 +15,8 @@ package hier
 import "fmt"
 
 // Checkpoint is a frozen deep snapshot of a hierarchy mid-run. It is
-// immutable after capture: restoring copies out of it, so one checkpoint
-// can seed any number of forks.
+// immutable after capture: Materialize clones it, so one checkpoint can
+// seed any number of forks.
 type Checkpoint struct {
 	h *Hierarchy
 }
@@ -39,16 +39,5 @@ func (h *Hierarchy) TakeCheckpoint() (*Checkpoint, error) {
 	return &Checkpoint{h: c}, nil
 }
 
-// RestoreInto overwrites dst with the checkpointed state, in place and
-// without allocating. dst must have the same shape (machine and options) as
-// the hierarchy the checkpoint was taken from; a mismatch panics, exactly
-// like CopyFrom.
-func (c *Checkpoint) RestoreInto(dst *Hierarchy) { dst.CopyFrom(c.h) }
-
-// Materialize builds a fresh hierarchy carrying the checkpointed state, for
-// forks that have no same-shape hierarchy to restore into.
+// Materialize builds a fresh hierarchy carrying the checkpointed state.
 func (c *Checkpoint) Materialize() (*Hierarchy, error) { return c.h.Clone() }
-
-// Seed reports the seed the checkpointed hierarchy was built (or last
-// reset) with; forks must run under the same seed to stay exact.
-func (c *Checkpoint) Seed() uint64 { return c.h.opt.Seed }

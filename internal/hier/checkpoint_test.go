@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"streamline/internal/rng"
+	"streamline/internal/statetest"
 )
 
 // TestCheckpointForkMatchesOriginal pins the Checkpoint contract across
-// every lifecycle variant: a fork restored from a mid-run checkpoint —
-// whether materialized fresh or copied into an existing same-shape
-// hierarchy — behaves identically to the hierarchy that took it, and the
-// checkpoint stays immutable after forks diverge.
+// every lifecycle variant: a fork materialized from a mid-run checkpoint
+// behaves identically to the hierarchy that took it, and the checkpoint
+// stays immutable after forks diverge.
 func TestCheckpointForkMatchesOriginal(t *testing.T) {
 	for name, mk := range lifecycleVariants() {
 		t.Run(name, func(t *testing.T) {
@@ -28,10 +28,12 @@ func TestCheckpointForkMatchesOriginal(t *testing.T) {
 			}
 			requireSameHier(t, fork, h, 77, 20000)
 			// The suffix above mutated h and fork, but not the checkpoint:
-			// two more forks — one restored in place, one materialized —
-			// must still agree with each other from the frozen point.
-			dst := mustNew(t, mk, 21)
-			ckpt.RestoreInto(dst)
+			// two more forks must still agree with each other from the
+			// frozen point.
+			dst, err := ckpt.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
 			again, err := ckpt.Materialize()
 			if err != nil {
 				t.Fatal(err)
@@ -63,4 +65,10 @@ func TestCheckpointRefusesAttachments(t *testing.T) {
 	if _, err := h.TakeCheckpoint(); err != nil {
 		t.Errorf("checkpoint refused after attachments removed: %v", err)
 	}
+}
+
+// TestCheckpointFieldAudit: a Checkpoint holds exactly one private cloned
+// hierarchy; a second field would be state that Materialize does not carry.
+func TestCheckpointFieldAudit(t *testing.T) {
+	statetest.Fields(t, Checkpoint{}, "h")
 }

@@ -103,15 +103,14 @@ type Options struct {
 type Hierarchy struct {
 	mach *params.Machine //detlint:lifecycle-skip immutable machine description; clones share it
 	geom mem.Geometry    //detlint:lifecycle-skip address-decomposition geometry fixed at construction
-	// opt remembers the construction options so Reset can re-derive every
-	// component seed (the formulas in New) without the caller re-supplying
-	// them. opt.Seed tracks the most recent Reset.
+	// opt remembers the construction options (ReplayWarmup refuses a
+	// caller-supplied LLCPolicy, whose seed it cannot re-derive).
 	opt Options
 
 	// rec, when non-nil, passively records the seed-dependent side effects
 	// of the current traffic (LLC policy events and DRAM accesses) for the
 	// warmup-snapshot cache; see warmlog.go. Nil during normal runs.
-	rec *WarmLog //detlint:lifecycle-skip external recorder attachment; Clone and CopyFrom deliberately leave it alone
+	rec *WarmLog //detlint:lifecycle-skip external recorder attachment; Clone deliberately leaves it behind
 
 	l1 []*cache.Cache
 	l2 []*cache.Cache
@@ -131,8 +130,7 @@ type Hierarchy struct {
 
 	// mon, when non-nil, receives a served-level observation for every
 	// demand access (see monitor.go). It is external instrumentation, never
-	// consulted for an access's outcome: Reset and Clone drop it, CopyFrom
-	// leaves the destination's attachment alone.
+	// consulted for an access's outcome: Clone drops it.
 	mon *Monitor //detlint:lifecycle-skip external instrumentation attachment; see comment above
 
 	pfBuf []mem.Addr

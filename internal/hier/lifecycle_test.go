@@ -3,7 +3,6 @@ package hier
 import (
 	"testing"
 
-	"streamline/internal/cache"
 	"streamline/internal/mem"
 	"streamline/internal/params"
 	"streamline/internal/rng"
@@ -110,19 +109,6 @@ func requireSameHier(t *testing.T, got, want *Hierarchy, seed uint64, n int) {
 	}
 }
 
-func TestHierarchyResetEqualsNew(t *testing.T) {
-	for name, mk := range lifecycleVariants() {
-		t.Run(name, func(t *testing.T) {
-			dirty := mustNew(t, mk, 7)
-			driveHier(dirty, rng.New(123), 30000)
-			if err := dirty.Reset(99); err != nil {
-				t.Fatal(err)
-			}
-			requireSameHier(t, dirty, mustNew(t, mk, 99), 555, 30000)
-		})
-	}
-}
-
 func TestHierarchyCloneEquivalenceAndIndependence(t *testing.T) {
 	for name, mk := range lifecycleVariants() {
 		t.Run(name, func(t *testing.T) {
@@ -139,33 +125,6 @@ func TestHierarchyCloneEquivalenceAndIndependence(t *testing.T) {
 			driveHier(c1, rng.New(321), 30000) // perturb one clone
 			requireSameHier(t, src, c2, 555, 30000)
 		})
-	}
-}
-
-func TestHierarchyCopyFrom(t *testing.T) {
-	for name, mk := range lifecycleVariants() {
-		t.Run(name, func(t *testing.T) {
-			src := mustNew(t, mk, 7)
-			driveHier(src, rng.New(123), 30000)
-			dst := mustNew(t, mk, 42)
-			driveHier(dst, rng.New(77), 10000)
-			dst.CopyFrom(src)
-			want, err := src.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameHier(t, dst, want, 555, 30000)
-		})
-	}
-}
-
-func TestHierarchyResetRefusesForeignPolicy(t *testing.T) {
-	h, err := New(params.SkylakeE3(), Options{LLCPolicy: cache.NewLRU(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Reset(2); err == nil {
-		t.Fatal("Reset accepted a caller-supplied LLC policy")
 	}
 }
 
@@ -206,21 +165,4 @@ func TestReplayWarmupEqualsFreshWarmup(t *testing.T) {
 		warmup(fresh)
 		requireSameHier(t, replayed, fresh, 555, 30000)
 	}
-}
-
-// TestHierarchyFieldAudit fails when Hierarchy gains a field the lifecycle
-// methods in lifecycle.go do not handle.
-func TestHierarchyFieldAudit(t *testing.T) {
-	statetest.Fields(t, Hierarchy{},
-		"mach", "geom", "opt", "rec", "l1", "l2", "llcs", "domains", "dram",
-		"pf", "tlbs", "fillRnd", "fillP", "quota", "mon", "pfBuf", "fast",
-		"dir", "dirWays", "orphans", "Served", "ServedPerCore", "SkippedFills")
-	statetest.Fields(t, quotaMgr{},
-		"cfg", "domains", "ways", "lookups", "misses", "budget", "initial",
-		"scratch", "rems")
-	statetest.Fields(t, Monitor{}, "cores", "window", "wins")
-	statetest.Fields(t, CounterWindow{}, "PerCore")
-	// Checkpoint holds exactly one private cloned hierarchy; a second field
-	// would mean state that RestoreInto/Materialize do not carry.
-	statetest.Fields(t, Checkpoint{}, "h")
 }

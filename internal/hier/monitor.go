@@ -8,11 +8,11 @@ package hier
 // scheduler interleaves agents, so per-access timestamps are not monotonic
 // across cores, and bucketing by time makes the aggregate independent of
 // interleaving details — the property that keeps counter traces
-// byte-identical across worker counts and pooling modes.
+// byte-identical across worker counts and reuse modes.
 //
 // A Monitor is external instrumentation, not simulation state: it is
 // attached to a Hierarchy after construction (and after any warmup, so
-// pooled warm-snapshot runs and cold runs observe the same traffic), feeds
+// warm-snapshot runs and cold runs observe the same traffic), feeds
 // only on served accesses, and never influences an access's outcome. The
 // inertness test in internal/core pins that guarantee.
 

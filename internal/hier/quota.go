@@ -49,7 +49,6 @@ type quotaMgr struct {
 	lookups uint64      // demand lookups since the last rebalance
 	misses  []uint64    // per-domain misses in the current rebalance window
 	budget  []uint16    // current per-set way budgets
-	initial []uint16    // construction-time budgets, restored by reset
 	scratch []uint16    //detlint:lifecycle-skip rebalance workspace overwritten before every use; contents never read across calls
 	rems    []uint64    //detlint:lifecycle-skip largest-remainder workspace overwritten before every use; contents never read across calls
 }
@@ -102,13 +101,11 @@ func newQuotaMgr(cfg QuotaConfig, budgets []int, ways int) *quotaMgr {
 		ways:    ways,
 		misses:  make([]uint64, len(budgets)),
 		budget:  make([]uint16, len(budgets)),
-		initial: make([]uint16, len(budgets)),
 		scratch: make([]uint16, len(budgets)),
 		rems:    make([]uint64, len(budgets)),
 	}
 	for d, b := range budgets {
 		m.budget[d] = uint16(b)
-		m.initial[d] = uint16(b)
 	}
 	return m
 }
@@ -194,7 +191,8 @@ func (m *quotaMgr) rebalance() bool {
 func (h *Hierarchy) accessQuota(core int, llc *cache.Cache, line mem.Line, a mem.Addr, now uint64, tlbPenalty int) AccessResult {
 	if h.rec != nil {
 		// The warm log cannot re-feed ownership transfers; quota
-		// configurations are never pooled, so recording just aborts.
+		// configurations never take the warm snapshot, so recording just
+		// aborts.
 		//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
 		h.rec.abort()
 	}
@@ -217,33 +215,12 @@ func (h *Hierarchy) accessQuota(core int, llc *cache.Cache, line mem.Line, a mem
 	return AccessResult{Latency: h.dram.Latency(now, a) + tlbPenalty, Level: DRAM}
 }
 
-// reset rewinds the manager to its construction state.
-func (m *quotaMgr) reset() {
-	m.lookups = 0
-	for d := range m.misses {
-		m.misses[d] = 0
-	}
-	copy(m.budget, m.initial)
-}
-
 // clone returns an independent deep copy.
 func (m *quotaMgr) clone() *quotaMgr {
 	n := *m
 	n.misses = append([]uint64(nil), m.misses...)
 	n.budget = append([]uint16(nil), m.budget...)
-	n.initial = append([]uint16(nil), m.initial...)
 	n.scratch = make([]uint16, len(m.scratch))
 	n.rems = make([]uint64, len(m.rems))
 	return &n
-}
-
-// copyFrom overwrites the manager's mutable state with src's.
-func (m *quotaMgr) copyFrom(src *quotaMgr) {
-	if m.domains != src.domains || m.ways != src.ways {
-		panic("hier: quota manager CopyFrom between mismatched shapes")
-	}
-	m.lookups = src.lookups
-	copy(m.misses, src.misses)
-	copy(m.budget, src.budget)
-	copy(m.initial, src.initial)
 }

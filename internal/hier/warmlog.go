@@ -151,6 +151,5 @@ func (h *Hierarchy) ReplayWarmup(seed uint64, log *WarmLog) error {
 	for _, ev := range log.dramEvs {
 		h.dram.Latency(ev.now, ev.addr)
 	}
-	h.opt.Seed = seed
 	return nil
 }

@@ -3,8 +3,8 @@ package params
 // Fingerprint returns a stable 64-bit hash over every field of the machine
 // description. Two machines with equal fingerprints have identical cache
 // geometry, latency model, and platform capabilities, so simulator state
-// built for one is shape-compatible with the other — the property the
-// simulator pool keys on (see DESIGN.md "State lifecycle"). The hash is
+// built for one is shape-compatible with the other — the property the warm
+// snapshot keys on (see DESIGN.md "State lifecycle"). The hash is
 // FNV-1a over a fixed field serialization: stable across processes and Go
 // versions (unlike anything map- or pointer-derived), and cheap enough to
 // compute per run. The field audit in fingerprint_test.go fails when

@@ -68,17 +68,6 @@ func requireSamePf(t *testing.T, got, want Prefetcher, seed uint64, n int) {
 	}
 }
 
-func TestPrefetcherResetEqualsNew(t *testing.T) {
-	for name, mk := range lifecyclePrefetchers(t) {
-		t.Run(name, func(t *testing.T) {
-			dirty := mk()
-			drivePf(dirty, rng.New(123), 20000)
-			dirty.Reset()
-			requireSamePf(t, dirty, mk(), 555, 20000)
-		})
-	}
-}
-
 func TestPrefetcherCloneEquivalenceAndIndependence(t *testing.T) {
 	for name, mk := range lifecyclePrefetchers(t) {
 		t.Run(name, func(t *testing.T) {
@@ -96,26 +85,11 @@ func TestPrefetcherCloneEquivalenceAndIndependence(t *testing.T) {
 	}
 }
 
-func TestPrefetcherCopyStateFrom(t *testing.T) {
-	for name, mk := range lifecyclePrefetchers(t) {
-		t.Run(name, func(t *testing.T) {
-			src := mk()
-			drivePf(src, rng.New(123), 20000)
-			dst := mk()
-			drivePf(dst, rng.New(77), 5000)
-			dst.(Lifecycle).CopyStateFrom(src)
-			requireSamePf(t, dst, src.(Lifecycle).Clone(), 555, 20000)
-		})
-	}
-}
-
+// TestPrefetchFieldAudits pins streamMeta, the one piece of prefetcher
+// state without a Clone of its own: Streamer.Clone copies the meta slice
+// element by element, so a reference field added here would be shared
+// between clones, and the lifecycle analyzer (which checks every type that
+// declares Clone) would not see it.
 func TestPrefetchFieldAudits(t *testing.T) {
-	statetest.Fields(t, None{})
-	statetest.Fields(t, NextLine{}, "g", "last", "lastSet")
-	statetest.Fields(t, Streamer{},
-		"g", "pages", "meta", "last", "prev", "clock", "Window", "Degree", "ConfThreshold")
 	statetest.Fields(t, streamMeta{}, "lastLip", "stride", "conf", "lru")
-	statetest.Fields(t, Stride{},
-		"g", "lastAddr", "lastSet", "delta", "conf", "Degree", "ConfThreshold")
-	statetest.Fields(t, Composite{}, "g", "parts", "nl", "st", "sd", "seen")
 }

@@ -31,8 +31,6 @@ type Prefetcher interface {
 	// slice. hit reports whether the access hit in the cache level the
 	// prefetcher watches.
 	Observe(addr mem.Addr, hit bool, dst []mem.Addr) []mem.Addr
-	// Reset clears all training state.
-	Reset()
 }
 
 // None is a disabled prefetcher.
@@ -43,9 +41,6 @@ func (None) Name() string { return "none" }
 
 // Observe implements Prefetcher.
 func (None) Observe(_ mem.Addr, _ bool, dst []mem.Addr) []mem.Addr { return dst }
-
-// Reset implements Prefetcher.
-func (None) Reset() {}
 
 // NextLine models the DCU next-line prefetcher: it triggers only on an
 // ascending streak (an access to the line immediately after the previously
@@ -83,9 +78,6 @@ func (p *NextLine) observe(cur mem.Line, lip int, dst []mem.Addr) []mem.Addr {
 	}
 	return append(dst, p.g.AddrOfLine(cur+1))
 }
-
-// Reset implements Prefetcher.
-func (p *NextLine) Reset() { p.last, p.lastSet = 0, false }
 
 // pageNone marks a free Streamer slot in-band: no simulated access can
 // land on page 2^64-1 (that would require an allocation reaching the top
@@ -150,17 +142,6 @@ func NewStreamer(g mem.Geometry) *Streamer {
 
 // Name implements Prefetcher.
 func (p *Streamer) Name() string { return "streamer" }
-
-// Reset implements Prefetcher.
-func (p *Streamer) Reset() {
-	for i := range p.pages {
-		p.pages[i] = pageNone
-		p.meta[i] = streamMeta{}
-	}
-	p.last = 0
-	p.prev = 0
-	p.clock = 0
-}
 
 // Observe implements Prefetcher.
 func (p *Streamer) Observe(addr mem.Addr, _ bool, dst []mem.Addr) []mem.Addr {
@@ -286,9 +267,6 @@ func NewStride(g mem.Geometry) *Stride {
 // Name implements Prefetcher.
 func (p *Stride) Name() string { return "stride" }
 
-// Reset implements Prefetcher.
-func (p *Stride) Reset() { *p = Stride{g: p.g, Degree: p.Degree, ConfThreshold: p.ConfThreshold} }
-
 // Observe implements Prefetcher.
 func (p *Stride) Observe(addr mem.Addr, _ bool, dst []mem.Addr) []mem.Addr {
 	return p.observe(addr, p.g.PageOf(addr), dst)
@@ -348,9 +326,9 @@ type Composite struct {
 	// exactly [NextLine, Streamer, Stride] the Observe loop calls them
 	// through these concrete pointers, skipping three interface dispatches
 	// on every observation. All non-nil or all nil.
-	nl *NextLine //detlint:lifecycle-skip devirtualization alias of parts[0]; reset/copied through parts
-	st *Streamer //detlint:lifecycle-skip devirtualization alias of parts[1]; reset/copied through parts
-	sd *Stride   //detlint:lifecycle-skip devirtualization alias of parts[2]; reset/copied through parts
+	nl *NextLine //detlint:lifecycle-skip devirtualization alias of parts[0]; Clone re-derives it from the cloned parts
+	st *Streamer //detlint:lifecycle-skip devirtualization alias of parts[1]; Clone re-derives it from the cloned parts
+	sd *Stride   //detlint:lifecycle-skip devirtualization alias of parts[2]; Clone re-derives it from the cloned parts
 	// seen is the per-observation dedup scratch. Observations propose at
 	// most 1+Degree+Degree candidate lines, so a linear scan of a small
 	// slice beats a hash map (whose clear/hash/probe cost dominated the
@@ -381,13 +359,6 @@ func NewIntelLike(g mem.Geometry) *Composite {
 
 // Name implements Prefetcher.
 func (p *Composite) Name() string { return "intel-composite" }
-
-// Reset implements Prefetcher.
-func (p *Composite) Reset() {
-	for _, part := range p.parts {
-		part.Reset()
-	}
-}
 
 // Observe implements Prefetcher.
 func (p *Composite) Observe(addr mem.Addr, hit bool, dst []mem.Addr) []mem.Addr {

@@ -58,16 +58,6 @@ func TestNextLineStopsAtPageBoundary(t *testing.T) {
 	}
 }
 
-func TestNextLineReset(t *testing.T) {
-	geom := g(t)
-	p := NewNextLine(geom)
-	p.Observe(0, false, nil)
-	p.Reset()
-	if got := p.Observe(64, false, nil); len(got) != 0 {
-		t.Fatalf("streak survived reset: %v", lines(geom, got))
-	}
-}
-
 func TestStreamerLearnsDenseRun(t *testing.T) {
 	geom := g(t)
 	p := NewStreamer(geom)
@@ -227,22 +217,6 @@ func TestCompositeDeduplicates(t *testing.T) {
 	}
 }
 
-func TestCompositeReset(t *testing.T) {
-	geom := g(t)
-	p := NewIntelLike(geom)
-	for i := 0; i < 5; i++ {
-		p.Observe(mem.Addr(i*64), false, nil)
-	}
-	p.Reset()
-	// After reset the stride detector must need re-training.
-	got := p.Observe(mem.Addr(100*4096), false, nil)
-	for _, a := range got {
-		if geom.PageOf(a) != 100 {
-			t.Fatalf("stale training survived reset: %v", lines(geom, got))
-		}
-	}
-}
-
 func TestIntelLikeCoversSequential(t *testing.T) {
 	geom := g(t)
 	p := NewIntelLike(geom)
@@ -357,9 +331,9 @@ func TestStreamerHintsMatchScan(t *testing.T) {
 	}
 }
 
-// TestStreamerHintLifecycle checks that Reset clears both hints and that
-// CopyStateFrom carries them, so a restored streamer is field-for-field
-// the one it was copied from.
+// TestStreamerHintLifecycle checks that Clone carries both lookup hints, so
+// a cloned streamer is field-for-field the one it was copied from, and that
+// a clone of a fresh streamer starts without them.
 func TestStreamerHintLifecycle(t *testing.T) {
 	geom := g(t)
 	src := NewStreamer(geom)
@@ -370,9 +344,6 @@ func TestStreamerHintLifecycle(t *testing.T) {
 	if src.last == 0 || src.prev == 0 {
 		t.Fatalf("hints not advanced: last %d prev %d", src.last, src.prev)
 	}
-	dst := NewStreamer(geom)
-	dst.CopyStateFrom(src)
-	statetest.Equal(t, "copied streamer", *dst, *src)
-	src.Reset()
-	statetest.Equal(t, "reset streamer", *src, *NewStreamer(geom))
+	statetest.Equal(t, "cloned streamer", *src.Clone().(*Streamer), *src)
+	statetest.Equal(t, "cloned fresh streamer", *NewStreamer(geom).Clone().(*Streamer), *NewStreamer(geom))
 }

@@ -1,10 +1,6 @@
 package rng
 
-import (
-	"testing"
-
-	"streamline/internal/statetest"
-)
+import "testing"
 
 func TestReseedEqualsNew(t *testing.T) {
 	x := New(7)
@@ -50,8 +46,4 @@ func TestCopyStateFrom(t *testing.T) {
 			t.Fatalf("divergence at draw %d: %#x != %#x", i, g, w)
 		}
 	}
-}
-
-func TestXoshiroFieldAudit(t *testing.T) {
-	statetest.Fields(t, Xoshiro{}, "s")
 }

@@ -51,8 +51,9 @@ func New(seed uint64) *Xoshiro {
 }
 
 // Reseed reinitializes the generator in place to exactly the state New(seed)
-// would produce, without allocating. It is the state-lifecycle primitive the
-// simulator pool builds on (see DESIGN.md "State lifecycle").
+// would produce, without allocating. Warm replay reseeds the LLC policy's
+// and the DRAM model's generators through it (see DESIGN.md "State
+// lifecycle").
 func (x *Xoshiro) Reseed(seed uint64) {
 	sm := NewSplitMix64(seed)
 	for i := range x.s {

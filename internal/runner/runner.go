@@ -67,12 +67,17 @@ type Event struct {
 	// another worker's deque; always zero on the serial path.
 	// Informational only — like Elapsed, it never influences results.
 	SegmentsStolen int
-	// StoreHits and StoreMisses count result-store hits and misses since
-	// this sweep started (Options.StoreCounters, rebased to the sweep's
-	// entry so one sweep never inherits another's totals); hooks diff
-	// consecutive events to attribute hits/misses to runs. Zero when no
-	// store is wired. Informational only — served results are bit-identical
-	// to simulated ones by the store's keying contract.
+	// StoreHits and StoreMisses count the result-store hits and misses
+	// that happened while this run executed (Options.StoreCounters sampled
+	// when it started and when it finished). On the serial path that is
+	// exactly the run's own traffic. A parallel run's window also holds
+	// the traffic of runs that overlapped it, so where both counters moved
+	// the window cannot be split and both are zero. A one-sided window
+	// still says what the run did: a run simulates only after a miss, so
+	// a window without misses means it simulated nothing, and one without
+	// hits means the store served it nothing. Zero when no store is wired.
+	// Informational only — served results are bit-identical to simulated
+	// ones by the store's keying contract.
 	StoreHits, StoreMisses uint64
 }
 
@@ -91,26 +96,31 @@ type Options struct {
 	// Hook, when non-nil, receives one Event per completed run.
 	Hook Hook
 	// StoreCounters, when non-nil, supplies cumulative result-store
-	// (hits, misses) totals; Execute snapshots it into each Event. The
-	// indirection exists because the runner cannot name the store's owner:
-	// internal/core imports this package for its simulator pool.
+	// (hits, misses) totals; Execute samples it around each run to fill
+	// the Event's store counters. A function keeps the runner independent
+	// of the store's owner.
 	StoreCounters func() (hits, misses uint64)
 }
 
-// stamper returns the function filling each Event's store counters from
-// StoreCounters, rebased to the counters' values at sweep entry — events
-// report this sweep's store traffic, not the process's lifetime totals.
-// Callers invoke the returned function only from serialized hook sites.
-func (o *Options) stamper() func(Event) Event {
+// storeSample reads StoreCounters, or zeros when no store is wired.
+func (o *Options) storeSample() (hits, misses uint64) {
 	if o.StoreCounters == nil {
-		return func(e Event) Event { return e }
+		return 0, 0
 	}
-	baseHits, baseMisses := o.StoreCounters()
-	return func(e Event) Event {
-		h, m := o.StoreCounters()
-		e.StoreHits, e.StoreMisses = h-baseHits, m-baseMisses
-		return e
+	return o.StoreCounters()
+}
+
+// storeWindow returns the store traffic since the sample (hits0, misses0)
+// taken when a run started. shared marks a parallel run, whose window also
+// holds the traffic of overlapping runs: when both counters moved, the
+// window cannot be split between them, and neither is reported.
+func (o *Options) storeWindow(hits0, misses0 uint64, shared bool) (hits, misses uint64) {
+	h, m := o.storeSample()
+	hits, misses = h-hits0, m-misses0
+	if shared && hits > 0 && misses > 0 {
+		return 0, 0
 	}
+	return hits, misses
 }
 
 // Func executes one spec. It must be pure: all randomness derived from
@@ -175,7 +185,6 @@ func Execute[T any](specs []Spec, deps [][]int, fn Func[T], opt Options) ([]T, e
 	if workers > n {
 		workers = n
 	}
-	stamp := opt.stamper()
 	if workers == 1 {
 		// Index order satisfies every dependency; this is the reference
 		// path the golden conformance tests pin the parallel path against.
@@ -184,13 +193,17 @@ func Execute[T any](specs []Spec, deps [][]int, fn Func[T], opt Options) ([]T, e
 			// nobody observes it: hookless serial sweeps — the bench
 			// harness's steady state — stay allocation-free here.
 			var elapsed stopfunc
+			var hits0, misses0 uint64
 			if opt.Hook != nil {
 				elapsed = stopwatch()
+				hits0, misses0 = opt.storeSample()
 			}
 			out, err := call(fn, s, opt.Root)
 			if opt.Hook != nil {
-				opt.Hook(stamp(Event{Spec: s, Index: i, Done: i + 1, Total: n,
-					Elapsed: elapsed(), Err: err}))
+				e := Event{Spec: s, Index: i, Done: i + 1, Total: n,
+					Elapsed: elapsed(), Err: err}
+				e.StoreHits, e.StoreMisses = opt.storeWindow(hits0, misses0, false)
+				opt.Hook(e)
 			}
 			if err != nil {
 				return nil, specError(s, err)
@@ -236,8 +249,10 @@ func Execute[T any](specs []Spec, deps [][]int, fn Func[T], opt Options) ([]T, e
 				}
 				s := specs[i]
 				var elapsed stopfunc
+				var hits0, misses0 uint64
 				if opt.Hook != nil {
 					elapsed = stopwatch()
+					hits0, misses0 = opt.storeSample()
 				}
 				out, err := call(fn, s, opt.Root)
 				q.mu.Lock()
@@ -253,8 +268,8 @@ func Execute[T any](specs []Spec, deps [][]int, fn Func[T], opt Options) ([]T, e
 				} else {
 					results[i] = out
 					// Newly ready successors continue on this worker: a
-					// chain's next segment forks from state this worker
-					// just parked in the simulator pool.
+					// chain's next segment forks from the checkpoint this
+					// worker just published.
 					for _, succ := range q.succs[i] {
 						q.waits[succ]--
 						if q.waits[succ] == 0 {
@@ -265,8 +280,10 @@ func Execute[T any](specs []Spec, deps [][]int, fn Func[T], opt Options) ([]T, e
 				q.running--
 				if opt.Hook != nil {
 					// Under the lock: hooks are never called concurrently.
-					opt.Hook(stamp(Event{Spec: s, Index: i, Done: q.done, Total: n,
-						Elapsed: elapsed(), Err: err, SegmentsStolen: q.stolen}))
+					e := Event{Spec: s, Index: i, Done: q.done, Total: n,
+						Elapsed: elapsed(), Err: err, SegmentsStolen: q.stolen}
+					e.StoreHits, e.StoreMisses = opt.storeWindow(hits0, misses0, true)
+					opt.Hook(e)
 				}
 				q.mu.Unlock()
 				q.cond.Broadcast()
@@ -305,13 +322,12 @@ func stopwatch() stopfunc {
 // with the run's label, wall time, and sweep completion count. Parallel
 // sweeps additionally report work stealing: once any spec has been stolen,
 // each line carries the running count of specs a worker took from another
-// worker's deque. When a result store
-// is wired (Options.StoreCounters), each line reports whether the run was
-// served from the store ([hit]) or simulated and written back ([miss]),
-// attributed by diffing consecutive events' cumulative counters — safe
-// because hooks are never called concurrently.
+// worker's deque. When a result store is wired (Options.StoreCounters),
+// a line reports whether the run was served from the store ([hit]) or
+// simulated and written back ([miss]) from the event's store window; a
+// parallel run whose window mixes hits and misses of overlapping runs
+// carries no label (see Event.StoreHits).
 func Progress(w io.Writer) Hook {
-	var prevHits, prevMisses uint64
 	return func(e Event) {
 		status := "done"
 		if e.Err != nil {
@@ -326,7 +342,7 @@ func Progress(w io.Writer) Hook {
 			steal = fmt.Sprintf(" [%d stolen]", e.SegmentsStolen)
 		}
 		store := ""
-		hits, misses := e.StoreHits > prevHits, e.StoreMisses > prevMisses
+		hits, misses := e.StoreHits > 0, e.StoreMisses > 0
 		switch {
 		case hits && misses:
 			// A spec that ran several channel runs (e.g. an averaged point)
@@ -337,7 +353,6 @@ func Progress(w io.Writer) Hook {
 		case misses:
 			store = " [miss]"
 		}
-		prevHits, prevMisses = e.StoreHits, e.StoreMisses
 		fmt.Fprintf(w, "[%d/%d] %s: %s rep %d %s (%s)%s%s\n",
 			e.Done, e.Total, e.Spec.Experiment, label, e.Spec.Rep, status,
 			e.Elapsed.Round(time.Millisecond), steal, store)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -221,6 +223,125 @@ func TestProgressHookStealSuffix(t *testing.T) {
 	hook(Event{Spec: Spec{Experiment: "seg"}, Done: 7, Total: 9, SegmentsStolen: 2})
 	if !strings.Contains(buf.String(), "[2 stolen]") {
 		t.Fatalf("output missing steal count:\n%s", buf.String())
+	}
+}
+
+// TestProgressStoreLabels: Progress labels a line [hit] or [miss] only
+// from store traffic it can attribute to that run. On one worker every
+// run's traffic is its own, and the labels are exact. On two workers the
+// second run's hit lands while the first is still running, so neither
+// run's window can be split and no line may carry a label; when both
+// overlapping runs only hit, both lines are [hit].
+func TestProgressStoreLabels(t *testing.T) {
+	specs := sweep("store", 2, 1)
+	var hits, misses atomic.Uint64
+	counters := func() (uint64, uint64) { return hits.Load(), misses.Load() }
+
+	var buf bytes.Buffer
+	serial := func(s Spec, seed uint64) (int, error) {
+		if s.Point == 0 {
+			misses.Add(1)
+		} else {
+			hits.Add(1)
+		}
+		return 0, nil
+	}
+	if _, err := Execute(specs, nil, serial, Options{Workers: 1, Hook: Progress(&buf),
+		StoreCounters: counters}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.HasSuffix(lines[0], " [miss]") || !strings.HasSuffix(lines[1], " [hit]") {
+		t.Fatalf("serial labels wrong, want p0 [miss] then p1 [hit]:\n%s", buf.String())
+	}
+
+	// Both runs are in flight at once (each worker holds one); p1 hits the
+	// store first, then p0 misses and completes, and p1 returns only after
+	// p0's line is written.
+	buf.Reset()
+	var started sync.WaitGroup
+	started.Add(2)
+	p1Hit, p0Reported := make(chan struct{}), make(chan struct{})
+	progress := Progress(&buf)
+	hook := func(e Event) {
+		progress(e)
+		if e.Spec.Point == 0 {
+			close(p0Reported)
+		}
+	}
+	overlapped := func(s Spec, seed uint64) (int, error) {
+		started.Done()
+		started.Wait()
+		if s.Point == 0 {
+			<-p1Hit
+			misses.Add(1)
+		} else {
+			hits.Add(1)
+			close(p1Hit)
+			<-p0Reported
+		}
+		return 0, nil
+	}
+	if _, err := Execute(specs, nil, overlapped, Options{Workers: 2, Hook: hook,
+		StoreCounters: counters}); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Contains(out, "[hit") || strings.Contains(out, "[miss") {
+		t.Fatalf("parallel progress labelled runs it cannot attribute:\n%s", out)
+	}
+
+	buf.Reset()
+	started.Add(2)
+	bothHit := func(s Spec, seed uint64) (int, error) {
+		started.Done()
+		started.Wait()
+		hits.Add(1)
+		return 0, nil
+	}
+	if _, err := Execute(specs, nil, bothHit, Options{Workers: 2, Hook: Progress(&buf),
+		StoreCounters: counters}); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.HasSuffix(lines[0], " [hit]") || !strings.HasSuffix(lines[1], " [hit]") {
+		t.Fatalf("parallel all-hit runs should both be [hit]:\n%s", buf.String())
+	}
+}
+
+// TestHookDoesNotInfluenceResults pins that a progress hook is observational
+// only: the same sweep returns identical results with a nil hook, the stock
+// Progress hook, and at any worker count and dependency shape —
+// Event.Elapsed, Event.SegmentsStolen and the store counters must never
+// feed back into what Execute returns.
+func TestHookDoesNotInfluenceResults(t *testing.T) {
+	specs := sweep("hooktest", 8, 4)
+	fn := func(spec Spec, seed uint64) ([4]uint64, error) {
+		x := rng.New(seed)
+		var out [4]uint64
+		for i := range out {
+			out[i] = x.Uint64()
+		}
+		return out, nil
+	}
+	ref, err := Execute(specs, nil, fn, Options{Root: 42, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range depShapes(8, 4) {
+		for _, opt := range []Options{
+			{Root: 42, Workers: 1, Hook: Progress(io.Discard)},
+			{Root: 42, Workers: 8},
+			{Root: 42, Workers: 8, Hook: Progress(io.Discard)},
+			{Root: 42, Workers: 8, Hook: Progress(io.Discard), StoreCounters: func() (uint64, uint64) { return 1, 2 }},
+		} {
+			got, err := Execute(specs, shape.deps, fn, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s: results differ for workers=%d hook=%v", shape.name, opt.Workers, opt.Hook != nil)
+			}
+		}
 	}
 }
 

@@ -1,24 +1,20 @@
-// Package statetest provides the reflection-based field audit backing the
-// simulator's state-lifecycle methods (Reset/Clone/CopyFrom; see DESIGN.md
-// "State lifecycle").
+// Package statetest provides a reflection-based field audit and a
+// behavioural equality check for tests.
 //
-// The lifecycle methods enumerate struct fields by hand — that is what makes
-// them allocation-free — so a newly added field is invisible to them until
-// someone remembers to update three methods. Each stateful package therefore
-// declares, in its lifecycle test, the exact field set its methods cover;
-// Fields fails the test the moment the struct gains (or loses, or renames) a
-// field, pointing at every place that must be updated. PR 4's packed RRIP
-// ages are the motivating example: swapping age []uint8 for agePk []uint64
-// changes the field list, and without this tripwire a stale Reset would
-// silently leave the new layout untouched.
+// Code that enumerates a struct's fields by hand — the Result codec, the
+// store keys and fingerprints, the agent-state captures of a chain
+// checkpoint — silently ignores a field added later. Each such test
+// declares, with Fields, the exact field set its code was written against;
+// the test fails the moment the struct gains (or loses, or renames) a
+// field, pointing at the code that must be updated.
 //
-// The primary guard for lifecycle coverage is now the static lifecycle
-// analyzer (internal/analysis/lifecycle, run by detlint and go vet): it
-// proves at compile time that every field of a Reset/Clone/CopyFrom struct
-// is assigned or copied in all three methods, before any test runs. This
-// package remains the runtime backstop — it catches drift in the hand-kept
-// audit lists themselves and verifies behavioral equivalence (Equal), which
-// no static check can.
+// Field coverage of the simulator's state-lifecycle methods (Clone, and the
+// Reset/Reseed and CopyStateFrom methods that some types keep) is checked
+// statically instead, by the lifecycle analyzer (internal/analysis/
+// lifecycle, run by detlint, go vet and its own package test), so those
+// types carry no Fields audit. Equal remains the behavioural check that no
+// static analysis replaces: original and copy driven through the same
+// operations must agree.
 package statetest
 
 import (
@@ -35,10 +31,10 @@ type TB interface {
 }
 
 // Fields asserts that the struct type of sample has exactly the named
-// fields. Lifecycle tests call it with the field list their package's
-// Reset/Clone/CopyFrom methods were written against; any drift — a new
-// field, a removal, a rename — fails with instructions to update both the
-// methods and the list. Embedded and unexported fields count like any other.
+// fields. Tests call it with the field list the guarded code was written
+// against; any drift — a new field, a removal, a rename — fails with
+// instructions to update both that code and the list. Embedded and
+// unexported fields count like any other.
 func Fields(t TB, sample interface{}, covered ...string) {
 	t.Helper()
 	typ := reflect.TypeOf(sample)
@@ -74,15 +70,15 @@ func Fields(t TB, sample interface{}, covered ...string) {
 	sort.Strings(missing)
 	sort.Strings(extra)
 	for _, name := range missing {
-		t.Errorf("statetest: %s.%s is not covered by the lifecycle methods — update Reset/Clone/CopyFrom and this audit list (the lifecycle analyzer flags the same field statically: go run ./cmd/detlint ./...)", typ.String(), name)
+		t.Errorf("statetest: %s.%s is not in the audit list — update the code this audit guards, then the list", typ.String(), name)
 	}
 	for _, name := range extra {
-		t.Errorf("statetest: %s.%s no longer exists — update the lifecycle methods and this audit list", typ.String(), name)
+		t.Errorf("statetest: %s.%s no longer exists — update the code this audit guards, then the list", typ.String(), name)
 	}
 }
 
 // Equal reports whether two values are deeply equal, with a diagnostic
-// message for lifecycle equivalence tests.
+// message for equivalence tests.
 func Equal(t TB, label string, got, want interface{}) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {

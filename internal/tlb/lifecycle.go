@@ -1,20 +1,8 @@
-// State lifecycle for the TLB model (see DESIGN.md "State lifecycle"). The
-// TLB makes no random decisions, so Reset takes no seed.
+// State lifecycle for the TLB model (see DESIGN.md "State lifecycle"):
+// Clone deep-copies both levels and the statistics, so a cloned hierarchy
+// carries its TLBs.
 
 package tlb
-
-import "fmt"
-
-// reset returns one level to its fresh-construction state.
-func (l *level) reset() {
-	for i := range l.tags {
-		l.tags[i] = 0
-	}
-	for i := range l.stamp {
-		l.stamp[i] = 0
-	}
-	l.clock = 0
-}
 
 // clone deep-copies one level.
 func (l *level) clone() *level {
@@ -24,23 +12,6 @@ func (l *level) clone() *level {
 	return &c
 }
 
-// copyFrom overwrites a level's state with src's, in place.
-func (l *level) copyFrom(src *level) {
-	copy(l.tags, src.tags)
-	copy(l.stamp, src.stamp)
-	l.clock = src.clock
-}
-
-// Reset reinitializes the TLB in place to exactly the state New(t.cfg)
-// would produce: both levels empty, statistics zeroed. It allocates nothing.
-func (t *TLB) Reset() {
-	t.l1.reset()
-	t.l2.reset()
-	t.Accesses = 0
-	t.L1Misses = 0
-	t.Walks = 0
-}
-
 // Clone returns a deep copy of the TLB that evolves independently of the
 // receiver.
 func (t *TLB) Clone() *TLB {
@@ -48,17 +19,4 @@ func (t *TLB) Clone() *TLB {
 	c.l1 = t.l1.clone()
 	c.l2 = t.l2.clone()
 	return &c
-}
-
-// CopyFrom overwrites the TLB's state with src's, in place and without
-// allocating. The two TLBs must share a config; a mismatch panics.
-func (t *TLB) CopyFrom(src *TLB) {
-	if t.cfg != src.cfg {
-		panic(fmt.Sprintf("tlb: CopyFrom between mismatched configs %+v <- %+v", t.cfg, src.cfg))
-	}
-	t.l1.copyFrom(src.l1)
-	t.l2.copyFrom(src.l2)
-	t.Accesses = src.Accesses
-	t.L1Misses = src.L1Misses
-	t.Walks = src.Walks
 }

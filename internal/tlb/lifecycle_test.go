@@ -28,20 +28,6 @@ func requireSameTLB(t *testing.T, got, want *TLB, seed uint64, n int) {
 	}
 }
 
-func TestTLBResetEqualsNew(t *testing.T) {
-	dirty, err := New(Skylake4K())
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveTLB(dirty, rng.New(123), 50000)
-	dirty.Reset()
-	fresh, err := New(Skylake4K())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameTLB(t, dirty, fresh, 555, 50000)
-}
-
 func TestTLBCloneEquivalenceAndIndependence(t *testing.T) {
 	src, err := New(Skylake4K())
 	if err != nil {
@@ -52,24 +38,4 @@ func TestTLBCloneEquivalenceAndIndependence(t *testing.T) {
 	c2 := src.Clone()
 	driveTLB(c1, rng.New(321), 50000) // perturb one clone
 	requireSameTLB(t, src, c2, 555, 50000)
-}
-
-func TestTLBCopyFrom(t *testing.T) {
-	src, err := New(Skylake2M())
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveTLB(src, rng.New(123), 50000)
-	dst, err := New(Skylake2M())
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveTLB(dst, rng.New(77), 10000)
-	dst.CopyFrom(src)
-	requireSameTLB(t, dst, src.Clone(), 555, 50000)
-}
-
-func TestTLBFieldAudits(t *testing.T) {
-	statetest.Fields(t, TLB{}, "cfg", "l1", "l2", "Accesses", "L1Misses", "Walks")
-	statetest.Fields(t, level{}, "sets", "ways", "tags", "stamp", "clock")
 }

@@ -50,7 +50,7 @@ func DefaultConfig() Config {
 // The model collapses the way dimension: within a set, a µTag value maps
 // to one entry, and loading an address claims its entry.
 type Predictor struct {
-	cfg   Config   //detlint:lifecycle-skip table-shape configuration fixed at construction
+	cfg   Config   // table shape, fixed at construction
 	owner []uint32 // per (set << HashBits | utag): owning address hash, 0 = free
 	x     *rng.Xoshiro
 

@@ -64,7 +64,7 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // engine runs every channel this package transmits (Run, Send,
 // SendReliable). It has no result store; sharing it lets repeated calls
-// reuse pooled simulators and warm snapshots.
+// reuse warm snapshots.
 var engine = core.NewEngine(core.EngineOptions{})
 
 // Run transmits a 0/1 bit vector over the channel and returns the
