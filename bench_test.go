@@ -15,8 +15,8 @@ import (
 // -exp <id>` for publication-scale numbers with confidence intervals).
 // Runs fan out across the internal/runner worker pool at GOMAXPROCS;
 // results are bit-identical at any worker count. Every iteration shares
-// the package engine, so iterations after the first reuse its pooled
-// simulators and warm snapshots, as a sweep process does.
+// the package engine, so iterations after the first clone its warm
+// snapshots, as a sweep process does.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {

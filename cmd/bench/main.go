@@ -38,6 +38,7 @@ import (
 	"streamline/internal/hier"
 	"streamline/internal/loadgen"
 	"streamline/internal/mem"
+	"streamline/internal/noise"
 	"streamline/internal/params"
 	"streamline/internal/payload"
 	"streamline/internal/resultstore"
@@ -445,8 +446,8 @@ func scaled(n int, scale float64) int {
 }
 
 // suite builds the fixed-scale benchmark set. Workloads mirror the hot
-// paths the channel experiments exercise: the end-to-end channel, the
-// cache-level access paths (thrash, MRU hit, set-scan hit, private PLRU),
+// paths the channel experiments exercise: the end-to-end channel, one
+// noisy fig10 cell, the cache-level access paths (thrash, MRU hit, set-scan hit, private PLRU),
 // the hierarchy fast path, and one full experiment regeneration.
 func suite(scale float64) []bench {
 	var suite []bench
@@ -471,6 +472,39 @@ func suite(scale float64) []bench {
 					b.Fatal(err)
 				}
 				lastErrRate = res.Errors.Rate()
+			}
+		},
+	})
+
+	// One quick fig10 cell (memcpy co-runner, sync period 50000) on an
+	// engine without a store, so every op simulates. The co-runner issues
+	// its loads through noise.Workload.Step in AccessBatch calls of 4 (its
+	// Parallel width): the noise co-runners are the largest cold layer of
+	// the sweeps, and this entry times them on their own.
+	noiseBits := scaled(200_000, scale)
+	var noiseErr float64
+	noiseEngine := core.NewEngine(core.EngineOptions{})
+	suite = append(suite, bench{
+		name:      "noise/fig10-point",
+		bitsPerOp: noiseBits,
+		simErrPct: func() float64 { return noiseErr * 100 },
+		fn: func(b *testing.B) {
+			memcpy, ok := noise.ByName(8<<20, "memcpy")
+			if !ok {
+				b.Fatal("no memcpy co-runner")
+			}
+			pay := payload.Random(1, noiseBits)
+			cfg := core.DefaultConfig()
+			cfg.SyncPeriod = 50000
+			cfg.Noise = []noise.Config{memcpy}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := noiseEngine.Run(cfg, pay)
+				if err != nil {
+					b.Fatal(err)
+				}
+				noiseErr = res.Errors.Rate()
 			}
 		},
 	})

@@ -487,12 +487,22 @@ func (s skipSet) covers(pass *analysis.Pass, f *types.Var) bool {
 	return s[skipKey{p.Filename, p.Line}]
 }
 
-// collectSkips gathers //detlint:lifecycle-skip annotations; like allows,
-// a skip covers its own line (trailing) and the next (standalone above the
-// field). A reasonless skip is itself reported.
+// collectSkips gathers //detlint:lifecycle-skip annotations. A skip
+// trailing a field declaration covers that field only; a skip on a line of
+// its own covers the field on the next line. A reasonless skip is itself
+// reported.
 func collectSkips(pass *analysis.Pass) skipSet {
 	set := skipSet{}
 	for _, f := range pass.Files {
+		fieldLines := map[int]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					fieldLines[pass.Fset.Position(fld.Pos()).Line] = true
+				}
+			}
+			return true
+		})
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "//"+skipMarker)
@@ -507,7 +517,9 @@ func collectSkips(pass *analysis.Pass) skipSet {
 				}
 				p := pass.Fset.Position(c.Slash)
 				set[skipKey{p.Filename, p.Line}] = true
-				set[skipKey{p.Filename, p.Line + 1}] = true
+				if !fieldLines[p.Line] {
+					set[skipKey{p.Filename, p.Line + 1}] = true
+				}
 			}
 		}
 	}

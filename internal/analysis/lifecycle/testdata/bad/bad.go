@@ -111,3 +111,14 @@ func (r *reseedable) Clone() *reseedable {
 	c := *r
 	return &c
 }
+
+// trailing shows that a skip trailing one field does not reach the field
+// on the next line.
+type trailing struct {
+	cfg  int //detlint:lifecycle-skip immutable configuration fixed at construction
+	part *int
+}
+
+func (t *trailing) Clone() *trailing { // want `fixture\.trailing\.part is not covered by Clone`
+	return &trailing{cfg: t.cfg}
+}

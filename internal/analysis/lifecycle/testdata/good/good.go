@@ -101,3 +101,14 @@ type cloneOnly struct {
 func (c *cloneOnly) clone() *cloneOnly {
 	return &cloneOnly{n: c.n, hist: append([]uint16(nil), c.hist...)}
 }
+
+// standalone shows a skip on a line of its own covering the field below it.
+type standalone struct {
+	n int
+	//detlint:lifecycle-skip shared lookup table, immutable after construction
+	table []uint8
+}
+
+func (s *standalone) Clone() *standalone {
+	return &standalone{n: s.n}
+}

@@ -46,7 +46,7 @@ type Result struct {
 	DidEvict bool
 }
 
-// Stats counts cache events since construction (or the last Reset).
+// Stats counts cache events since construction (or the last ResetStats).
 type Stats struct {
 	Hits       uint64
 	Misses     uint64

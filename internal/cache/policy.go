@@ -31,6 +31,8 @@ type Policy interface {
 	Victim(s int) int
 	// OnInvalidate is called when way w of set s is invalidated.
 	OnInvalidate(s, w int)
+	// Clone returns a deep copy evolving independently of the receiver.
+	Clone() Policy
 }
 
 // NewNamed builds an LLC replacement policy by name, so a configuration can

@@ -242,14 +242,8 @@ func newDirtyQuota(t *testing.T, seed uint64) *Cache {
 
 func TestQuotaCloneEquivalenceAndIndependence(t *testing.T) {
 	src := newDirtyQuota(t, 7)
-	c1, err := src.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := src.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := src.Clone()
+	c2 := src.Clone()
 	driveQuota(c1, rng.New(321), 20000) // perturb one clone
 	requireSameQuota(t, src, c2, 555, 20000)
 }

@@ -79,10 +79,7 @@ func TestReplayWarmupZeroAllocs(t *testing.T) {
 	if log.Aborted() {
 		t.Fatal("recording aborted on the default shape")
 	}
-	h, err := snap.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := snap.Clone()
 	seed := uint64(4)
 	replayAndRun := func() {
 		if err := h.ReplayWarmup(seed, log); err != nil {

@@ -180,13 +180,8 @@ func (e *Engine) simulate(cfg Config, src payloadSrc) (*Result, error) {
 	var fork *chainCheckpoint
 	if chain != nil {
 		if fork = chain.bestFork(); fork != nil {
-			// A failed materialize falls back to a cold start.
-			if h, err := fork.ckpt.Materialize(); err != nil {
-				fork = nil
-			} else {
-				lease = &simLease{h: h, warmed: true}
-				e.ctr.forks.Add(1)
-			}
+			lease = &simLease{h: fork.ckpt.Materialize(), warmed: true}
+			e.ctr.forks.Add(1)
 		}
 	}
 	if lease == nil {

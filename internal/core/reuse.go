@@ -271,8 +271,8 @@ func (e *Engine) leaseFromSnapshot(seed, sk uint64) *simLease {
 	if snap == nil {
 		return nil
 	}
-	h, err := snap.h.Clone()
-	if err != nil || h.ReplayWarmup(seed, snap.log) != nil {
+	h := snap.h.Clone()
+	if h.ReplayWarmup(seed, snap.log) != nil {
 		return nil
 	}
 	return &simLease{h: h, warmed: true}
@@ -308,12 +308,7 @@ func (e *Engine) storeSnapshot(sk uint64, h *hier.Hierarchy, log *hier.WarmLog) 
 		e.warm.noSnap[sk] = true
 		return
 	}
-	c, err := h.Clone()
-	if err != nil {
-		e.warm.noSnap[sk] = true
-		return
-	}
-	e.warm.snaps[sk] = &warmSnapshot{h: c, log: log}
+	e.warm.snaps[sk] = &warmSnapshot{h: h.Clone(), log: log}
 }
 
 // releaseSim ends a run's lease: a builder that bailed out between warmup

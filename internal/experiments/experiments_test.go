@@ -89,7 +89,7 @@ func TestTableFormat(t *testing.T) {
 }
 
 func TestTable1Structure(t *testing.T) {
-	tab, err := Table1(quick())
+	tab, err := Run("table1", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTable1Structure(t *testing.T) {
 
 func TestFig6Ordering(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Fig6(quick())
+	tab, err := Run("fig6", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFig6Ordering(t *testing.T) {
 
 func TestFig7GapOrdering(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Fig7(quick())
+	tab, err := Run("fig7", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFig7GapOrdering(t *testing.T) {
 
 func TestFig9RatesAndTransient(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Fig9(quick())
+	tab, err := Run("fig9", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFig9RatesAndTransient(t *testing.T) {
 
 func TestTable2DirectionCrossover(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Table2(quick())
+	tab, err := Run("table2", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestTable2DirectionCrossover(t *testing.T) {
 
 func TestTable3ECC(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Table3(quick())
+	tab, err := Run("table3", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTable3ECC(t *testing.T) {
 
 func TestTable4Monotonic(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Table4(quick())
+	tab, err := Run("table4", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTable4Monotonic(t *testing.T) {
 
 func TestTable5SyncPeriods(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Table5(quick())
+	tab, err := Run("table5", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestTable5SyncPeriods(t *testing.T) {
 func TestFig10ShortSyncHelps(t *testing.T) {
 	skipHeavyUnderRace(t)
 	o := quick()
-	tab, err := Fig10(o)
+	tab, err := Run("fig10", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestFig10ShortSyncHelps(t *testing.T) {
 
 func TestFig11Breakdown(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Fig11(quick())
+	tab, err := Run("fig11", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFig11Breakdown(t *testing.T) {
 
 func TestTable6Ordering(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Table6(quick())
+	tab, err := Run("table6", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestProgressWriter(t *testing.T) {
 	var buf bytes.Buffer
 	o := quick()
 	o.Progress = &buf
-	if _, err := Table3(o); err != nil {
+	if _, err := Run("table3", o); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
@@ -334,7 +334,7 @@ func TestProgressWriter(t *testing.T) {
 
 func TestUniversality(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Universality(quick())
+	tab, err := Run("universality", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestUniversality(t *testing.T) {
 
 func TestSMTVariant(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := SMT(quick())
+	tab, err := Run("smt", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestSMTVariant(t *testing.T) {
 
 func TestMitigations(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Mitigations(quick())
+	tab, err := Run("mitigations", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestMitigations(t *testing.T) {
 
 func TestAsyncPP(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := AsyncPP(quick())
+	tab, err := Run("asyncpp", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestAsyncPP(t *testing.T) {
 
 func TestAblationHugePages(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := AblationHugePages(quick())
+	tab, err := Run("ablation-hugepages", quick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,8 @@ func (h *Hierarchy) TakeCheckpoint() (*Checkpoint, error) {
 	if h.mon != nil {
 		return nil, fmt.Errorf("hier: cannot checkpoint with a monitor attached (Clone drops instrumentation)")
 	}
-	c, err := h.Clone()
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{h: c}, nil
+	return &Checkpoint{h: h.Clone()}, nil
 }
 
 // Materialize builds a fresh hierarchy carrying the checkpointed state.
-func (c *Checkpoint) Materialize() (*Hierarchy, error) { return c.h.Clone() }
+func (c *Checkpoint) Materialize() *Hierarchy { return c.h.Clone() }

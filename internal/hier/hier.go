@@ -118,8 +118,15 @@ type Hierarchy struct {
 	// single shared entry.
 	llcs    []*cache.Cache
 	domains []int //detlint:lifecycle-skip construction-time core -> domain assignment, immutable
-	dram    *dram.Model
-	pf      []prefetch.Prefetcher
+	// evictMask[c] is the set of cores whose private copies an LLC
+	// eviction caused by core c must back-invalidate: c's trust domain on
+	// a partitioned LLC (other domains keep their own partition's copy),
+	// every core otherwise (a shared or quota-managed LLC may have served
+	// the victim to any core).
+	evictMask []uint64 //detlint:lifecycle-skip derived from domains at construction, immutable; clones share it
+	dram      *dram.Model
+	// pf holds each core's prefetcher; nil under DisablePrefetch.
+	pf      []*prefetch.Composite
 	tlbs    []*tlb.TLB
 	fillRnd *rng.Xoshiro // non-nil when RandomFillProb > 0
 	fillP   float64      //detlint:lifecycle-skip derived from opt.RandomFillProb at construction, immutable
@@ -174,6 +181,9 @@ type Hierarchy struct {
 func New(m *params.Machine, opt Options) (*Hierarchy, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	if m.Cores > 64 {
+		return nil, fmt.Errorf("hier: %d cores exceed the 64 a back-invalidation mask holds", m.Cores)
 	}
 	geom, err := mem.NewGeometry(m.LLC.LineBytes, m.PageSize)
 	if err != nil {
@@ -246,6 +256,7 @@ func New(m *params.Machine, opt Options) (*Hierarchy, error) {
 		opt:           opt,
 		llcs:          llcs,
 		domains:       domains,
+		evictMask:     make([]uint64, m.Cores),
 		dram:          dram.New(dcfg, opt.Seed^dramSeedXor),
 		pfBuf:         make([]mem.Addr, 0, 8),
 		fillP:         opt.RandomFillProb,
@@ -270,6 +281,13 @@ func New(m *params.Machine, opt Options) (*Hierarchy, error) {
 		h.dir = make([]uint8, llcs[0].Sets()*h.dirWays)
 		h.orphans = make([]orphan, 0, 8)
 	}
+	for c := range h.evictMask {
+		for o := range domains {
+			if opt.PartitionWays == 0 || domains[o] == domains[c] {
+				h.evictMask[c] |= 1 << uint(o)
+			}
+		}
+	}
 	for c := 0; c < m.Cores; c++ {
 		l1, err := cache.New(m.L1.Sets(), m.L1.Ways, cache.NewTreePLRU())
 		if err != nil {
@@ -281,9 +299,7 @@ func New(m *params.Machine, opt Options) (*Hierarchy, error) {
 		}
 		h.l1 = append(h.l1, l1)
 		h.l2 = append(h.l2, l2)
-		if opt.DisablePrefetch {
-			h.pf = append(h.pf, prefetch.None{})
-		} else {
+		if !opt.DisablePrefetch {
 			h.pf = append(h.pf, prefetch.NewIntelLike(geom))
 		}
 		if opt.TLB != nil {
@@ -385,7 +401,7 @@ func (h *Hierarchy) accessFast(core int, a mem.Addr, now uint64) AccessResult {
 	// Access call happens only in the back-invalidation case. Private
 	// evictions are silent: lines are clean and the LLC is inclusive.
 	l2hit := h.l2[core].Access(line).Hit
-	evictedSelf := h.prefetchAfterFast(core, a, line)
+	evictedSelf := h.prefetchAfter(core, a, line)
 	if l2hit {
 		h.count(core, L2)
 		if l1.HintHit(line) {
@@ -420,7 +436,7 @@ func (h *Hierarchy) accessFast(core int, a mem.Addr, now uint64) AccessResult {
 		return AccessResult{Latency: lat.LLCHit, Level: LLC}
 	}
 	if llcRes.DidEvict {
-		h.backInvalidateMask(h.dir[idx], llcRes.Evicted)
+		h.backInvalidateMask(uint64(h.dir[idx]), llcRes.Evicted)
 	}
 	h.dir[idx] = h.takeOrphans(line) | 1<<uint(core)
 	if l1.HintHit(line) {
@@ -502,7 +518,7 @@ func (h *Hierarchy) accessGeneral(core int, a mem.Addr, now uint64) AccessResult
 	}
 	// See accessFast for the fill discipline on an L1 miss.
 	l2hit := h.l2[core].Access(line).Hit
-	h.prefetchAfter(core, a)
+	h.prefetchAfter(core, a, line)
 	if l2hit {
 		h.count(core, L2)
 		h.l1[core].Access(line)
@@ -527,7 +543,7 @@ func (h *Hierarchy) accessGeneral(core int, a mem.Addr, now uint64) AccessResult
 		h.rec.llcAccess(uint8(h.domains[core]), llc.SetOf(line), llcRes)
 	}
 	if llcRes.DidEvict {
-		h.backInvalidate(h.domains[core], llcRes.Evicted)
+		h.backInvalidateMask(h.evictMask[core], llcRes.Evicted)
 	}
 	h.l1[core].Access(line)
 	if llcRes.Hit {
@@ -551,42 +567,17 @@ func (h *Hierarchy) count(core int, level Level) {
 	h.ServedPerCore[core][level]++
 }
 
-// backInvalidate removes the private copies of line held by cores of the
-// evicting domain, preserving inclusion after an LLC eviction. (Other
-// domains keep their own partition's copy.)
+// backInvalidateMask removes the private copies of line held by the cores
+// in mask, preserving inclusion after an LLC eviction. Cores are visited in
+// ascending order. The fast path passes the line's directory bits, which
+// may include stale holders; invalidating a core that holds nothing is a
+// no-op, so the result is the same as probing every core the eviction
+// could reach.
 //
 //detlint:hotpath
-func (h *Hierarchy) backInvalidate(domain int, line mem.Line) {
-	for c := range h.l1 {
-		if h.domains[c] != domain {
-			continue
-		}
-		h.l1[c].Invalidate(line)
-		h.l2[c].Invalidate(line)
-	}
-}
-
-// backInvalidateAll removes every core's private copies of line: the
-// quota-managed LLC is shared across trust domains, so (unlike partitioned
-// evictions) any core may hold a copy of its victims.
-//
-//detlint:hotpath
-func (h *Hierarchy) backInvalidateAll(line mem.Line) {
-	for c := range h.l1 {
-		h.l1[c].Invalidate(line)
-		h.l2[c].Invalidate(line)
-	}
-}
-
-// backInvalidateMask is backInvalidate for the fast path: only the cores
-// whose directory bit is set are probed, in ascending core order (the same
-// order the broadcast visits them). Cores with stale bits hold nothing, so
-// their Invalidate calls are the same no-ops the broadcast performs.
-//
-//detlint:hotpath
-func (h *Hierarchy) backInvalidateMask(mask uint8, line mem.Line) {
+func (h *Hierarchy) backInvalidateMask(mask uint64, line mem.Line) {
 	for mask != 0 {
-		c := bits.TrailingZeros8(mask)
+		c := bits.TrailingZeros64(mask)
 		mask &= mask - 1
 		h.l1[c].Invalidate(line)
 		h.l2[c].Invalidate(line)
@@ -594,68 +585,52 @@ func (h *Hierarchy) backInvalidateMask(mask uint8, line mem.Line) {
 }
 
 // prefetchAfter lets the core's prefetcher observe address a and performs
-// the proposed fills into the core's L2 and its LLC partition.
+// the proposed fills into the core's LLC partition and its L2. Under quotas
+// the fills count against the core's domain. On the fast path the
+// directory is kept up to date on every LLC touch, and the result reports
+// whether a prefetch fill evicted line, the demand line the caller is
+// mid-way through serving (the orphan case; see accessFast).
 //
 //detlint:hotpath
-func (h *Hierarchy) prefetchAfter(core int, a mem.Addr) {
-	h.pfBuf = h.pf[core].Observe(a, false, h.pfBuf[:0])
+func (h *Hierarchy) prefetchAfter(core int, a mem.Addr, line mem.Line) (evictedSelf bool) {
+	if h.pf == nil {
+		return false
+	}
+	h.pfBuf = h.pf[core].Observe(a, h.pfBuf[:0])
+	if len(h.pfBuf) == 0 {
+		return false
+	}
+	llc := h.llcFor(core)
+	dom := uint8(h.domains[core])
 	for _, pa := range h.pfBuf {
 		pl := h.geom.LineOf(pa)
-		llc := h.llcFor(core)
 		var r cache.Result
 		if h.quota != nil {
-			// Prefetch fills count against the requesting core's quota.
-			r = llc.InstallPrefetchOwned(pl, uint8(h.domains[core]))
+			r = llc.InstallPrefetchOwned(pl, dom)
 		} else {
 			r = llc.InstallPrefetch(pl)
 		}
 		if h.rec != nil {
 			//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-			h.rec.llcPrefetch(uint8(h.domains[core]), llc.SetOf(pl), r)
+			h.rec.llcPrefetch(dom, llc.SetOf(pl), r)
 		}
-		if r.DidEvict {
-			if h.quota != nil {
-				h.backInvalidateAll(r.Evicted)
+		if h.fast {
+			idx := llc.SetOf(pl)*h.dirWays + r.Way
+			if r.Hit {
+				// Already resident: the L2 install below still gives this
+				// core a private copy to track.
+				h.dir[idx] |= 1 << uint(core)
 			} else {
-				h.backInvalidate(h.domains[core], r.Evicted)
-			}
-		}
-		h.l2[core].InstallPrefetch(pl)
-	}
-}
-
-// prefetchAfterFast is prefetchAfter on the single-domain fast path, with
-// the directory maintained on every LLC touch. It reports whether one of
-// the prefetch fills evicted the demand line the caller is mid-way through
-// serving (the orphan case; see accessFast).
-//
-//detlint:hotpath
-func (h *Hierarchy) prefetchAfterFast(core int, a mem.Addr, line mem.Line) (evictedSelf bool) {
-	h.pfBuf = h.pf[core].Observe(a, false, h.pfBuf[:0])
-	if len(h.pfBuf) == 0 {
-		return false
-	}
-	llc := h.llcs[0]
-	for _, pa := range h.pfBuf {
-		pl := h.geom.LineOf(pa)
-		r := llc.InstallPrefetch(pl)
-		if h.rec != nil {
-			//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-			h.rec.llcPrefetch(0, llc.SetOf(pl), r)
-		}
-		idx := llc.SetOf(pl)*h.dirWays + r.Way
-		if r.Hit {
-			// Already resident: the L2 install below still gives this core
-			// a private copy to track.
-			h.dir[idx] |= 1 << uint(core)
-		} else {
-			if r.DidEvict {
-				if r.Evicted == line {
-					evictedSelf = true
+				if r.DidEvict {
+					if r.Evicted == line {
+						evictedSelf = true
+					}
+					h.backInvalidateMask(uint64(h.dir[idx]), r.Evicted)
 				}
-				h.backInvalidateMask(h.dir[idx], r.Evicted)
+				h.dir[idx] = h.takeOrphans(pl) | 1<<uint(core)
 			}
-			h.dir[idx] = h.takeOrphans(pl) | 1<<uint(core)
+		} else if r.DidEvict {
+			h.backInvalidateMask(h.evictMask[core], r.Evicted)
 		}
 		h.l2[core].InstallPrefetch(pl)
 	}

@@ -7,6 +7,7 @@ import (
 	"streamline/internal/cache"
 	"streamline/internal/mem"
 	"streamline/internal/params"
+	"streamline/internal/rng"
 )
 
 // tiny returns a small machine so capacity effects are quick to trigger.
@@ -36,6 +37,13 @@ func TestNewValidates(t *testing.T) {
 	m.FreqMHz = 0
 	if _, err := New(m, Options{}); err == nil {
 		t.Fatal("accepted invalid machine")
+	}
+	// A back-invalidation mask has one bit per core; New refuses the
+	// machine before it builds any cache.
+	m = params.SkylakeE3()
+	m.Cores = 65
+	if _, err := New(m, Options{}); err == nil {
+		t.Fatal("accepted a 65-core machine")
 	}
 }
 
@@ -277,17 +285,42 @@ func TestPartitioningValidation(t *testing.T) {
 	}
 }
 
+// TestPartitionedInclusion checks inclusion under both isolation modes.
+// Partitioned evictions back-invalidate only the evicting domain's cores;
+// the quota-managed LLC is shared, so its evictions (demand and prefetch)
+// must reach every core, with or without copy-on-access.
 func TestPartitionedInclusion(t *testing.T) {
-	m := tiny(t)
-	h := newHier(t, m, Options{Seed: 7, PartitionWays: 2,
-		CoreDomains: []int{0, 1, 0, 1}})
-	now := uint64(0)
-	for i := 0; i < 20000; i++ {
-		h.Access(i%m.Cores, mem.Addr(uint64(i*37%4096)*64), now)
-		now += 100
-	}
-	if line, ok := h.CheckInclusion(); !ok {
-		t.Fatalf("inclusion violated for line %d under partitioning", line)
+	domains := []int{0, 1, 0, 1}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"partitioned", Options{PartitionWays: 2, CoreDomains: domains}},
+		{"quota", Options{Quota: &QuotaConfig{RebalancePeriod: 256}, CoreDomains: domains}},
+		{"quota-copy-on-access", Options{Quota: &QuotaConfig{RebalancePeriod: 256, CopyOnAccess: true}, CoreDomains: domains}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tiny(t)
+			tc.opt.Seed = 7
+			h := newHier(t, m, tc.opt)
+			// Every core draws from one shared 256 KB footprint (four times
+			// the LLC), so lines are shared across domains and evictions
+			// must reach other domains' private copies.
+			x := rng.New(7)
+			now := uint64(0)
+			for i := 0; i < 20000; i++ {
+				h.Access(i%m.Cores, mem.Addr(uint64(x.Intn(4096))*64), now)
+				now += 100
+				if i%100 == 99 {
+					if line, ok := h.CheckInclusion(); !ok {
+						t.Fatalf("inclusion violated for line %d after %d accesses", line, i+1)
+					}
+				}
+			}
+			if h.LLC().Stats.Evictions == 0 {
+				t.Fatal("no LLC evictions: the workload never exercised back-invalidation")
+			}
+		})
 	}
 }
 

@@ -1,18 +1,12 @@
 // State lifecycle for the full hierarchy (see DESIGN.md "State lifecycle"):
 // Clone deep-copies the whole machine. It is how a run reuses a simulator:
-// the warm snapshot and every chain checkpoint hand out clones. Clone
-// requires every replacement policy to implement cache.Lifecycle — true for
-// all hier-owned components; only a caller-supplied ablation LLCPolicy can
-// opt a hierarchy out.
+// the warm snapshot and every chain checkpoint hand out clones. Every
+// component declares its own Clone (cache.Policy requires one), so a clone
+// cannot fail.
 
 package hier
 
-import (
-	"fmt"
-
-	"streamline/internal/mem"
-	"streamline/internal/prefetch"
-)
+import "streamline/internal/mem"
 
 // The per-component seed derivations used by New, shared with ReplayWarmup
 // so an in-place reseed reproduces construction exactly.
@@ -30,13 +24,14 @@ func llcSeed(seed uint64, d int) uint64 { return seed ^ llcSeedXor ^ uint64(d)<<
 // (immutable); every piece of mutable state — cache contents, policy
 // metadata, prefetcher training, TLB entries, DRAM timing, directory and
 // statistics — is copied.
-func (h *Hierarchy) Clone() (*Hierarchy, error) {
+func (h *Hierarchy) Clone() *Hierarchy {
 	n := &Hierarchy{
 		mach: h.mach,
 		geom: h.geom,
 		//detlint:allow lifecycle -- Options is construction-time config, never mutated after New; clones share its reference fields by design
 		opt:          h.opt,
 		domains:      append([]int(nil), h.domains...),
+		evictMask:    h.evictMask,
 		dram:         h.dram.Clone(),
 		fillP:        h.fillP,
 		fast:         h.fast,
@@ -45,29 +40,15 @@ func (h *Hierarchy) Clone() (*Hierarchy, error) {
 		Served:       h.Served,
 		SkippedFills: h.SkippedFills,
 	}
-	for d, llc := range h.llcs {
-		c, err := llc.Clone()
-		if err != nil {
-			return nil, fmt.Errorf("LLC[%d]: %w", d, err)
-		}
-		n.llcs = append(n.llcs, c)
+	for _, llc := range h.llcs {
+		n.llcs = append(n.llcs, llc.Clone())
 	}
 	for c := range h.l1 {
-		l1, err := h.l1[c].Clone()
-		if err != nil {
-			return nil, fmt.Errorf("L1[%d]: %w", c, err)
+		n.l1 = append(n.l1, h.l1[c].Clone())
+		n.l2 = append(n.l2, h.l2[c].Clone())
+		if h.pf != nil {
+			n.pf = append(n.pf, h.pf[c].Clone())
 		}
-		l2, err := h.l2[c].Clone()
-		if err != nil {
-			return nil, fmt.Errorf("L2[%d]: %w", c, err)
-		}
-		n.l1 = append(n.l1, l1)
-		n.l2 = append(n.l2, l2)
-		pf, ok := h.pf[c].(prefetch.Lifecycle)
-		if !ok {
-			return nil, fmt.Errorf("hier: prefetcher %s does not implement the state lifecycle", h.pf[c].Name())
-		}
-		n.pf = append(n.pf, pf.Clone())
 		if h.tlbs != nil {
 			n.tlbs = append(n.tlbs, h.tlbs[c].Clone())
 		}
@@ -89,5 +70,5 @@ func (h *Hierarchy) Clone() (*Hierarchy, error) {
 	}
 	n.ServedPerCore = make([][4]uint64, len(h.ServedPerCore))
 	copy(n.ServedPerCore, h.ServedPerCore)
-	return n, nil
+	return n
 }

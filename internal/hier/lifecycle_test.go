@@ -114,14 +114,8 @@ func TestHierarchyCloneEquivalenceAndIndependence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			src := mustNew(t, mk, 7)
 			driveHier(src, rng.New(123), 30000)
-			c1, err := src.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			c2, err := src.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			c1 := src.Clone()
+			c2 := src.Clone()
 			driveHier(c1, rng.New(321), 30000) // perturb one clone
 			requireSameHier(t, src, c2, 555, 30000)
 		})
@@ -151,10 +145,7 @@ func TestReplayWarmupEqualsFreshWarmup(t *testing.T) {
 	}
 
 	for _, seed := range []uint64{7, 99, 0xdeadbeef} {
-		replayed, err := builder.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
+		replayed := builder.Clone()
 		if err := replayed.ReplayWarmup(seed, log); err != nil {
 			t.Fatal(err)
 		}

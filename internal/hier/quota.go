@@ -203,7 +203,7 @@ func (h *Hierarchy) accessQuota(core int, llc *cache.Cache, line mem.Line, a mem
 	}
 	if llcRes.DidEvict {
 		// One shared LLC: any core may hold a private copy of the victim.
-		h.backInvalidateAll(llcRes.Evicted)
+		h.backInvalidateMask(h.evictMask[core], llcRes.Evicted)
 	}
 	h.l1[core].Access(line)
 	if llcRes.Hit {

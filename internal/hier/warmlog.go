@@ -128,7 +128,8 @@ func (h *Hierarchy) ReplayWarmup(seed uint64, log *WarmLog) error {
 		return errors.New("hier: cannot replay onto a caller-supplied LLC policy")
 	}
 	for d := range h.llcs {
-		h.llcs[d].Policy().(cache.Lifecycle).Reset(llcSeed(seed, d))
+		// With no caller-supplied policy every LLC is NewSkylakeLLC's.
+		h.llcs[d].Policy().(*cache.RRIP).Reset(llcSeed(seed, d))
 	}
 	for _, ev := range log.llc {
 		pol := h.llcs[ev.dom].Policy()

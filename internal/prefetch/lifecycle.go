@@ -4,44 +4,30 @@
 
 package prefetch
 
-// Lifecycle is implemented by prefetchers that support deep copying. All
-// stock prefetchers implement it.
-type Lifecycle interface {
-	Prefetcher
-	// Clone returns a deep copy evolving independently of the receiver.
-	Clone() Prefetcher
-}
+import "streamline/internal/mem"
 
-// Clone implements Lifecycle.
-func (None) Clone() Prefetcher { return None{} }
-
-// Clone implements Lifecycle.
-func (p *NextLine) Clone() Prefetcher {
+// Clone returns a deep copy evolving independently of the receiver.
+func (p *NextLine) Clone() *NextLine {
 	c := *p
 	return &c
 }
 
-// Clone implements Lifecycle.
-func (p *Streamer) Clone() Prefetcher {
+// Clone returns a deep copy evolving independently of the receiver.
+func (p *Streamer) Clone() *Streamer {
 	c := *p
 	c.pages = append([]uint64(nil), p.pages...)
 	c.meta = append([]streamMeta(nil), p.meta...)
 	return &c
 }
 
-// Clone implements Lifecycle.
-func (p *Stride) Clone() Prefetcher {
+// Clone returns a deep copy evolving independently of the receiver.
+func (p *Stride) Clone() *Stride {
 	c := *p
 	return &c
 }
 
-// Clone implements Lifecycle: parts are cloned recursively and the
-// devirtualized pointers re-derived, so a cloned stock composite keeps the
-// fused fast path.
-func (p *Composite) Clone() Prefetcher {
-	parts := make([]Prefetcher, len(p.parts))
-	for i, part := range p.parts {
-		parts[i] = part.(Lifecycle).Clone()
-	}
-	return NewComposite(p.g, parts...)
+// Clone returns a deep copy evolving independently of the receiver: each
+// part is cloned, and the clone gets its own dedup scratch.
+func (p *Composite) Clone() *Composite {
+	return &Composite{g: p.g, nl: p.nl.Clone(), st: p.st.Clone(), sd: p.sd.Clone(), seen: make([]mem.Line, 0, 8)}
 }

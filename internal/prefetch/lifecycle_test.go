@@ -17,20 +17,43 @@ func testGeom(t *testing.T) mem.Geometry {
 	return g
 }
 
-func lifecyclePrefetchers(t *testing.T) map[string]func() Prefetcher {
+// observer is the observe method every prefetcher shares.
+type observer interface {
+	Observe(addr mem.Addr, dst []mem.Addr) []mem.Addr
+}
+
+// lifecycleCase builds one prefetcher and clones it through its own
+// concrete Clone.
+type lifecycleCase struct {
+	mk    func() observer
+	clone func(observer) observer
+}
+
+func lifecyclePrefetchers(t *testing.T) map[string]lifecycleCase {
 	g := testGeom(t)
-	return map[string]func() Prefetcher{
-		"none":     func() Prefetcher { return None{} },
-		"nextline": func() Prefetcher { return NewNextLine(g) },
-		"streamer": func() Prefetcher { return NewStreamer(g) },
-		"stride":   func() Prefetcher { return NewStride(g) },
-		"intel":    func() Prefetcher { return NewIntelLike(g) },
+	return map[string]lifecycleCase{
+		"nextline": {
+			func() observer { return NewNextLine(g) },
+			func(p observer) observer { return p.(*NextLine).Clone() },
+		},
+		"streamer": {
+			func() observer { return NewStreamer(g) },
+			func(p observer) observer { return p.(*Streamer).Clone() },
+		},
+		"stride": {
+			func() observer { return NewStride(g) },
+			func(p observer) observer { return p.(*Stride).Clone() },
+		},
+		"intel": {
+			func() observer { return NewIntelLike(g) },
+			func(p observer) observer { return p.(*Composite).Clone() },
+		},
 	}
 }
 
 // drivePf feeds a mix of dense streams and random jumps — enough to train
 // the streamer and stride tables and evict tracker slots.
-func drivePf(p Prefetcher, x *rng.Xoshiro, n int) {
+func drivePf(p observer, x *rng.Xoshiro, n int) {
 	var buf []mem.Addr
 	a := mem.Addr(x.Uint64() % (16 << 20))
 	for i := 0; i < n; i++ {
@@ -40,13 +63,13 @@ func drivePf(p Prefetcher, x *rng.Xoshiro, n int) {
 		default:
 			a += mem.Addr(64 * (1 + x.Uint64()%3)) // advance current stream
 		}
-		buf = p.Observe(a, x.Uint64()%2 == 0, buf[:0])
+		buf = p.Observe(a, buf[:0])
 	}
 }
 
 // requireSamePf drives both prefetchers with an identical suffix and fails
 // on the first diverging proposal list.
-func requireSamePf(t *testing.T, got, want Prefetcher, seed uint64, n int) {
+func requireSamePf(t *testing.T, got, want observer, seed uint64, n int) {
 	t.Helper()
 	x := rng.New(seed)
 	var gb, wb []mem.Addr
@@ -58,9 +81,8 @@ func requireSamePf(t *testing.T, got, want Prefetcher, seed uint64, n int) {
 		default:
 			a += mem.Addr(64 * (1 + x.Uint64()%3))
 		}
-		hit := x.Uint64()%2 == 0
-		gb = got.Observe(a, hit, gb[:0])
-		wb = want.Observe(a, hit, wb[:0])
+		gb = got.Observe(a, gb[:0])
+		wb = want.Observe(a, wb[:0])
 		statetest.Equal(t, "proposals", gb, wb)
 		if t.Failed() {
 			t.Fatalf("divergence at suffix op %d", i)
@@ -69,16 +91,12 @@ func requireSamePf(t *testing.T, got, want Prefetcher, seed uint64, n int) {
 }
 
 func TestPrefetcherCloneEquivalenceAndIndependence(t *testing.T) {
-	for name, mk := range lifecyclePrefetchers(t) {
+	for name, tc := range lifecyclePrefetchers(t) {
 		t.Run(name, func(t *testing.T) {
-			src := mk()
+			src := tc.mk()
 			drivePf(src, rng.New(123), 20000)
-			lc, ok := src.(Lifecycle)
-			if !ok {
-				t.Fatalf("%s does not implement Lifecycle", src.Name())
-			}
-			c1 := lc.Clone()
-			c2 := lc.Clone()
+			c1 := tc.clone(src)
+			c2 := tc.clone(src)
 			drivePf(c1, rng.New(321), 20000) // perturb one clone
 			requireSamePf(t, src, c2, 555, 20000)
 		})

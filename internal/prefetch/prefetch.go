@@ -20,28 +20,6 @@ package prefetch
 
 import "streamline/internal/mem"
 
-// Prefetcher observes demand accesses and proposes lines to prefetch.
-// Implementations are deterministic and allocation-free on the observe
-// path (candidates are appended to the caller's buffer).
-type Prefetcher interface {
-	// Name identifies the prefetcher in stats output.
-	Name() string
-	// Observe records a demand access to addr and appends any prefetch
-	// candidates (as line addresses) to dst, returning the extended
-	// slice. hit reports whether the access hit in the cache level the
-	// prefetcher watches.
-	Observe(addr mem.Addr, hit bool, dst []mem.Addr) []mem.Addr
-}
-
-// None is a disabled prefetcher.
-type None struct{}
-
-// Name implements Prefetcher.
-func (None) Name() string { return "none" }
-
-// Observe implements Prefetcher.
-func (None) Observe(_ mem.Addr, _ bool, dst []mem.Addr) []mem.Addr { return dst }
-
 // NextLine models the DCU next-line prefetcher: it triggers only on an
 // ascending streak (an access to the line immediately after the previously
 // accessed line) and then fetches the following line of the same page.
@@ -57,16 +35,16 @@ type NextLine struct {
 // NewNextLine returns a next-line prefetcher for the given geometry.
 func NewNextLine(g mem.Geometry) *NextLine { return &NextLine{g: g} }
 
-// Name implements Prefetcher.
-func (p *NextLine) Name() string { return "nextline" }
-
-// Observe implements Prefetcher.
-func (p *NextLine) Observe(addr mem.Addr, _ bool, dst []mem.Addr) []mem.Addr {
+// Observe records a demand access to addr and appends any prefetch
+// candidates (as line addresses) to dst, returning the extended slice. It
+// allocates nothing beyond dst's growth; the same holds for every Observe
+// in this package.
+func (p *NextLine) Observe(addr mem.Addr, dst []mem.Addr) []mem.Addr {
 	return p.observe(p.g.LineOf(addr), p.g.LineInPage(addr), dst)
 }
 
-// observe is Observe with the address already decomposed; the Composite
-// fast path shares one decomposition across all three prefetchers.
+// observe is Observe with the address already decomposed; Composite
+// shares one decomposition across all three prefetchers.
 func (p *NextLine) observe(cur mem.Line, lip int, dst []mem.Addr) []mem.Addr {
 	streak := p.lastSet && cur == p.last+1
 	p.last, p.lastSet = cur, true
@@ -140,11 +118,9 @@ func NewStreamer(g mem.Geometry) *Streamer {
 	return p
 }
 
-// Name implements Prefetcher.
-func (p *Streamer) Name() string { return "streamer" }
-
-// Observe implements Prefetcher.
-func (p *Streamer) Observe(addr mem.Addr, _ bool, dst []mem.Addr) []mem.Addr {
+// Observe records a demand access to addr and appends any prefetch
+// candidates to dst (see NextLine.Observe).
+func (p *Streamer) Observe(addr mem.Addr, dst []mem.Addr) []mem.Addr {
 	return p.observe(addr, p.g.PageOf(addr), int8(p.g.LineInPage(addr)), dst)
 }
 
@@ -264,17 +240,15 @@ func NewStride(g mem.Geometry) *Stride {
 	return &Stride{g: g, Degree: 2, ConfThreshold: 3}
 }
 
-// Name implements Prefetcher.
-func (p *Stride) Name() string { return "stride" }
-
-// Observe implements Prefetcher.
-func (p *Stride) Observe(addr mem.Addr, _ bool, dst []mem.Addr) []mem.Addr {
+// Observe records a demand access to addr and appends any prefetch
+// candidates to dst (see NextLine.Observe).
+func (p *Stride) Observe(addr mem.Addr, dst []mem.Addr) []mem.Addr {
 	return p.observe(addr, p.g.PageOf(addr), dst)
 }
 
 // observe is Observe with the page precomputed (see NextLine.observe). The
-// page is only consumed on the trained path, but the Composite fast path
-// has already paid for it.
+// page is only consumed on the trained path, but Composite has already
+// paid for it.
 func (p *Stride) observe(addr mem.Addr, page uint64, dst []mem.Addr) []mem.Addr {
 	if !p.lastSet {
 		p.lastAddr, p.lastSet = addr, true
@@ -316,19 +290,15 @@ func (p *Stride) observe(addr mem.Addr, page uint64, dst []mem.Addr) []mem.Addr 
 	return dst
 }
 
-// Composite chains several prefetchers, deduplicating proposed lines per
+// Composite is the Skylake prefetcher set the paper had to defeat: the
+// next-line prefetcher, the streamer and the stride detector observe every
+// access in that order, and the lines they propose are deduplicated per
 // observation.
 type Composite struct {
-	g     mem.Geometry //detlint:lifecycle-skip address-decomposition geometry fixed at construction
-	parts []Prefetcher
-	// nl/st/sd devirtualize the stock Intel-like composition (mirroring
-	// internal/cache's concrete-type policy dispatch): when the parts are
-	// exactly [NextLine, Streamer, Stride] the Observe loop calls them
-	// through these concrete pointers, skipping three interface dispatches
-	// on every observation. All non-nil or all nil.
-	nl *NextLine //detlint:lifecycle-skip devirtualization alias of parts[0]; Clone re-derives it from the cloned parts
-	st *Streamer //detlint:lifecycle-skip devirtualization alias of parts[1]; Clone re-derives it from the cloned parts
-	sd *Stride   //detlint:lifecycle-skip devirtualization alias of parts[2]; Clone re-derives it from the cloned parts
+	g  mem.Geometry //detlint:lifecycle-skip address-decomposition geometry fixed at construction
+	nl *NextLine
+	st *Streamer
+	sd *Stride
 	// seen is the per-observation dedup scratch. Observations propose at
 	// most 1+Degree+Degree candidate lines, so a linear scan of a small
 	// slice beats a hash map (whose clear/hash/probe cost dominated the
@@ -336,48 +306,26 @@ type Composite struct {
 	seen []mem.Line //detlint:lifecycle-skip per-observation dedup scratch, resliced to [:0] before every use; contents never read across calls
 }
 
-// NewComposite returns a prefetcher combining parts in order.
-func NewComposite(g mem.Geometry, parts ...Prefetcher) *Composite {
-	c := &Composite{g: g, parts: parts, seen: make([]mem.Line, 0, 8)}
-	if len(parts) == 3 {
-		nl, okNL := parts[0].(*NextLine)
-		st, okST := parts[1].(*Streamer)
-		sd, okSD := parts[2].(*Stride)
-		if okNL && okST && okSD {
-			c.nl, c.st, c.sd = nl, st, sd
-		}
-	}
-	return c
-}
-
-// NewIntelLike returns the default composite used in the experiments:
-// next-line + streamer + global stride, mirroring the prefetchers the paper
-// had to defeat on Skylake.
+// NewIntelLike returns the composite used in the experiments: next-line +
+// streamer + global stride, mirroring the prefetchers the paper had to
+// defeat on Skylake.
 func NewIntelLike(g mem.Geometry) *Composite {
-	return NewComposite(g, NewNextLine(g), NewStreamer(g), NewStride(g))
+	return &Composite{g: g, nl: NewNextLine(g), st: NewStreamer(g), sd: NewStride(g), seen: make([]mem.Line, 0, 8)}
 }
 
-// Name implements Prefetcher.
-func (p *Composite) Name() string { return "intel-composite" }
-
-// Observe implements Prefetcher.
-func (p *Composite) Observe(addr mem.Addr, hit bool, dst []mem.Addr) []mem.Addr {
+// Observe records a demand access to addr and appends the deduplicated
+// union of the three parts' candidates to dst, in part order.
+func (p *Composite) Observe(addr mem.Addr, dst []mem.Addr) []mem.Addr {
 	start := len(dst)
-	if p.nl != nil {
-		// Decompose the address once and hand the pieces to the fused
-		// observe methods: the three parts would otherwise repeat the
-		// same line/page/line-in-page shifts on every observation.
-		line := p.g.LineOf(addr)
-		page := p.g.PageOf(addr)
-		lip := p.g.LineInPage(addr)
-		dst = p.nl.observe(line, lip, dst)
-		dst = p.st.observe(addr, page, int8(lip), dst)
-		dst = p.sd.observe(addr, page, dst)
-	} else {
-		for _, part := range p.parts {
-			dst = part.Observe(addr, hit, dst)
-		}
-	}
+	// Decompose the address once and hand the pieces to the fused observe
+	// methods: the three parts would otherwise repeat the same
+	// line/page/line-in-page shifts on every observation.
+	line := p.g.LineOf(addr)
+	page := p.g.PageOf(addr)
+	lip := p.g.LineInPage(addr)
+	dst = p.nl.observe(line, lip, dst)
+	dst = p.st.observe(addr, page, int8(lip), dst)
+	dst = p.sd.observe(addr, page, dst)
 	if len(dst)-start <= 1 {
 		return dst
 	}

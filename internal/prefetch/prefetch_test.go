@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 
 	"streamline/internal/mem"
@@ -25,25 +26,18 @@ func lines(geom mem.Geometry, addrs []mem.Addr) []int {
 	return out
 }
 
-func TestNonePrefetchesNothing(t *testing.T) {
-	var p None
-	if got := p.Observe(1234, false, nil); len(got) != 0 {
-		t.Fatalf("None proposed %v", got)
-	}
-}
-
 func TestNextLineNeedsAscendingStreak(t *testing.T) {
 	geom := g(t)
 	p := NewNextLine(geom)
-	if got := p.Observe(0, false, nil); len(got) != 0 {
+	if got := p.Observe(0, nil); len(got) != 0 {
 		t.Fatalf("first access triggered next-line: %v", lines(geom, got))
 	}
-	got := p.Observe(64, false, nil) // ascending streak 0 -> 1
+	got := p.Observe(64, nil) // ascending streak 0 -> 1
 	if len(got) != 1 || geom.LineOf(got[0]) != 2 {
 		t.Fatalf("streak proposed %v, want line 2", lines(geom, got))
 	}
 	// A stride-3 access breaks the streak: no proposal.
-	if got := p.Observe(64*4, false, nil); len(got) != 0 {
+	if got := p.Observe(64*4, nil); len(got) != 0 {
 		t.Fatalf("stride access triggered next-line: %v", lines(geom, got))
 	}
 }
@@ -51,9 +45,9 @@ func TestNextLineNeedsAscendingStreak(t *testing.T) {
 func TestNextLineStopsAtPageBoundary(t *testing.T) {
 	geom := g(t)
 	p := NewNextLine(geom)
-	p.Observe(mem.Addr(62*64), false, nil)
+	p.Observe(mem.Addr(62*64), nil)
 	last := mem.Addr(63 * 64) // streaked access to the final line of page 0
-	if got := p.Observe(last, false, nil); len(got) != 0 {
+	if got := p.Observe(last, nil); len(got) != 0 {
 		t.Fatalf("next-line crossed page boundary: %v", lines(geom, got))
 	}
 }
@@ -64,7 +58,7 @@ func TestStreamerLearnsDenseRun(t *testing.T) {
 	var got []mem.Addr
 	// Stride-2 run within one page: should train after two deltas.
 	for i := 0; i < 4; i++ {
-		got = p.Observe(mem.Addr(i*2*64), false, got[:0])
+		got = p.Observe(mem.Addr(i*2*64), got[:0])
 	}
 	if len(got) == 0 {
 		t.Fatal("streamer failed to train on dense stride-2 run")
@@ -86,7 +80,7 @@ func TestStreamerIgnoresSparseStride(t *testing.T) {
 	var got []mem.Addr
 	// Stride-3 exceeds the dense window: never trains.
 	for i := 0; i < 20; i++ {
-		got = p.Observe(mem.Addr(i*3*64), false, got[:0])
+		got = p.Observe(mem.Addr(i*3*64), got[:0])
 		if len(got) != 0 {
 			t.Fatalf("streamer trained on stride-3 at step %d: %v", i, lines(geom, got))
 		}
@@ -102,7 +96,7 @@ func TestStreamerTracksInterleavedPages(t *testing.T) {
 	// still train both streams.
 	for i := 0; i < 8; i++ {
 		a := mem.Addr(i/2*64) + mem.Addr(i%2*4096)
-		got = p.Observe(a, false, got[:0])
+		got = p.Observe(a, got[:0])
 		proposals += len(got)
 	}
 	if proposals == 0 {
@@ -115,7 +109,7 @@ func TestStreamerDescendingRun(t *testing.T) {
 	p := NewStreamer(geom)
 	var got []mem.Addr
 	for i := 10; i >= 5; i-- {
-		got = p.Observe(mem.Addr(i*64), false, got[:0])
+		got = p.Observe(mem.Addr(i*64), got[:0])
 	}
 	if len(got) == 0 {
 		t.Fatal("streamer failed on descending run")
@@ -132,7 +126,7 @@ func TestStreamerEntryEviction(t *testing.T) {
 	p := NewStreamer(geom)
 	// Touch 32 distinct pages: table has 16 entries, must not grow or panic.
 	for i := 0; i < 32; i++ {
-		p.Observe(mem.Addr(i*4096), false, nil)
+		p.Observe(mem.Addr(i*4096), nil)
 	}
 	valid := 0
 	for _, pg := range p.pages {
@@ -151,7 +145,7 @@ func TestStrideLearnsConstantDelta(t *testing.T) {
 	var got []mem.Addr
 	// Constant stride of 3 lines within a page (y=1 in Table 1 terms).
 	for i := 0; i < 5; i++ {
-		got = p.Observe(mem.Addr(i*3*64), false, got[:0])
+		got = p.Observe(mem.Addr(i*3*64), got[:0])
 	}
 	if len(got) == 0 {
 		t.Fatal("stride detector failed on constant delta")
@@ -171,7 +165,7 @@ func TestStrideDefeatedByAlternatingDeltas(t *testing.T) {
 		page := uint64(i % 2)
 		line := i / 2 * 3
 		a := mem.Addr(page*4096 + uint64(line*64))
-		got = p.Observe(a, false, got[:0])
+		got = p.Observe(a, got[:0])
 		if len(got) != 0 {
 			t.Fatalf("stride detector trained on alternating pattern at step %d", i)
 		}
@@ -185,7 +179,7 @@ func TestStrideDoesNotCrossPages(t *testing.T) {
 	// Constant stride of 16 lines: proposals near the page end must stop
 	// at the boundary.
 	for i := 0; i < 4; i++ {
-		got = p.Observe(mem.Addr(i*16*64), false, got[:0])
+		got = p.Observe(mem.Addr(i*16*64), got[:0])
 	}
 	for _, a := range got {
 		if geom.PageOf(a) != 0 {
@@ -199,21 +193,51 @@ func TestStrideIgnoresHugeJumps(t *testing.T) {
 	p := NewStride(geom)
 	var got []mem.Addr
 	for i := 0; i < 10; i++ {
-		got = p.Observe(mem.Addr(i*2*4096), false, got[:0]) // 2-page jumps
+		got = p.Observe(mem.Addr(i*2*4096), got[:0]) // 2-page jumps
 		if len(got) != 0 {
 			t.Fatal("stride trained on multi-page jumps")
 		}
 	}
 }
 
+// TestCompositeDeduplicates drives standalone next-line, streamer and
+// stride parts in lockstep with NewIntelLike: every observation must
+// propose the parts' candidates in part order, each line once. Ascending
+// runs make the next-line prefetcher and the streamer propose the same
+// line, so the deduplication has to fire.
 func TestCompositeDeduplicates(t *testing.T) {
 	geom := g(t)
-	// Next-line twice: duplicates must collapse.
-	p := NewComposite(geom, NewNextLine(geom), NewNextLine(geom))
-	p.Observe(0, false, nil)
-	got := p.Observe(64, false, nil) // ascending streak triggers both
-	if len(got) != 1 {
-		t.Fatalf("composite returned %d proposals, want 1", len(got))
+	p := NewIntelLike(geom)
+	nl, st, sd := NewNextLine(geom), NewStreamer(geom), NewStride(geom)
+	x := rng.New(9)
+	var a mem.Addr
+	var got, parts, want []mem.Addr
+	overlaps := 0
+	for i := 0; i < 20000; i++ {
+		if x.Intn(16) == 0 {
+			a = mem.Addr(x.Intn(1 << 24)) // new stream
+		} else {
+			a += mem.Addr(geom.LineBytes * (1 + x.Intn(2)))
+		}
+		got = p.Observe(a, got[:0])
+		parts = nl.Observe(a, parts[:0])
+		parts = st.Observe(a, parts)
+		parts = sd.Observe(a, parts)
+		want = want[:0]
+		for _, c := range parts {
+			if !slices.ContainsFunc(want, func(w mem.Addr) bool { return geom.LineOf(w) == geom.LineOf(c) }) {
+				want = append(want, c)
+			}
+		}
+		if len(want) < len(parts) {
+			overlaps++
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("op %d: composite proposed %v, want %v (parts %v)", i, lines(geom, got), lines(geom, want), lines(geom, parts))
+		}
+	}
+	if overlaps == 0 {
+		t.Fatal("no observation had overlapping part proposals; the dedup went unexercised")
 	}
 }
 
@@ -230,7 +254,7 @@ func TestIntelLikeCoversSequential(t *testing.T) {
 		if proposed[geom.LineOf(a)] {
 			covered++
 		}
-		for _, c := range p.Observe(a, false, nil) {
+		for _, c := range p.Observe(a, nil) {
 			proposed[geom.LineOf(c)] = true
 		}
 	}
@@ -253,7 +277,7 @@ func TestIntelLikeFooledByStreamlinePattern(t *testing.T) {
 		if proposed[geom.LineOf(a)] {
 			covered++
 		}
-		for _, c := range p.Observe(a, false, nil) {
+		for _, c := range p.Observe(a, nil) {
 			proposed[geom.LineOf(c)] = true
 		}
 	}
@@ -270,7 +294,7 @@ func BenchmarkIntelLikeObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pg := 2*(3*i/128) + i%2
 		cl := (14 + 3*(i/2)) % 64
-		buf = p.Observe(mem.Addr(pg*4096+cl*64), false, buf[:0])
+		buf = p.Observe(mem.Addr(pg*4096+cl*64), buf[:0])
 	}
 }
 
@@ -316,8 +340,8 @@ func TestStreamerHintsMatchScan(t *testing.T) {
 				ref.last = (j + 1) % len(ref.pages)
 				ref.prev = ref.last
 			}
-			hb = hinted.Observe(a, false, hb[:0])
-			rb = ref.Observe(a, false, rb[:0])
+			hb = hinted.Observe(a, hb[:0])
+			rb = ref.Observe(a, rb[:0])
 			statetest.Equal(t, "proposals", hb, rb)
 			statetest.Equal(t, "pages", hinted.pages, ref.pages)
 			statetest.Equal(t, "meta", hinted.meta, ref.meta)
@@ -339,11 +363,11 @@ func TestStreamerHintLifecycle(t *testing.T) {
 	src := NewStreamer(geom)
 	var buf []mem.Addr
 	for _, pg := range []int{0, 1, 2, 1, 2, 1} {
-		buf = src.Observe(mem.Addr(pg*geom.PageBytes), false, buf[:0])
+		buf = src.Observe(mem.Addr(pg*geom.PageBytes), buf[:0])
 	}
 	if src.last == 0 || src.prev == 0 {
 		t.Fatalf("hints not advanced: last %d prev %d", src.last, src.prev)
 	}
-	statetest.Equal(t, "cloned streamer", *src.Clone().(*Streamer), *src)
-	statetest.Equal(t, "cloned fresh streamer", *NewStreamer(geom).Clone().(*Streamer), *NewStreamer(geom))
+	statetest.Equal(t, "cloned streamer", *src.Clone(), *src)
+	statetest.Equal(t, "cloned fresh streamer", *NewStreamer(geom).Clone(), *NewStreamer(geom))
 }

@@ -5,8 +5,8 @@
 // boundary, or it silently degrades to a cold run. Execute therefore takes
 // the sweep as a DAG — each spec may depend on earlier specs — and
 // schedules it over per-worker deques: a worker finishing a chain segment
-// continues that chain locally (the forked state is hot in its simulator
-// pool), and idle workers steal unrelated ready specs from the front of
+// continues that chain locally (the checkpoint it forks from was just
+// published by that worker), and idle workers steal unrelated ready specs from the front of
 // other deques, so long dependency chains never serialize a sweep's tail.
 // Independent specs are the DAG without edges.
 package runner
