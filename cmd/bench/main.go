@@ -725,6 +725,42 @@ func suite(scale float64) []bench {
 		},
 	})
 
+	// Opening a populated store directory: the index layer every process
+	// with -store pays once before its first Get. Each op opens the same
+	// directory of openEntries small entries and checks the index it built.
+	openEntries := scaled(512, scale)
+	suite = append(suite, bench{
+		name: "store/open",
+		fn: func(b *testing.B) {
+			dir, err := os.MkdirTemp("", "bench-store-*")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer os.RemoveAll(dir)
+			st, err := resultstore.Open(dir, resultstore.Options{MaxBytes: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < openEntries; i++ {
+				p := []byte(fmt.Sprintf("store/open entry %d", i))
+				if err := st.Put(resultstore.KeyOf(p), p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := resultstore.Open(dir, resultstore.Options{MaxBytes: -1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n := st.Stats().Entries; n != openEntries {
+					b.Fatalf("Open indexed %d entries, want %d", n, openEntries)
+				}
+			}
+		},
+	})
+
 	// Many-repetition sweep of one configuration: the shape of every
 	// experiment table (N seeds per parameter point) and the workload the
 	// warm snapshot accelerates — each op re-runs the same machine `reps`

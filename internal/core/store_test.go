@@ -444,11 +444,14 @@ func TestRunStoreCorruptFallback(t *testing.T) {
 	bits := payload.Random(11, 4000)
 	cold := runOn(t, NewEngine(EngineOptions{Store: st}), cfg, bits)
 
-	// Flip one payload bit in the single stored entry.
+	// Flip one payload bit in the single stored entry, the one key-named
+	// file (the store's index journal sits beside the shard directories).
 	var entry string
 	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
-			entry = path
+			if _, kerr := resultstore.ParseKey(d.Name()); kerr == nil {
+				entry = path
+			}
 		}
 		return err
 	})

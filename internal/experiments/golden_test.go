@@ -189,13 +189,17 @@ func storeAxis(t *testing.T) {
 // the cheapest sweeps to recompute.
 const corruptAxisID = "table1"
 
-// corruptStoreEntries flips the final byte of every entry under dir.
+// corruptStoreEntries flips the final byte of every entry under dir. It
+// touches only key-named files, not the store's index journal.
 func corruptStoreEntries(t *testing.T, dir string) {
 	t.Helper()
 	n := 0
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
+		}
+		if _, kerr := resultstore.ParseKey(d.Name()); kerr != nil {
+			return nil
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {

@@ -200,7 +200,7 @@ func TestMemGetZeroAllocs(t *testing.T) {
 // workload for the sharded store (CI runs this package under -race).
 func TestConcurrentTiers(t *testing.T) {
 	s := openT(t, t.TempDir(), Options{
-		MaxBytes: 64 << 10, // force disk eviction
+		MaxBytes: 16 << 10, // force disk eviction: the 64 entries take about 36 KiB
 		MemBytes: numShards * 2048,
 	})
 	const (
@@ -251,6 +251,14 @@ func TestConcurrentTiers(t *testing.T) {
 	}
 	if st.MemHits > st.Hits {
 		t.Errorf("MemHits %d exceeds Hits %d", st.MemHits, st.Hits)
+	}
+	if st.Evictions == 0 {
+		t.Error("the disk budget never evicted")
+	}
+	// Concurrent appends land whole and in shard-lock order, so the
+	// journal replays to exactly the index the writing handle holds.
+	if r := openT(t, s.Dir(), Options{}).Stats(); r.Entries != st.Entries || r.Bytes != st.Bytes {
+		t.Errorf("journal replays to %d entries, %d bytes; the writer holds %d, %d", r.Entries, r.Bytes, st.Entries, st.Bytes)
 	}
 }
 

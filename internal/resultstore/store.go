@@ -20,6 +20,25 @@
 //     at Open, so a miss is a map probe under one shard lock — never a
 //     stat or a failed read.
 //
+// Open builds that index from the directory's journal, `<dir>/index`: a
+// versioned header and one fixed-size, checksummed record per change (an
+// entry written or dropped, a quarantine file written or removed), each
+// appended under the shard lock just after the change it describes. Open
+// replays the journal and lists no directory. It walks the shard tree only
+// to write a journal from scratch: when there is none (a fresh store, or
+// one written before the journal existed), when any record is torn or
+// invalid, or when the journal holds more than 2x as many records as the
+// index it describes, plus 1024. The walk also removes stale temp files
+// and indexes quarantine files nothing recorded. No record is fsynced: the
+// journal is advisory. A crash between a file change and its record
+// leaves a file the index does not know (never served, one re-simulation,
+// counted again at the next rebuild) or a record whose file is gone (one
+// miss, then a drop record). Handles of one directory, in one process or
+// several, append to one journal, but each indexes only what it replayed
+// at Open plus its own writes. Every served byte is verified against its
+// envelope, so a journal that disagrees with the directory costs misses,
+// never a wrong answer.
+//
 // Layout and format follow the content-addressed-repository idiom: entries
 // live under a two-level sharded tree (`<dir>/ab/abcdef...`), each wrapped
 // in a versioned binary envelope that echoes the key and carries a 64-bit
@@ -56,11 +75,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -254,10 +271,11 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store rooted at dir and loads the
-// on-disk index once: after Open, a Get for an absent key is answered from
-// the index without touching the filesystem. Stale temp files from crashed
-// writers are removed. Pre-existing entries start at zero recency (ties
-// broken by key bytes, deterministically); any access outranks them.
+// on-disk index once, from the journal or, when it must, by walking the
+// directory (see the package comment): after Open, a Get for an absent key
+// is answered from the index without touching the filesystem.
+// Pre-existing entries start at zero recency (ties broken by key bytes,
+// deterministically); any access outranks them.
 //
 // An empty dir opens a memory-only store: nothing is read or written on
 // disk, Put makes the payload resident (subject to the memory budget), and
@@ -277,58 +295,35 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.memDisabled = memBudget < 0
 	s.memMax = memBudget
 	for i := range s.shards {
-		s.shards[i].disk = make(map[Key]diskEntry)
-		s.shards[i].corrupt = make(map[Key]int64)
 		s.shards[i].mem = make(map[Key]*memEntry)
 		s.shards[i].lruInit()
 	}
+	s.resetIndex()
 	if dir == "" {
 		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		switch filepath.Ext(path) {
-		case ".tmp":
-			os.Remove(path) // a writer died mid-Put; the rename never happened
-		case ".corrupt":
-			// Quarantined entries stay for post-mortems and can never be
-			// served, but their bytes count toward the disk budget.
-			key, kerr := ParseKey(strings.TrimSuffix(filepath.Base(path), ".corrupt"))
-			if kerr != nil {
-				return nil
-			}
-			info, ierr := d.Info()
-			if ierr != nil {
-				return nil
-			}
-			s.noteCorruptLocked(&s.shards[key[0]], key, info.Size())
-		default:
-			key, kerr := ParseKey(filepath.Base(path))
-			if kerr != nil {
-				return nil // not an entry name; leave it alone, never serve it
-			}
-			info, ierr := d.Info()
-			if ierr != nil {
-				return nil
-			}
-			sh := &s.shards[key[0]]
-			if _, dup := sh.disk[key]; !dup {
-				sh.disk[key] = diskEntry{size: info.Size()}
-				s.bytes.Add(info.Size())
-				s.entries.Add(1)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if s.loadJournal() {
+		return s, nil
+	}
+	if err := s.rebuildIndex(); err != nil {
 		return nil, fmt.Errorf("resultstore: scanning %s: %w", dir, err)
 	}
 	return s, nil
+}
+
+// resetIndex empties the disk and quarantine indexes and their accounting.
+func (s *Store) resetIndex() {
+	for i := range s.shards {
+		s.shards[i].disk = make(map[Key]diskEntry)
+		s.shards[i].corrupt = make(map[Key]int64)
+	}
+	s.bytes.Store(0)
+	s.entries.Store(0)
+	s.corruptBytes.Store(0)
+	s.corruptEntries.Store(0)
 }
 
 // Dir returns the store's root directory, or "" for a memory-only store.
@@ -401,8 +396,10 @@ func (s *Store) Get(key Key) ([]byte, bool) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		// Indexed but unreadable: the file vanished out from under us (an
-		// external delete). Drop the index entry and miss.
+		// external delete, or a record whose file never outlived a crash).
+		// Drop the index entry and miss.
 		s.dropDiskLocked(sh, key)
+		s.journal(journalRecord{op: opDrop, key: key})
 		sh.mu.Unlock()
 		s.misses.Add(1)
 		return nil, false
@@ -411,6 +408,7 @@ func (s *Store) Get(key Key) ([]byte, bool) {
 	if errors.Is(uerr, errStale) {
 		if err := os.Remove(path); err == nil || os.IsNotExist(err) {
 			s.dropDiskLocked(sh, key)
+			s.journal(journalRecord{op: opDrop, key: key})
 		}
 		sh.mu.Unlock()
 		s.misses.Add(1)
@@ -418,8 +416,12 @@ func (s *Store) Get(key Key) ([]byte, bool) {
 	}
 	if uerr != nil {
 		if os.Rename(path, path+".corrupt") == nil {
+			// The quarantine file is the bytes just read, whatever size
+			// the index recorded for the entry.
+			size := int64(len(raw))
 			s.dropDiskLocked(sh, key)
-			s.noteCorruptLocked(sh, key, de.size)
+			s.noteCorruptLocked(sh, key, size)
+			s.journal(journalRecord{op: opDrop, key: key}, journalRecord{op: opQuarantine, key: key, size: size})
 		}
 		sh.mu.Unlock()
 		s.quarantined.Add(1)
@@ -437,6 +439,18 @@ func (s *Store) Get(key Key) ([]byte, bool) {
 	s.trimMem(key)
 	s.hits.Add(1)
 	return payload, true
+}
+
+// setDiskLocked indexes (or re-indexes) key's live envelope as de,
+// keeping the disk accounting exact. Caller holds the shard lock.
+func (s *Store) setDiskLocked(sh *shard, key Key, de diskEntry) {
+	if old, replaced := sh.disk[key]; replaced {
+		s.bytes.Add(-old.size)
+	} else {
+		s.entries.Add(1)
+	}
+	sh.disk[key] = de
+	s.bytes.Add(de.size)
 }
 
 // dropDiskLocked removes key from the disk index and accounting, plus any
@@ -475,6 +489,16 @@ func (s *Store) noteCorruptLocked(sh *shard, key Key, size int64) {
 	}
 	sh.corrupt[key] = size
 	s.corruptBytes.Add(size)
+}
+
+// dropCorruptLocked forgets key's quarantine file. Caller holds the shard
+// lock.
+func (s *Store) dropCorruptLocked(sh *shard, key Key) {
+	if size, ok := sh.corrupt[key]; ok {
+		delete(sh.corrupt, key)
+		s.corruptBytes.Add(-size)
+		s.corruptEntries.Add(-1)
+	}
 }
 
 // insertMemLocked makes payload resident under key as its shard's
@@ -586,19 +610,13 @@ func (s *Store) put(key Key, payload []byte) error {
 
 	sh := &s.shards[key[0]]
 	sh.mu.Lock()
-	old, replaced := sh.disk[key]
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		sh.mu.Unlock()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if replaced {
-		s.bytes.Add(-old.size)
-	} else {
-		s.entries.Add(1)
-	}
-	sh.disk[key] = diskEntry{size: int64(len(env)), lastUse: s.clock.Add(1)}
-	s.bytes.Add(int64(len(env)))
+	s.setDiskLocked(sh, key, diskEntry{size: int64(len(env)), lastUse: s.clock.Add(1)})
+	s.journal(journalRecord{op: opPut, key: key, size: int64(len(env))})
 	if !s.memDisabled {
 		// env[envHdrLen:] is the same bytes as payload but owned by the
 		// envelope buffer this function built, so residency never aliases
@@ -655,11 +673,10 @@ func (s *Store) evictDisk(keep Key) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k, size := range sh.corrupt {
+		for k := range sh.corrupt {
 			if err := os.Remove(s.path(k) + ".corrupt"); err == nil || os.IsNotExist(err) {
-				delete(sh.corrupt, k)
-				s.corruptBytes.Add(-size)
-				s.corruptEntries.Add(-1)
+				s.dropCorruptLocked(sh, k)
+				s.journal(journalRecord{op: opPurge, key: k})
 			}
 		}
 		sh.mu.Unlock()
@@ -705,6 +722,7 @@ func (s *Store) evictDisk(keep Key) {
 		if present && de.lastUse == v.lastUse {
 			if err := os.Remove(s.path(v.key)); err == nil || os.IsNotExist(err) {
 				s.dropDiskLocked(sh, v.key)
+				s.journal(journalRecord{op: opDrop, key: v.key})
 				s.evictions.Add(1)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -136,15 +137,10 @@ func TestCorruptionQuarantined(t *testing.T) {
 	}
 }
 
-// TestStaleVersionRemovedNotQuarantined pins the upgrade path: an entry
-// whose envelope version differs (here a hand-built v1 envelope with its
-// FNV-1a checksum, as the previous layout wrote it) is a stale miss. The
-// file is deleted — not renamed to .corrupt, where it would sit outside the
-// disk budget — and nothing counts as quarantined.
-func TestStaleVersionRemovedNotQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	key := KeyOf([]byte("written by the v1 layout"))
-	payload := []byte("payload under the old envelope")
+// v1Envelope builds the envelope the v1 layout wrote for payload: the
+// current header with version 1 and an FNV-1a checksum. It is exactly as
+// long as the current envelope of the same payload.
+func v1Envelope(key Key, payload []byte) []byte {
 	fnv := uint64(0xcbf29ce484222325)
 	for _, c := range payload {
 		fnv = (fnv ^ uint64(c)) * 0x100000001b3
@@ -156,6 +152,19 @@ func TestStaleVersionRemovedNotQuarantined(t *testing.T) {
 	binary.LittleEndian.PutUint64(env[24:], uint64(len(payload)))
 	binary.LittleEndian.PutUint64(env[32:], fnv)
 	copy(env[envHdrLen:], payload)
+	return env
+}
+
+// TestStaleVersionRemovedNotQuarantined pins the upgrade path: an entry
+// whose envelope version differs (here a hand-built v1 envelope with its
+// FNV-1a checksum, as the previous layout wrote it) is a stale miss. The
+// file is deleted — not renamed to .corrupt, where it would sit outside the
+// disk budget — and nothing counts as quarantined.
+func TestStaleVersionRemovedNotQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	key := KeyOf([]byte("written by the v1 layout"))
+	payload := []byte("payload under the old envelope")
+	env := v1Envelope(key, payload)
 	path := filepath.Join(dir, key.String()[:2], key.String())
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
@@ -284,25 +293,48 @@ func TestEvictionDisabled(t *testing.T) {
 	}
 }
 
-// TestReopenRescans proves the accounting survives process restarts: a new
-// Store over an existing directory sees prior entries, serves them, and
-// clears stale temp files from crashed writers.
-func TestReopenRescans(t *testing.T) {
-	dir := t.TempDir()
+// reopenFixture writes one entry through a store handle, then leaves what
+// no handle recorded: a crashed writer's temp file, a quarantine file
+// under a name that is no key, and one under a key's name. It returns the
+// entry's key, its indexed bytes, the temp file and the key-named
+// quarantine file's size.
+func reopenFixture(t *testing.T, dir string) (key Key, want int64, stale string, corruptSize int64) {
+	t.Helper()
 	s := openT(t, dir, Options{})
-	key := KeyOf([]byte("persist"))
+	key = KeyOf([]byte("persist"))
 	if err := s.Put(key, []byte("outlives the handle")); err != nil {
 		t.Fatal(err)
 	}
-	want := s.Stats().Bytes
+	want = s.Stats().Bytes
 
-	// A crashed writer's leftover and a quarantined entry, both outside the
-	// live accounting.
-	stale := filepath.Join(dir, key.String()[:2], "deadbeef-12345.tmp")
+	shardDir := filepath.Join(dir, key.String()[:2])
+	stale = filepath.Join(shardDir, "deadbeef-12345.tmp")
 	if err := os.WriteFile(stale, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key.String()[:2], "feedface.corrupt"), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(shardDir, "feedface.corrupt"), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other := KeyOf([]byte("quarantined elsewhere")).String()
+	if err := os.MkdirAll(filepath.Join(dir, other[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	junk := []byte("quarantined by another tool")
+	if err := os.WriteFile(filepath.Join(dir, other[:2], other+".corrupt"), junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return key, want, stale, int64(len(junk))
+}
+
+// TestReopenRescans proves the accounting survives process restarts when
+// the journal is gone: a new Store over an existing directory walks it,
+// sees prior entries, serves them, clears stale temp files from crashed
+// writers, indexes the key-named quarantine file, and writes a journal of
+// what it found.
+func TestReopenRescans(t *testing.T) {
+	dir := t.TempDir()
+	key, want, stale, corruptSize := reopenFixture(t, dir)
+	if err := os.Remove(filepath.Join(dir, journalName)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -310,11 +342,41 @@ func TestReopenRescans(t *testing.T) {
 	if st := s2.Stats(); st.Entries != 1 || st.Bytes != want {
 		t.Fatalf("reopened Stats = %+v, want 1 entry, %d bytes", st, want)
 	}
+	if st := s2.Stats(); st.CorruptEntries != 1 || st.CorruptBytes != corruptSize {
+		t.Fatalf("reopened Stats = %+v, want the key-named quarantine file (%d bytes) indexed", st, corruptSize)
+	}
 	if got, ok := s2.Get(key); !ok || string(got) != "outlives the handle" {
 		t.Fatalf("reopened Get = %q, %v", got, ok)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale temp file not removed: %v", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatalf("rebuild wrote no journal: %v", err)
+	}
+	if recs, err := parseJournal(raw); err != nil || len(recs) != 2 {
+		t.Fatalf("rebuilt journal: %d records, %v; want the entry and the quarantine file", len(recs), err)
+	}
+}
+
+// TestReopenReplaysJournal is TestReopenRescans with the journal in place:
+// the reopen indexes the entry from the journal alone and serves it, and
+// files no handle recorded stay unindexed and untouched until the next
+// rebuild.
+func TestReopenReplaysJournal(t *testing.T) {
+	dir := t.TempDir()
+	key, want, stale, _ := reopenFixture(t, dir)
+
+	s2 := openT(t, dir, Options{})
+	if st := s2.Stats(); st.Entries != 1 || st.Bytes != want || st.CorruptEntries != 0 {
+		t.Fatalf("reopened Stats = %+v, want 1 entry, %d bytes and no quarantine file", st, want)
+	}
+	if got, ok := s2.Get(key); !ok || string(got) != "outlives the handle" {
+		t.Fatalf("reopened Get = %q, %v", got, ok)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Fatalf("Open touched the directory: stale temp file gone (%v)", err)
 	}
 }
 
@@ -379,12 +441,16 @@ func TestPutFailureCounted(t *testing.T) {
 	}
 }
 
-// diskBytes sums the sizes of every file under dir, live or quarantined.
+// diskBytes sums the sizes of every entry file under dir, live or
+// quarantined: the files MaxBytes bounds, so not the journal.
 func diskBytes(t *testing.T, dir string) (total int64) {
 	t.Helper()
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
+		}
+		if _, kerr := ParseKey(strings.TrimSuffix(d.Name(), ".corrupt")); kerr != nil {
+			return nil
 		}
 		info, err := d.Info()
 		if err == nil {
