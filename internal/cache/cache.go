@@ -6,8 +6,9 @@
 // policy (2-bit ages per line, RRIP-family; Briongos et al., RELOAD+REFRESH)
 // to reason about when sender-installed lines are evicted. This package
 // therefore models the RRIP family explicitly (SRRIP, BRRIP, DRRIP with set
-// dueling, and a Skylake-flavoured QLRU variant) alongside classic LRU,
-// NRU, tree-PLRU, and random replacement for ablation experiments.
+// dueling, and a Skylake-flavoured QLRU variant) alongside tree-PLRU for
+// the private caches, and classic LRU and random replacement for ablation
+// experiments.
 //
 // The implementation keeps all tag and policy metadata in flat slices and
 // performs no allocation on the access path: the channel experiments push
@@ -46,22 +47,13 @@ type Result struct {
 	DidEvict bool
 }
 
-// Stats counts cache events since construction (or the last ResetStats).
+// Stats counts cache events since construction.
 type Stats struct {
 	Hits       uint64
 	Misses     uint64
 	Evictions  uint64
 	Flushes    uint64
 	Prefetches uint64 // installs marked as prefetches
-}
-
-// MissRate returns misses / (hits+misses), or 0 if no accesses.
-func (s Stats) MissRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
 }
 
 // polKind discriminates the devirtualized replacement policies. The two
@@ -79,17 +71,16 @@ const (
 
 // Cache is one level of a set-associative cache. Create with New.
 type Cache struct {
-	sets     int       //detlint:lifecycle-skip geometry fixed at construction, identical across the lifecycle
-	ways     int       //detlint:lifecycle-skip geometry fixed at construction, identical across the lifecycle
-	setMask  uint64    //detlint:lifecycle-skip geometry fixed at construction, identical across the lifecycle
-	tags     []uint32  // flat [sets*ways] truncated line numbers; invalidTag marks an empty way
-	mru      []int32   // per-set last-hit way hint (always in [0,ways))
-	setOcc   []uint16  // per-set valid-line count; ==ways means the fill scan can be skipped
-	occupied int       // running count of valid lines
-	kind     polKind   //detlint:lifecycle-skip devirtualization tag derived from pol's concrete type, fixed at construction
-	rrip     *RRIP     //detlint:lifecycle-skip devirtualization alias of pol (non-nil iff kind == polRRIP); Clone re-derives it from the cloned pol
-	plru     *TreePLRU //detlint:lifecycle-skip devirtualization alias of pol (non-nil iff kind == polPLRU); Clone re-derives it from the cloned pol
-	pol      Policy
+	sets    int       //detlint:lifecycle-skip geometry fixed at construction, identical across the lifecycle
+	ways    int       //detlint:lifecycle-skip geometry fixed at construction, identical across the lifecycle
+	setMask uint64    //detlint:lifecycle-skip geometry fixed at construction, identical across the lifecycle
+	tags    []uint32  // flat [sets*ways] truncated line numbers; invalidTag marks an empty way
+	mru     []int32   // per-set last-hit way hint (always in [0,ways))
+	setOcc  []uint16  // per-set valid-line count; ==ways means the fill scan can be skipped
+	kind    polKind   //detlint:lifecycle-skip devirtualization tag derived from pol's concrete type, fixed at construction
+	rrip    *RRIP     //detlint:lifecycle-skip devirtualization alias of pol (non-nil iff kind == polRRIP); Clone re-derives it from the cloned pol
+	plru    *TreePLRU //detlint:lifecycle-skip devirtualization alias of pol (non-nil iff kind == polPLRU); Clone re-derives it from the cloned pol
+	pol     Policy
 	// quota, when non-nil, tracks per-domain way ownership and budgets
 	// (CacheBar-style; see quota.go). All quota bookkeeping hangs off this
 	// one pointer so the lifecycle methods and field audits see a single
@@ -287,7 +278,6 @@ func (c *Cache) fill(set, base int, l mem.Line, prefetch bool) Result {
 			if t == invalidTag {
 				c.tags[base+w] = uint32(l)
 				c.setOcc[set]++
-				c.occupied++
 				c.mru[set] = int32(w)
 				c.insertMeta(set, w, prefetch)
 				return Result{Way: w}
@@ -297,7 +287,7 @@ func (c *Cache) fill(set, base int, l mem.Line, prefetch bool) Result {
 	}
 	w := c.victim(set)
 	if w < 0 || w >= c.ways {
-		panic(fmt.Sprintf("cache: policy %s returned invalid victim way %d", c.pol.Name(), w))
+		panic(fmt.Sprintf("cache: policy %T returned invalid victim way %d", c.pol, w))
 	}
 	evicted := mem.Line(c.tags[base+w])
 	c.Stats.Evictions++
@@ -371,7 +361,6 @@ func (c *Cache) Invalidate(l mem.Line) bool {
 	}
 	c.tags[base+w] = invalidTag
 	c.setOcc[set]--
-	c.occupied--
 	switch c.kind {
 	case polRRIP:
 		c.rrip.OnInvalidate(set, w)
@@ -383,24 +372,10 @@ func (c *Cache) Invalidate(l mem.Line) bool {
 	return true
 }
 
-// OccupancyOf returns how many valid lines currently sit in l's set.
-func (c *Cache) OccupancyOf(l mem.Line) int {
-	return int(c.setOcc[c.SetOf(l)])
+// LineAt returns the line held in way w of set, and whether that way is
+// valid, with no side effects (unlike a lookup, it leaves the last-hit-way
+// hint alone).
+func (c *Cache) LineAt(set, w int) (mem.Line, bool) {
+	t := c.tags[set*c.ways+w]
+	return mem.Line(t), t != invalidTag
 }
-
-// LinesInSet appends the valid lines of the given set to dst and returns it.
-func (c *Cache) LinesInSet(set int, dst []mem.Line) []mem.Line {
-	base := set * c.ways
-	for _, t := range c.tags[base : base+c.ways] {
-		if t != invalidTag {
-			dst = append(dst, mem.Line(t))
-		}
-	}
-	return dst
-}
-
-// Occupied returns the total number of valid lines in the cache.
-func (c *Cache) Occupied() int { return c.occupied }
-
-// ResetStats zeroes the statistics counters.
-func (c *Cache) ResetStats() { c.Stats = Stats{} }

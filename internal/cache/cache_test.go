@@ -104,14 +104,14 @@ func TestFlushAndInvalidate(t *testing.T) {
 
 func TestOccupancy(t *testing.T) {
 	c := mustNew(t, 2, 4, NewLRU())
-	if c.Occupied() != 0 {
+	if c.occupied() != 0 {
 		t.Fatal("new cache not empty")
 	}
 	for l := mem.Line(0); l < 8; l++ {
 		c.Access(l)
 	}
-	if c.Occupied() != 8 {
-		t.Fatalf("occupied = %d", c.Occupied())
+	if c.occupied() != 8 {
+		t.Fatalf("occupied = %d", c.occupied())
 	}
 	if c.OccupancyOf(0) != 4 {
 		t.Fatalf("set occupancy = %d", c.OccupancyOf(0))
@@ -127,7 +127,7 @@ func TestOccupancy(t *testing.T) {
 func TestAccessThenProbe(t *testing.T) {
 	policies := func() []Policy {
 		return []Policy{
-			NewLRU(), NewRandom(1), NewNRU(), NewTreePLRU(),
+			NewLRU(), NewRandom(1), NewTreePLRU(),
 			NewRRIP(SRRIP, 2), NewRRIP(BRRIP, 3), NewRRIP(DRRIP, 4),
 		}
 	}
@@ -141,10 +141,10 @@ func TestAccessThenProbe(t *testing.T) {
 					return false
 				}
 			}
-			return c.Occupied() <= 16*4
+			return c.occupied() <= 16*4
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Errorf("policy %s: %v", pol.Name(), err)
+			t.Errorf("policy %T: %v", pol, err)
 		}
 	}
 }
@@ -200,8 +200,8 @@ func TestRRIPVictimAlwaysValidWay(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Access(mem.Line(i))
 	}
-	if c.Occupied() != 16 {
-		t.Fatalf("occupied = %d, want full", c.Occupied())
+	if c.occupied() != 16 {
+		t.Fatalf("occupied = %d, want full", c.occupied())
 	}
 }
 
@@ -311,24 +311,6 @@ func TestTreePLRUPanicsOnNonPow2Ways(t *testing.T) {
 	_, _ = New(2, 3, NewTreePLRU())
 }
 
-func TestNRUVictimPrefersUnreferenced(t *testing.T) {
-	c := mustNew(t, 1, 4, NewNRU())
-	for l := mem.Line(0); l < 4; l++ {
-		c.Access(l)
-	}
-	// All referenced: the first eviction clears every bit and evicts at
-	// the pointer (line 0), leaving lines 1..3 unreferenced.
-	c.Access(10)
-	// Re-reference 1 and 3 but not 2; the next victim must be 2, the only
-	// unreferenced line (no clear round needed).
-	c.Access(1)
-	c.Access(3)
-	r := c.Access(11)
-	if !r.DidEvict || r.Evicted != 2 {
-		t.Fatalf("NRU evicted %d, want the unreferenced line 2", r.Evicted)
-	}
-}
-
 func TestRandomPolicyDeterministicWithSeed(t *testing.T) {
 	run := func() []mem.Line {
 		c := mustNew(t, 1, 4, NewRandom(42))
@@ -351,20 +333,22 @@ func TestRandomPolicyDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-// TestOccupiedCounterMatchesScan cross-checks the running valid-line
-// counter behind Occupied against a full tag scan through a random mix of
-// accesses, prefetch installs, invalidates, and flushes.
+// TestOccupiedCounterMatchesScan cross-checks the per-set valid-line
+// counters (which let fill skip its empty-way scan) against a full tag
+// scan of every set through a random mix of accesses, prefetch installs,
+// invalidates, and flushes.
 func TestOccupiedCounterMatchesScan(t *testing.T) {
 	c := mustNew(t, 8, 4, NewSkylakeLLC(3))
 	x := rng.New(9)
-	recount := func() int {
-		n := 0
+	check := func(step int) {
+		t.Helper()
 		var buf []mem.Line
 		for s := 0; s < c.Sets(); s++ {
 			buf = c.LinesInSet(s, buf[:0])
-			n += len(buf)
+			if got := int(c.setOcc[s]); got != len(buf) {
+				t.Fatalf("step %d: set %d counts %d lines, scan says %d", step, s, got, len(buf))
+			}
 		}
-		return n
 	}
 	for i := 0; i < 20000; i++ {
 		l := mem.Line(x.Intn(256))
@@ -379,34 +363,10 @@ func TestOccupiedCounterMatchesScan(t *testing.T) {
 			c.Access(l)
 		}
 		if i%500 == 0 {
-			if got, want := c.Occupied(), recount(); got != want {
-				t.Fatalf("step %d: Occupied() = %d, scan says %d", i, got, want)
-			}
+			check(i)
 		}
 	}
-	if got, want := c.Occupied(), recount(); got != want {
-		t.Fatalf("final: Occupied() = %d, scan says %d", got, want)
-	}
-}
-
-func TestStatsMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Fatal("empty miss rate not 0")
-	}
-	s.Hits, s.Misses = 3, 1
-	if s.MissRate() != 0.25 {
-		t.Fatalf("miss rate = %v", s.MissRate())
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c := mustNew(t, 4, 2, NewLRU())
-	c.Access(1)
-	c.ResetStats()
-	if c.Stats != (Stats{}) {
-		t.Fatalf("stats after reset = %+v", c.Stats)
-	}
+	check(20000)
 }
 
 func BenchmarkAccessRRIPThrash(b *testing.B) {

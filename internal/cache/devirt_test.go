@@ -62,8 +62,8 @@ func compareState(t *testing.T, fast, generic *Cache, step int) {
 	if fast.Stats != generic.Stats {
 		t.Fatalf("step %d: stats diverge: %+v (fast) vs %+v (generic)", step, fast.Stats, generic.Stats)
 	}
-	if fast.Occupied() != generic.Occupied() {
-		t.Fatalf("step %d: occupancy %d (fast) vs %d (generic)", step, fast.Occupied(), generic.Occupied())
+	if fast.occupied() != generic.occupied() {
+		t.Fatalf("step %d: occupancy %d (fast) vs %d (generic)", step, fast.occupied(), generic.occupied())
 	}
 	var bufF, bufG []mem.Line
 	for s := 0; s < fast.Sets(); s++ {

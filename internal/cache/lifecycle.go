@@ -23,17 +23,6 @@ func (p *LRU) Clone() Policy {
 // Clone implements Policy.
 func (p *Random) Clone() Policy { return &Random{ways: p.ways, x: p.x.Clone()} }
 
-// ---------------------------------------------------------------- NRU
-
-// Clone implements Policy.
-func (p *NRU) Clone() Policy {
-	return &NRU{
-		ways: p.ways,
-		ref:  append([]bool(nil), p.ref...),
-		ptr:  append([]uint16(nil), p.ptr...),
-	}
-}
-
 // ---------------------------------------------------------------- TreePLRU
 
 // Clone implements Policy. The setM/clrM/vict tables are pure functions of
@@ -92,15 +81,14 @@ func (p *RRIP) Clone() Policy {
 // receiver.
 func (c *Cache) Clone() *Cache {
 	n := &Cache{
-		sets:     c.sets,
-		ways:     c.ways,
-		setMask:  c.setMask,
-		tags:     append([]uint32(nil), c.tags...),
-		mru:      append([]int32(nil), c.mru...),
-		setOcc:   append([]uint16(nil), c.setOcc...),
-		occupied: c.occupied,
-		Stats:    c.Stats,
-		pol:      c.pol.Clone(),
+		sets:    c.sets,
+		ways:    c.ways,
+		setMask: c.setMask,
+		tags:    append([]uint32(nil), c.tags...),
+		mru:     append([]int32(nil), c.mru...),
+		setOcc:  append([]uint16(nil), c.setOcc...),
+		Stats:   c.Stats,
+		pol:     c.pol.Clone(),
 	}
 	switch p := n.pol.(type) {
 	case *RRIP:

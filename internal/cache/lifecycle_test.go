@@ -14,7 +14,6 @@ func lifecyclePolicies() map[string]func(seed uint64) Policy {
 	return map[string]func(seed uint64) Policy{
 		"lru":      func(uint64) Policy { return NewLRU() },
 		"random":   func(seed uint64) Policy { return NewRandom(seed) },
-		"nru":      func(uint64) Policy { return NewNRU() },
 		"treeplru": func(uint64) Policy { return NewTreePLRU() },
 		"srrip":    func(seed uint64) Policy { return NewRRIP(SRRIP, seed) },
 		"brrip":    func(seed uint64) Policy { return NewRRIP(BRRIP, seed) },

@@ -16,8 +16,6 @@ import (
 // are called with valid set/way indices. Implementations must be allocation
 // free after Attach.
 type Policy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
 	// Attach sizes the policy's metadata for a sets x ways cache.
 	Attach(sets, ways int)
 	// OnHit is called when a lookup hits way w of set s.
@@ -77,9 +75,6 @@ type LRU struct {
 // NewLRU returns a true-LRU policy.
 func NewLRU() *LRU { return &LRU{} }
 
-// Name implements Policy.
-func (p *LRU) Name() string { return "lru" }
-
 // Attach implements Policy.
 func (p *LRU) Attach(sets, ways int) {
 	p.ways = ways
@@ -128,9 +123,6 @@ type Random struct {
 // NewRandom returns a random-replacement policy seeded deterministically.
 func NewRandom(seed uint64) *Random { return &Random{x: rng.New(seed)} }
 
-// Name implements Policy.
-func (p *Random) Name() string { return "random" }
-
 // Attach implements Policy.
 func (p *Random) Attach(sets, ways int) { p.ways = ways }
 
@@ -148,60 +140,6 @@ func (p *Random) Victim(int) int { return p.x.Intn(p.ways) }
 
 // OnInvalidate implements Policy.
 func (p *Random) OnInvalidate(int, int) {}
-
-// ---------------------------------------------------------------- NRU
-
-// NRU is not-recently-used: one reference bit per line; evict the first
-// line (in rotating order) whose bit is clear, clearing all bits when every
-// line is marked.
-type NRU struct {
-	ways int //detlint:lifecycle-skip associativity fixed by Attach, identical across the lifecycle
-	ref  []bool
-	ptr  []uint16
-}
-
-// NewNRU returns an NRU policy.
-func NewNRU() *NRU { return &NRU{} }
-
-// Name implements Policy.
-func (p *NRU) Name() string { return "nru" }
-
-// Attach implements Policy.
-func (p *NRU) Attach(sets, ways int) {
-	p.ways = ways
-	p.ref = make([]bool, sets*ways)
-	p.ptr = make([]uint16, sets)
-}
-
-// OnHit implements Policy.
-func (p *NRU) OnHit(s, w int) { p.ref[s*p.ways+w] = true }
-
-// OnMiss implements Policy.
-func (p *NRU) OnMiss(int) {}
-
-// OnInsert implements Policy.
-func (p *NRU) OnInsert(s, w int) { p.ref[s*p.ways+w] = true }
-
-// Victim implements Policy.
-func (p *NRU) Victim(s int) int {
-	base := s * p.ways
-	for round := 0; round < 2; round++ {
-		for i := 0; i < p.ways; i++ {
-			w := (int(p.ptr[s]) + i) % p.ways
-			if !p.ref[base+w] {
-				p.ptr[s] = uint16((w + 1) % p.ways)
-				return w
-			}
-		}
-		for w := 0; w < p.ways; w++ {
-			p.ref[base+w] = false
-		}
-	}
-	return int(p.ptr[s]) % p.ways
-}
-
-// OnInvalidate implements Policy.
-func (p *NRU) OnInvalidate(s, w int) { p.ref[s*p.ways+w] = false }
 
 // ---------------------------------------------------------------- TreePLRU
 
@@ -227,9 +165,6 @@ type TreePLRU struct {
 
 // NewTreePLRU returns a tree-PLRU policy.
 func NewTreePLRU() *TreePLRU { return &TreePLRU{} }
-
-// Name implements Policy.
-func (p *TreePLRU) Name() string { return "plru" }
 
 // Attach implements Policy.
 func (p *TreePLRU) Attach(sets, ways int) {
@@ -389,18 +324,6 @@ func NewSkylakeLLC(seed uint64) *RRIP {
 	p := NewRRIP(SRRIP, seed)
 	p.DistantFrac32 = 3
 	return p
-}
-
-// Name implements Policy.
-func (p *RRIP) Name() string {
-	switch p.mode {
-	case SRRIP:
-		return "srrip"
-	case BRRIP:
-		return "brrip"
-	default:
-		return "drrip"
-	}
 }
 
 // Attach implements Policy.
@@ -633,6 +556,3 @@ func (p *RRIP) AgeOf(s, w int) uint8 {
 	}
 	return p.age[s*p.ways+w]
 }
-
-// PSel exposes the DRRIP selector for tests (positive favours SRRIP).
-func (p *RRIP) PSel() int { return p.psel }

@@ -51,8 +51,10 @@ func (c *Cache) EnableQuota(budgets []int) error {
 	if c.quota != nil {
 		return fmt.Errorf("cache: quota already enabled")
 	}
-	if c.occupied != 0 {
-		return fmt.Errorf("cache: quota must be enabled on an empty cache")
+	for _, n := range c.setOcc {
+		if n != 0 {
+			return fmt.Errorf("cache: quota must be enabled on an empty cache")
+		}
 	}
 	if len(budgets) == 0 {
 		return fmt.Errorf("cache: quota needs at least one domain")
@@ -108,26 +110,6 @@ func (c *Cache) SetWayBudgets(budgets []uint16) {
 // WayBudget returns domain dom's current per-set way budget.
 func (c *Cache) WayBudget(dom int) int {
 	return int(c.quota.budget[dom])
-}
-
-// OwnerOf returns the domain owning l's way, and whether l is resident.
-func (c *Cache) OwnerOf(l mem.Line) (int, bool) {
-	q := c.quota
-	if q == nil {
-		return 0, false
-	}
-	set := c.SetOf(l)
-	base := set * c.ways
-	w := c.find(set, base, l)
-	if w < 0 {
-		return 0, false
-	}
-	return int(q.owner[base+w]), true
-}
-
-// DomainOccupancy returns how many valid lines domain dom holds in set.
-func (c *Cache) DomainOccupancy(set, dom int) int {
-	return int(c.quota.occ[set*c.quota.domains+dom])
 }
 
 // AccessOwned is Access for quota-managed caches: the lookup is attributed

@@ -148,7 +148,7 @@ func TestNaiveAllZerosReceiverOvertakes(t *testing.T) {
 	cfg := testConfig()
 	cfg.Modulate = false
 	cfg.SyncPeriod = 0
-	res := run(t, cfg, payload.Constant(0, 150000))
+	res := run(t, cfg, make([]byte, 150000))
 	if res.RawErrors.RateZeroToOne() < 0.10 {
 		t.Fatalf("expected heavy 0->1 errors from overtake, got %.3f",
 			res.RawErrors.RateZeroToOne())

@@ -151,7 +151,3 @@ func Decode(coded []byte) ([]byte, Result, error) {
 	}
 	return out, res, nil
 }
-
-// Overhead returns the fractional transmission overhead of the code
-// (CodewordBits/DataBits - 1 = 12.5%).
-func Overhead() float64 { return float64(CodewordBits)/float64(DataBits) - 1 }

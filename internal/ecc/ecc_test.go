@@ -10,7 +10,7 @@ import (
 func randBits(x *rng.Xoshiro, n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
-		if x.Bool() {
+		if x.Uint64()&1 == 1 {
 			b[i] = 1
 		}
 	}
@@ -122,9 +122,13 @@ func TestDecodeRejectsPartialPacket(t *testing.T) {
 	}
 }
 
+// TestOverheadIs12Point5Percent pins the code's transmission overhead
+// (Section 4.3: one code byte per 8-byte packet): Encode turns every 64
+// data bits into 72.
 func TestOverheadIs12Point5Percent(t *testing.T) {
-	if Overhead() != 0.125 {
-		t.Fatalf("overhead = %v", Overhead())
+	const data = 64 * 10
+	if overhead := float64(len(Encode(make([]byte, data))))/data - 1; overhead != 0.125 {
+		t.Fatalf("overhead = %v", overhead)
 	}
 }
 

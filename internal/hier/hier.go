@@ -313,23 +313,11 @@ func New(m *params.Machine, opt Options) (*Hierarchy, error) {
 	return h, nil
 }
 
-// TLBOf exposes core's TLB (nil when translation is not modelled).
-func (h *Hierarchy) TLBOf(core int) *tlb.TLB {
-	if h.tlbs == nil {
-		return nil
-	}
-	return h.tlbs[core]
-}
-
 // Machine returns the platform description.
 func (h *Hierarchy) Machine() *params.Machine { return h.mach }
 
 // Geometry returns the line/page geometry.
 func (h *Hierarchy) Geometry() mem.Geometry { return h.geom }
-
-// LLC exposes the shared cache (domain 0's partition on partitioned
-// systems) for diagnostics and tests.
-func (h *Hierarchy) LLC() *cache.Cache { return h.llcs[0] }
 
 // llcFor returns the LLC partition visible to core. Quota domains all see
 // the single shared LLC; their domain index is accounting, not a partition.
@@ -341,9 +329,6 @@ func (h *Hierarchy) llcFor(core int) *cache.Cache {
 	}
 	return h.llcs[h.domains[core]]
 }
-
-// DRAMModel exposes the DRAM model for diagnostics.
-func (h *Hierarchy) DRAMModel() *dram.Model { return h.dram }
 
 // checkCore panics on an out-of-range core id; the ids are fixed small
 // constants in every caller, so this is a programming error, not input.
@@ -682,41 +667,12 @@ func (h *Hierarchy) ProbeLLC(a mem.Addr) bool {
 	return false
 }
 
-// ProbePrivate reports whether a's line is in core's L1 or L2.
-func (h *Hierarchy) ProbePrivate(core int, a mem.Addr) bool {
-	h.checkCore(core)
-	line := h.geom.LineOf(a)
-	return h.l1[core].Probe(line) || h.l2[core].Probe(line)
-}
-
-// InvalidatePrivate drops a's line from core's private caches only (used by
-// tests to force the next access to be served by the LLC).
+// InvalidatePrivate drops a's line from core's private caches only, so the
+// core's next access to it is served by the LLC (the sync channel's
+// signaller drops its own copy of the sync line this way).
 func (h *Hierarchy) InvalidatePrivate(core int, a mem.Addr) {
 	h.checkCore(core)
 	line := h.geom.LineOf(a)
 	h.l1[core].Invalidate(line)
 	h.l2[core].Invalidate(line)
-}
-
-// CheckInclusion verifies that every line resident in a private cache is
-// also in the LLC; it returns the first violating line found, for tests.
-// One scratch buffer serves every per-set scan: tests poll this after
-// every simulated step, and a fresh slice per set was the dominant
-// allocation of those suites.
-func (h *Hierarchy) CheckInclusion() (mem.Line, bool) {
-	scratch := make([]mem.Line, 0, h.mach.L1.Ways+h.mach.L2.Ways)
-	for c := range h.l1 {
-		llc := h.llcFor(c)
-		for _, lv := range []*cache.Cache{h.l1[c], h.l2[c]} {
-			for s := 0; s < lv.Sets(); s++ {
-				scratch = lv.LinesInSet(s, scratch[:0])
-				for _, line := range scratch {
-					if !llc.Probe(line) {
-						return line, false
-					}
-				}
-			}
-		}
-	}
-	return 0, true
 }

@@ -129,6 +129,29 @@ func TestInclusionMaintainedUnderThrash(t *testing.T) {
 	}
 }
 
+// TestCheckInclusionCatchesClearedDirBit pins that the probe checks the
+// fast path's directory, not only inclusion: with one holder's bit cleared
+// the line is still in the LLC, yet CheckInclusion must report it.
+func TestCheckInclusionCatchesClearedDirBit(t *testing.T) {
+	m := tiny(t)
+	h := newHier(t, m, Options{DisablePrefetch: true, Seed: 3})
+	if h.dir == nil {
+		t.Fatal("default options did not take the fast path")
+	}
+	a := mem.Addr(4096)
+	h.Access(0, a, 0)
+	h.Access(1, a, 100)
+	if line, ok := h.CheckInclusion(); !ok {
+		t.Fatalf("inclusion violated for line %d before the corruption", line)
+	}
+	if !h.clearDirBit(1, a) {
+		t.Fatal("line not in the LLC")
+	}
+	if line, ok := h.CheckInclusion(); ok || line != h.geom.LineOf(a) {
+		t.Fatalf("CheckInclusion = (%d, %v) with core 1's dir bit cleared, want (%d, false)", line, ok, h.geom.LineOf(a))
+	}
+}
+
 // Property: any random access interleaving preserves inclusion and keeps
 // latencies within sane bounds.
 func TestAccessProperties(t *testing.T) {

@@ -41,9 +41,6 @@ func NewMonitor(cores int, windowCycles uint64) *Monitor {
 	return &Monitor{cores: cores, window: windowCycles}
 }
 
-// WindowCycles returns the observation window length in cycles.
-func (m *Monitor) WindowCycles() uint64 { return m.window }
-
 // Windows returns the observed windows in time order, from cycle 0 through
 // the last observed access. Windows with no observed traffic are present
 // and all-zero.

@@ -81,20 +81,6 @@ type Region struct {
 	Size int // bytes
 }
 
-// Contains reports whether a falls inside the region.
-func (r Region) Contains(a Addr) bool {
-	return a >= r.Base && uint64(a) < uint64(r.Base)+uint64(r.Size)
-}
-
-// Index returns the byte offset of a within the region. It panics if a is
-// outside the region; callers index regions they own.
-func (r Region) Index(a Addr) int {
-	if !r.Contains(a) {
-		panic(fmt.Sprintf("mem: address %#x outside region [%#x,+%#x)", a, r.Base, r.Size))
-	}
-	return int(a - r.Base)
-}
-
 // AddrAt returns the address at byte offset off. It panics if off is out of
 // range.
 func (r Region) AddrAt(off int) Addr {
@@ -103,9 +89,6 @@ func (r Region) AddrAt(off int) Addr {
 	}
 	return r.Base + Addr(off)
 }
-
-// Lines returns the number of whole cache lines in the region.
-func (r Region) Lines(g Geometry) int { return r.Size / g.LineBytes }
 
 // Allocator hands out disjoint, page-aligned regions of the simulated
 // physical address space. The zero value starts allocating at a non-zero

@@ -81,21 +81,9 @@ func TestRegionContainsAndIndex(t *testing.T) {
 	if r.Contains(4095) || r.Contains(4096+8192) {
 		t.Fatal("region contains addresses outside itself")
 	}
-	if r.Index(4096+100) != 100 {
-		t.Fatalf("Index = %d", r.Index(4096+100))
-	}
 	if r.AddrAt(100) != 4196 {
 		t.Fatalf("AddrAt = %d", r.AddrAt(100))
 	}
-}
-
-func TestRegionIndexPanicsOutside(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Index outside region did not panic")
-		}
-	}()
-	Region{Base: 0, Size: 64}.Index(64)
 }
 
 func TestRegionAddrAtPanicsOutside(t *testing.T) {
@@ -134,13 +122,5 @@ func TestAllocatorZeroValueUsable(t *testing.T) {
 	r := a.Alloc(64)
 	if r.Size < 64 || r.Base == 0 {
 		t.Fatalf("zero-value allocator returned %+v", r)
-	}
-}
-
-func TestRegionLines(t *testing.T) {
-	g := geom(t)
-	r := Region{Base: 0, Size: 64 << 20}
-	if got := r.Lines(g); got != (64<<20)/64 {
-		t.Fatalf("Lines = %d", got)
 	}
 }

@@ -19,9 +19,6 @@ type CacheGeom struct {
 // Sets returns the number of sets implied by the geometry.
 func (g CacheGeom) Sets() int { return g.SizeBytes / (g.Ways * g.LineBytes) }
 
-// Lines returns the total number of cache lines the geometry can hold.
-func (g CacheGeom) Lines() int { return g.SizeBytes / g.LineBytes }
-
 // Validate reports an error if the geometry is not an internally consistent
 // power-of-two design.
 func (g CacheGeom) Validate() error {
@@ -119,9 +116,6 @@ func (m *Machine) Validate() error {
 	}
 	return nil
 }
-
-// LinesPerPage returns the number of cache lines in one page.
-func (m *Machine) LinesPerPage() int { return m.PageSize / m.LLC.LineBytes }
 
 // CyclesToKBps converts a per-bit period in cycles to a channel bit-rate in
 // KB/s (1 KB = 1024 bytes = 8192 bits), the unit the paper reports.

@@ -13,14 +13,14 @@ func TestSkylakeGeometry(t *testing.T) {
 	if m.LLC.Sets() != 8192 {
 		t.Fatalf("LLC sets = %d, want 8192", m.LLC.Sets())
 	}
-	if m.LLC.Lines() != 131072 {
-		t.Fatalf("LLC lines = %d, want 131072", m.LLC.Lines())
+	if lines := m.LLC.SizeBytes / m.LLC.LineBytes; lines != 131072 {
+		t.Fatalf("LLC lines = %d, want 131072", lines)
 	}
 	if m.L1.Sets() != 64 || m.L2.Sets() != 1024 {
 		t.Fatalf("L1/L2 sets = %d/%d", m.L1.Sets(), m.L2.Sets())
 	}
-	if m.LinesPerPage() != 64 {
-		t.Fatalf("lines per page = %d", m.LinesPerPage())
+	if lpp := m.PageSize / m.LLC.LineBytes; lpp != 64 {
+		t.Fatalf("lines per page = %d", lpp)
 	}
 }
 

@@ -12,8 +12,8 @@
 //	array-index = (Pg-num*4096 + Cl-num*64) % arr-sz
 //
 // This package provides that pattern in parametric form (any x, y — used to
-// regenerate Table 1), the naive one-line-per-page pattern of prior work,
-// and a plain sequential pattern, plus a coverage analyzer.
+// regenerate Table 1) and the naive one-line-per-page pattern of prior
+// work.
 package pattern
 
 import (
@@ -205,65 +205,4 @@ func (p *NaivePerPage) FillAddrs(dst []mem.Addr, base mem.Addr, start uint64, ar
 	for j := range dst {
 		dst[j] = base + mem.Addr(((start+uint64(j))*pageB+lineOff)%sz)
 	}
-}
-
-// Sequential accesses consecutive cache lines; maximal set coverage but
-// fully predictable by even a next-line prefetcher.
-type Sequential struct {
-	geom mem.Geometry
-}
-
-// NewSequential returns the sequential pattern.
-func NewSequential(g mem.Geometry) *Sequential { return &Sequential{geom: g} }
-
-// Name implements Pattern.
-func (p *Sequential) Name() string { return "sequential" }
-
-// Offset implements Pattern.
-func (p *Sequential) Offset(i uint64, arrSize int) int {
-	return int(i * uint64(p.geom.LineBytes) % uint64(arrSize))
-}
-
-// FillAddrs implements Chunker.
-func (p *Sequential) FillAddrs(dst []mem.Addr, base mem.Addr, start uint64, arrSize int) {
-	lineB := uint64(p.geom.LineBytes)
-	sz := uint64(arrSize)
-	for j := range dst {
-		dst[j] = base + mem.Addr((start+uint64(j))*lineB%sz)
-	}
-}
-
-// Coverage summarizes how a pattern maps onto an LLC in one lap.
-type Coverage struct {
-	SetsTouched   int     // distinct LLC sets used
-	TotalSets     int     // LLC set count
-	Fraction      float64 // SetsTouched / TotalSets
-	DistinctLines int     // distinct lines accessed in the sampled window
-	// BufferLines estimates how many in-flight lines the LLC can hold
-	// for this pattern: sets touched times ways.
-	BufferLines int
-}
-
-// AnalyzeCoverage walks bits lap indices of the pattern over an array of
-// arrSize bytes mapped at base, and reports LLC set coverage for a cache
-// with llcSets sets and llcWays ways.
-func AnalyzeCoverage(p Pattern, g mem.Geometry, base mem.Addr, arrSize int, bits uint64, llcSets, llcWays int) Coverage {
-	sets := make([]bool, llcSets)
-	lines := make(map[mem.Line]struct{}, bits)
-	mask := uint64(llcSets - 1)
-	for i := uint64(0); i < bits; i++ {
-		a := base + mem.Addr(p.Offset(i, arrSize))
-		l := g.LineOf(a)
-		sets[uint64(l)&mask] = true
-		lines[l] = struct{}{}
-	}
-	cov := Coverage{TotalSets: llcSets, DistinctLines: len(lines)}
-	for _, used := range sets {
-		if used {
-			cov.SetsTouched++
-		}
-	}
-	cov.Fraction = float64(cov.SetsTouched) / float64(llcSets)
-	cov.BufferLines = cov.SetsTouched * llcWays
-	return cov
 }

@@ -59,7 +59,6 @@ func TestOffsetsInRangeAndAligned(t *testing.T) {
 		NewStreamline(geom),
 		NewXY(geom, 5, 4, 0),
 		NewNaivePerPage(geom),
-		NewSequential(geom),
 	}
 	const arrSz = 8 << 20
 	for _, p := range pats {
@@ -162,16 +161,6 @@ func TestNaivePerPageCoverageIsPoor(t *testing.T) {
 	}
 }
 
-func TestSequentialCoverageIsFull(t *testing.T) {
-	geom := g(t)
-	p := NewSequential(geom)
-	const arrSz = 64 << 20
-	cov := AnalyzeCoverage(p, geom, 0, arrSz, 600000, 8192, 16)
-	if cov.Fraction != 1.0 {
-		t.Fatalf("sequential coverage %.3f, want 1.0", cov.Fraction)
-	}
-}
-
 // TestXYNextLineNeverPredictsFuture verifies the property that makes the
 // paper's stride-3 choice safe against next-line prefetching: whenever
 // lines L and L+1 of the same page are both accessed (possible across the
@@ -233,7 +222,6 @@ func TestFillAddrsMatchesOffset(t *testing.T) {
 		NewXY(geom, 3, 3, 14), // y=3: Offset fallback inside XY.FillAddrs
 		NewXY(geom, 7, 1, 0),  // degenerate y=1
 		NewNaivePerPage(geom),
-		NewSequential(geom),
 		offsetOnly{NewStreamline(geom)}, // no Chunker: package fallback
 	}
 	sizes := []int{64 << 20, 1 << 16, 3 * 4096} // pow2 and non-pow2 arrays

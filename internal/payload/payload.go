@@ -9,11 +9,7 @@
 // payload, cached and stored with its Result).
 package payload
 
-import (
-	"fmt"
-
-	"streamline/internal/rng"
-)
+import "streamline/internal/rng"
 
 // FromBytes unpacks data into a bit vector, LSB-first per byte.
 func FromBytes(data []byte) []byte {
@@ -61,19 +57,6 @@ func Biased(seed uint64, n int, p float64) []byte {
 	return bits
 }
 
-// Constant returns n copies of bit (0 or 1); used by the encoding ablation
-// to reproduce the pathological all-0s / all-1s payloads of Figure 4.
-func Constant(bit byte, n int) []byte {
-	if bit > 1 {
-		panic(fmt.Sprintf("payload: bit value %d", bit))
-	}
-	bits := make([]byte, n)
-	for i := range bits {
-		bits[i] = bit
-	}
-	return bits
-}
-
 // Modulate XORs payload bits with the keystream derived from seed,
 // producing the transmitted bits TB-i = PB-i ^ PRNG-i. Demodulating with
 // the same seed recovers the payload.
@@ -87,15 +70,4 @@ func Modulate(payloadBits []byte, seed uint64) []byte {
 // XOR and exists for call-site clarity.
 func Demodulate(txBits []byte, seed uint64) []byte {
 	return Modulate(txBits, seed)
-}
-
-// Ones counts the 1-bits in a bit vector.
-func Ones(bits []byte) int {
-	n := 0
-	for _, b := range bits {
-		if b&1 == 1 {
-			n++
-		}
-	}
-	return n
 }

@@ -35,16 +35,11 @@ type NextLine struct {
 // NewNextLine returns a next-line prefetcher for the given geometry.
 func NewNextLine(g mem.Geometry) *NextLine { return &NextLine{g: g} }
 
-// Observe records a demand access to addr and appends any prefetch
-// candidates (as line addresses) to dst, returning the extended slice. It
-// allocates nothing beyond dst's growth; the same holds for every Observe
-// in this package.
-func (p *NextLine) Observe(addr mem.Addr, dst []mem.Addr) []mem.Addr {
-	return p.observe(p.g.LineOf(addr), p.g.LineInPage(addr), dst)
-}
-
-// observe is Observe with the address already decomposed; Composite
-// shares one decomposition across all three prefetchers.
+// observe records a demand access to line cur (line lip of its page) and
+// appends any prefetch candidates (as line addresses) to dst, returning the
+// extended slice. It allocates nothing beyond dst's growth; the same holds
+// for every observe in this package. The address arrives decomposed
+// because Composite shares one decomposition across all three prefetchers.
 func (p *NextLine) observe(cur mem.Line, lip int, dst []mem.Addr) []mem.Addr {
 	streak := p.lastSet && cur == p.last+1
 	p.last, p.lastSet = cur, true
@@ -118,14 +113,8 @@ func NewStreamer(g mem.Geometry) *Streamer {
 	return p
 }
 
-// Observe records a demand access to addr and appends any prefetch
-// candidates to dst (see NextLine.Observe).
-func (p *Streamer) Observe(addr mem.Addr, dst []mem.Addr) []mem.Addr {
-	return p.observe(addr, p.g.PageOf(addr), int8(p.g.LineInPage(addr)), dst)
-}
-
-// observe is Observe with the address already decomposed (see
-// NextLine.observe).
+// observe records a demand access to addr, on page page at line lip, and
+// appends any prefetch candidates to dst (see NextLine.observe).
 func (p *Streamer) observe(addr mem.Addr, page uint64, lip int8, dst []mem.Addr) []mem.Addr {
 	p.clock++
 
@@ -240,15 +229,9 @@ func NewStride(g mem.Geometry) *Stride {
 	return &Stride{g: g, Degree: 2, ConfThreshold: 3}
 }
 
-// Observe records a demand access to addr and appends any prefetch
-// candidates to dst (see NextLine.Observe).
-func (p *Stride) Observe(addr mem.Addr, dst []mem.Addr) []mem.Addr {
-	return p.observe(addr, p.g.PageOf(addr), dst)
-}
-
-// observe is Observe with the page precomputed (see NextLine.observe). The
-// page is only consumed on the trained path, but Composite has already
-// paid for it.
+// observe records a demand access to addr, on page page, and appends any
+// prefetch candidates to dst (see NextLine.observe). The page is only
+// consumed on the trained path, but Composite has already paid for it.
 func (p *Stride) observe(addr mem.Addr, page uint64, dst []mem.Addr) []mem.Addr {
 	if !p.lastSet {
 		p.lastAddr, p.lastSet = addr, true

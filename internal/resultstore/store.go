@@ -209,6 +209,10 @@ type memEntry struct {
 // circular through the sentinel head: head.next is most-recently-used,
 // head.prev least. Stamps are taken under the shard lock, so list order
 // is lastUse order and the tail is the shard's oldest entry.
+//
+// The three maps stay nil until the shard's first write (reads and deletes
+// of a nil map are no-ops), so opening a store costs no per-shard
+// allocation.
 type shard struct {
 	mu      sync.Mutex
 	disk    map[Key]diskEntry
@@ -295,7 +299,6 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.memDisabled = memBudget < 0
 	s.memMax = memBudget
 	for i := range s.shards {
-		s.shards[i].mem = make(map[Key]*memEntry)
 		s.shards[i].lruInit()
 	}
 	s.resetIndex()
@@ -317,8 +320,8 @@ func Open(dir string, opt Options) (*Store, error) {
 // resetIndex empties the disk and quarantine indexes and their accounting.
 func (s *Store) resetIndex() {
 	for i := range s.shards {
-		s.shards[i].disk = make(map[Key]diskEntry)
-		s.shards[i].corrupt = make(map[Key]int64)
+		s.shards[i].disk = nil
+		s.shards[i].corrupt = nil
 	}
 	s.bytes.Store(0)
 	s.entries.Store(0)
@@ -448,6 +451,9 @@ func (s *Store) setDiskLocked(sh *shard, key Key, de diskEntry) {
 		s.bytes.Add(-old.size)
 	} else {
 		s.entries.Add(1)
+		if sh.disk == nil {
+			sh.disk = make(map[Key]diskEntry)
+		}
 	}
 	sh.disk[key] = de
 	s.bytes.Add(de.size)
@@ -486,6 +492,9 @@ func (s *Store) noteCorruptLocked(sh *shard, key Key, size int64) {
 		s.corruptBytes.Add(-old)
 	} else {
 		s.corruptEntries.Add(1)
+		if sh.corrupt == nil {
+			sh.corrupt = make(map[Key]int64)
+		}
 	}
 	sh.corrupt[key] = size
 	s.corruptBytes.Add(size)
@@ -515,6 +524,9 @@ func (s *Store) insertMemLocked(sh *shard, key Key, payload []byte) {
 		s.dropMemLocked(sh, old)
 	}
 	e := &memEntry{key: key, payload: payload, lastUse: s.clock.Add(1)}
+	if sh.mem == nil {
+		sh.mem = make(map[Key]*memEntry)
+	}
 	sh.mem[key] = e
 	sh.lruPushFront(e)
 	s.memBytesTotal.Add(size)

@@ -532,3 +532,18 @@ func TestQuarantineBounded(t *testing.T) {
 		t.Fatalf("%d bytes on disk, want just the new entry (%d)", got, entrySize)
 	}
 }
+
+// TestOpenAllocsFewTimes pins that opening a store allocates nothing per
+// shard: the shard maps are made on first write, so a memory-only Open
+// costs the Store itself and not 3 maps for each of the 256 shards.
+func TestOpenAllocsFewTimes(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Open("", Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("Open(\"\") allocates %v times, want at most 32", allocs)
+	}
+	t.Logf("Open(\"\") allocates %v times", allocs)
+}

@@ -106,9 +106,6 @@ func (x *Xoshiro) Float64() float64 {
 	return float64(x.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns a uniform random bit.
-func (x *Xoshiro) Bool() bool { return x.Uint64()&1 == 1 }
-
 // Norm returns an approximately standard-normal variate using the sum of 12
 // uniforms (Irwin-Hall). The tails are truncated at ±6 sigma, which is
 // acceptable for latency-jitter modelling and avoids math imports.
@@ -183,13 +180,6 @@ func (k *Keystream) Bit() byte {
 	k.buf >>= 1
 	k.left--
 	return b
-}
-
-// Bits fills dst with keystream bits (one bit per byte, values 0 or 1).
-func (k *Keystream) Bits(dst []byte) {
-	for i := range dst {
-		dst[i] = k.Bit()
-	}
 }
 
 // spread8[b] holds bit j of b in the low bit of byte j: one keystream byte

@@ -130,17 +130,6 @@ func TestKeystreamBalance(t *testing.T) {
 	}
 }
 
-func TestKeystreamBitsEquivalentToBit(t *testing.T) {
-	a, b := NewKeystream(77), NewKeystream(77)
-	buf := make([]byte, 997)
-	a.Bits(buf)
-	for i, v := range buf {
-		if w := b.Bit(); v != w {
-			t.Fatalf("Bits[%d]=%d, Bit=%d", i, v, w)
-		}
-	}
-}
-
 func TestKeystreamBitValues(t *testing.T) {
 	k := NewKeystream(3)
 	for i := 0; i < 1000; i++ {

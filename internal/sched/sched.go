@@ -76,9 +76,6 @@ func (s *Scheduler) AddBackground(a Agent, start uint64) {
 	s.entries = append(s.entries, entry{agent: a, time: start})
 }
 
-// Steps reports how many agent steps the last Run executed.
-func (s *Scheduler) Steps() uint64 { return s.steps }
-
 // Stop requests a pause. It is called from inside an agent's Step; the
 // calling agent must return immediately without side effects (its cost and
 // done values are discarded), and Run/Resume returns ErrPaused with the

@@ -132,8 +132,10 @@ func TestMaxStepsGuard(t *testing.T) {
 	if _, err := s.Run(); err != ErrMaxSteps {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}
-	if s.Steps() != 10 {
-		t.Fatalf("steps = %d", s.Steps())
+	var st State
+	s.Snapshot(&st)
+	if st.Steps != 10 {
+		t.Fatalf("steps = %d", st.Steps)
 	}
 }
 

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary is a mean with a 95% confidence interval, matching the
@@ -122,49 +121,6 @@ func (b ErrorBreakdown) RateOneToZero() float64 {
 	return float64(b.OneToZero) / float64(b.Total)
 }
 
-// Bursts returns the lengths of maximal runs of consecutive errored bit
-// positions, sorted descending. The paper observes 0→1 errors arrive in
-// bursts while 1→0 errors are isolated.
-func Bursts(sent, recv []byte) []int {
-	var bursts []int
-	run := 0
-	for i := range sent {
-		if i < len(recv) && sent[i] != recv[i] {
-			run++
-			continue
-		}
-		if run > 0 {
-			bursts = append(bursts, run)
-			run = 0
-		}
-	}
-	if run > 0 {
-		bursts = append(bursts, run)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(bursts)))
-	return bursts
-}
-
-// DirectionalBursts computes burst lengths separately for each error
-// direction: an error position counts toward the 0→1 list when sent[i]==0
-// and toward the 1→0 list otherwise. Positions of the other direction
-// break a run, matching how a burst-oriented decoder would see each error
-// class (Section 4.3 of the paper: eviction errors are bursty, latency-
-// tail errors are isolated).
-func DirectionalBursts(sent, recv []byte) (zeroOne, oneZero []int) {
-	masked := func(wantSent byte) []int {
-		m := make([]byte, len(recv))
-		copy(m, sent)
-		for i := range sent {
-			if sent[i] != recv[i] && sent[i] == wantSent {
-				m[i] = recv[i] // keep this direction's errors
-			}
-		}
-		return Bursts(sent, m)
-	}
-	return masked(0), masked(1)
-}
-
 // BurstStats summarizes one direction's error bursts without materializing
 // the burst list: the burst count, the number of length-one bursts, and the
 // longest burst.
@@ -173,7 +129,7 @@ type BurstStats struct {
 }
 
 // SingleFraction returns the fraction of bursts of length one, 1 when there
-// are no bursts (matching SingleBitFraction on the materialized list).
+// are no bursts (vacuously all-single-bit).
 func (b BurstStats) SingleFraction() float64 {
 	if b.Bursts == 0 {
 		return 1
@@ -196,11 +152,14 @@ func (b *BurstStats) flush(run *int) {
 	*run = 0
 }
 
-// DirectionalBurstStats is DirectionalBursts reduced to the statistics the
-// channel Result reports, computed in one streaming pass: no masked copies
-// of the bit vectors, no burst lists (two payload-sized allocations per
-// channel run on the slice-based path). TestDirectionalBurstStats pins the
-// equivalence.
+// DirectionalBurstStats summarizes error bursts separately for each error
+// direction: an error position counts toward 0→1 when sent[i]==0 and
+// toward 1→0 otherwise, and positions of the other direction break a run,
+// matching how a burst-oriented decoder would see each error class
+// (Section 4.3 of the paper: eviction errors are bursty, latency-tail
+// errors are isolated). It runs in one streaming pass: no masked copies of
+// the bit vectors and no burst lists. TestDirectionalBurstStats pins it to
+// the slice-based reference in bursts_test.go.
 func DirectionalBurstStats(sent, recv []byte) (zeroOne, oneZero BurstStats) {
 	runZO, runOZ := 0, 0
 	for i := range sent {
@@ -219,21 +178,6 @@ func DirectionalBurstStats(sent, recv []byte) (zeroOne, oneZero BurstStats) {
 	zeroOne.flush(&runZO)
 	oneZero.flush(&runOZ)
 	return zeroOne, oneZero
-}
-
-// SingleBitFraction returns the fraction of error bursts of length one.
-// Returns 1 when there are no bursts (vacuously all-single-bit).
-func SingleBitFraction(bursts []int) float64 {
-	if len(bursts) == 0 {
-		return 1
-	}
-	singles := 0
-	for _, b := range bursts {
-		if b == 1 {
-			singles++
-		}
-	}
-	return float64(singles) / float64(len(bursts))
 }
 
 // Histogram is a fixed-bin latency histogram used by the calibrate tool.
